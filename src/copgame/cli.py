@@ -24,7 +24,7 @@ from .digraph import format_arc_list, parse_arc_list, to_dot
 from .errors import InputError, StateBudgetExceeded
 from .harness import RUN_ORDER, config_with_overrides, run_suite, write_reports
 from .patterns import find_induced, find_pk_star, find_pk_subgraph
-from .solver import DEFAULT_STATE_BUDGET, play_trace, solve
+from .solver import DEFAULT_STATE_BUDGET, _first_winning_placement, play_trace
 
 
 def _read_digraph(path):
@@ -106,19 +106,12 @@ def _cmd_check(args):
 def _cmd_solve(args):
     d = _read_digraph(args.input)
     k_max = args.k_max if args.k_max is not None else d.n
-    found = None
-    placement = None
-    for k in range(1, k_max + 1):
-        result = solve(d, k, args.state_budget)
-        cw = next(result.winning_placements(), None)
-        if cw is not None:
-            found, placement = k, list(cw)
-            break
+    found, placement = _first_winning_placement(d, k_max, args.state_budget)
     payload = {
         "n": d.n,
         "k_max": k_max,
         "cop_number": found,
-        "placement": placement,
+        "placement": None if placement is None else list(placement),
     }
     print(json.dumps(payload, sort_keys=True))
     return 0

@@ -15,6 +15,11 @@ from dataclasses import dataclass
 
 from .errors import InputError
 
+# Far above any graph the package builds (the largest has a few hundred
+# vertices), and small enough that the adjacency lists of a hostile
+# header such as "1000000000 0" are refused before they are allocated.
+MAX_VERTICES = 100_000
+
 
 class Digraph:
     """Immutable digraph with sorted adjacency precomputed in both directions."""
@@ -24,6 +29,8 @@ class Digraph:
     def __init__(self, n: int, arcs=()):
         if n < 1:
             raise InputError(f"vertex count must be >= 1, got {n}")
+        if n > MAX_VERTICES:
+            raise InputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
         arc_set = set()
         for u, v in arcs:
             if u == v:

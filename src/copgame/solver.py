@@ -8,19 +8,41 @@ vertex, whether after a cop move, after a robber move, or already at
 placement.
 
 A position is (cop multiset, robber vertex, side to move).  Cop multisets
-are kept sorted, so positions are canonical.  The solver runs a backward
-attractor over the full position space: a cop-to-move position is winning
-when some successor is, a robber-to-move position when all successors are.
-Each robber position carries a counter of its not-yet-winning successors so
-the whole computation is linear in the number of transitions.  rank counts
-optimal half-moves to capture: cops minimize it, the robber maximizes it.
+are kept sorted, so positions are canonical.  rank counts optimal
+half-moves to capture: cops minimize it, the robber maximizes it.
+
+The solver never tabulates whole cop moves.  A cop move is split into k
+single-cop sub-moves (Petr, Portier and Versteegen, "A faster algorithm
+for Cops and Robbers"): the smallest not-yet-moved cop always moves next,
+so an intermediate state is a pair (moved multiset, unmoved multiset) of k
+vertices in all, and stage j holds the states with j cops still to move.
+Stage k is the cop-to-move positions, stage 0 the robber-to-move ones.
+The sub-move arcs are stored inverted, factored into two small tables per
+stage (see _parent_tables), rather than as one list of arcs.
+
+Every state carries one int bit mask over robber vertices, so one OR
+settles a state for all n robber positions at once.  The backward
+attractor runs level by level, and the level at which a position is won
+is its rank.  Level L first settles the robber side from the cop wins of
+level L-1: a robber-to-move position (C, r) wins once every vertex of the
+closed out-neighbourhood of r is a cop win against C.  It then pushes the
+robber wins of level L-1 back through the k sub-move stages, each stage
+against its own snapshot, so a cop-to-move position is won at
+1 + the smallest rank among its winning successors, and a robber-to-move
+position at 1 + the largest rank among its successors.  Sub-move stages
+add nothing to the rank, which counts whole half-moves.  Ranks are kept
+bit-sliced: one mask per cop multiset and bit of the level.
+
+The state budget bounds three counts, each computed in closed form before
+anything is allocated: positions, sub-move states, and sub-move arcs (the
+cop move table).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
+from math import comb
 
 from .digraph import Digraph
 from .errors import InputError, StateBudgetExceeded
@@ -72,38 +94,46 @@ def legal_moves(d: Digraph, pos: GamePosition) -> list[GamePosition]:
 
 
 class SolveResult:
-    """Winner classification of every position of the (d, k) game."""
+    """Winner classification of every position of the (d, k) game.
 
-    def __init__(self, d, k, cop_sets, index, copsucc, win, rank):
+    copwin[i] and robwin[i] are bit masks over robber vertices: bit r is
+    set when the cop side wins (cop_sets[i], r) with the cops, respectively
+    the robber, to move.  rank[side][t][i] is the mask of robber vertices
+    whose rank with that side to move has bit t set.
+    """
+
+    def __init__(self, d, k, cop_sets, index, copwin, robwin, rank):
         self._d = d
         self.k = k
         self._cop_sets = cop_sets
         self._index = index
-        self._copsucc = copsucc
-        self._win = win
+        self._wins = (copwin, robwin)
         self._rank = rank
-        self._best = {}
 
     @property
     def num_positions(self) -> int:
-        return len(self._win)
+        return len(self._cop_sets) * self._d.n * 2
 
-    def _pid(self, pos: GamePosition) -> int:
+    def _locate(self, pos: GamePosition):
         _check_position(self._d, pos)
         if len(pos.cops) != self.k:
             raise InputError(f"position has {len(pos.cops)} cops, expected {self.k}")
-        ci = self._index[pos.cops]
-        side = 0 if pos.to_move == COPS else 1
-        return (ci * self._d.n + pos.robber) * 2 + side
+        return self._index[pos.cops], 0 if pos.to_move == COPS else 1
 
     def win(self, pos: GamePosition) -> bool:
         """True when the cop side forces capture from this position."""
-        return bool(self._win[self._pid(pos)])
+        ci, side = self._locate(pos)
+        return bool(self._wins[side][ci] >> pos.robber & 1)
 
     def rank(self, pos: GamePosition):
         """Optimal half-moves to capture, or None for robber-win positions."""
-        pid = self._pid(pos)
-        return self._rank[pid] if self._win[pid] else None
+        ci, side = self._locate(pos)
+        if not self._wins[side][ci] >> pos.robber & 1:
+            return None
+        return sum(
+            (plane[ci] >> pos.robber & 1) << t
+            for t, plane in enumerate(self._rank[side])
+        )
 
     def best_move(self, pos: GamePosition):
         """The successor a winning cop side should move to.
@@ -112,20 +142,11 @@ class SolveResult:
         lexicographically smallest cop multiset.  None when the position is
         not a cop-to-move win or is already a capture.
         """
-        pid = self._pid(pos)
-        if pos.to_move != COPS or not self._win[pid] or self._rank[pid] == 0:
+        rk = self.rank(pos)
+        if pos.to_move != COPS or not rk:
             return None
-        cached = self._best.get(pid)
-        if cached is not None:
-            return cached
-        n = self._d.n
-        target = self._rank[pid] - 1
-        r = pos.robber
-        for si in self._copsucc[self._index[pos.cops]]:
-            q = (si * n + r) * 2 + 1
-            if self._win[q] and self._rank[q] == target:
-                move = GamePosition(self._cop_sets[si], r, ROBBER)
-                self._best[pid] = move
+        for move in legal_moves(self._d, pos):
+            if self.rank(move) == rk - 1:
                 return move
         raise RuntimeError("winning position has no rank-decreasing successor")
 
@@ -140,14 +161,13 @@ class SolveResult:
             raise InputError(f"placement has {len(cw)} cops, expected {self.k}")
         if cw not in self._index:
             raise InputError(f"placement {cw} is not over vertices 0..{self._d.n - 1}")
-        n = self._d.n
-        base = self._index[cw] * n * 2
-        return all(self._win[base + 2 * r] for r in range(n))
+        return self._wins[0][self._index[cw]] == (1 << self._d.n) - 1
 
     def winning_placements(self):
         """Cop multisets that beat every robber reply, lexicographic order."""
-        for cw in self._cop_sets:
-            if self.placement_wins(cw):
+        full = (1 << self._d.n) - 1
+        for cw, mask in zip(self._cop_sets, self._wins[0]):
+            if mask == full:
                 yield cw
 
     def positions(self):
@@ -158,101 +178,205 @@ class SolveResult:
                 yield GamePosition(cw, r, ROBBER)
 
 
+def _multisets(n: int, t: int) -> int:
+    """Number of multisets of size t over n vertices."""
+    return comb(n + t - 1, t)
+
+
+def _table_sizes(d: Digraph, k: int):
+    """(positions, sub-move states, sub-move arcs) of the k-cop game on d."""
+    n = d.n
+    positions = _multisets(n, k) * n * 2
+    states = sum(_multisets(n, k - j) * _multisets(n, j) for j in range(k + 1))
+    # A stage-j state moves its smallest unmoved cop u along 1 + outdeg(u)
+    # arcs, and multisets(n - u, j - 1) unmoved multisets of size j have
+    # smallest vertex u.
+    arcs = sum(
+        _multisets(n, k - j)
+        * sum((1 + d.out_degree(u)) * _multisets(n - u, j - 1) for u in range(n))
+        for j in range(1, k + 1)
+    )
+    return positions, states, arcs
+
+
+def _check_budget(d: Digraph, k: int, state_budget: int) -> None:
+    positions, states, arcs = _table_sizes(d, k)
+    if positions > state_budget:
+        raise StateBudgetExceeded(
+            f"{positions} positions exceed the state budget of {state_budget}"
+        )
+    if states > state_budget:
+        raise StateBudgetExceeded(
+            f"{states} sub-move states exceed the state budget of {state_budget}"
+        )
+    if arcs > state_budget:
+        raise StateBudgetExceeded(
+            f"cop move table of {arcs} sub-move arcs exceeds the state budget "
+            f"of {state_budget}"
+        )
+
+
+def _parent_tables(d: Digraph, sets, index, j: int):
+    """The sub-move arcs from stage j to stage j - 1, inverted and factored.
+
+    A child of stage j - 1 is (M', U') with |M'| = k - j + 1 and
+    |U'| = j - 1, numbered i(M') * len(sets[j - 1]) + i(U').  Its parents
+    are (M' minus one copy of v, (u,) + U') for every distinct v in M' and
+    every u in the closed in-neighbourhood of v that is no larger than
+    min(U'), since u must be the smallest cop still to move.  A parent's
+    number is i(M' minus v) * len(sets[j]) + i((u,) + U'), so the arcs
+    factor into two small tables:
+
+    removals[i(M')]: (v, i(M' minus v) * len(sets[j])) per distinct v;
+    prepends[i(U')][v]: i((u,) + U') for each such u.
+    """
+    k = len(sets) - 1
+    n = d.n
+    size_j = len(sets[j])
+    moved_index = index[k - j]
+    unmoved_index = index[j]
+    removals = [
+        [
+            (v, moved_index[moved[:i] + moved[i + 1:]] * size_j)
+            for i, v in enumerate(moved)
+            if i == 0 or moved[i - 1] != v
+        ]
+        for moved in sets[k - j + 1]
+    ]
+    closed_in = [sorted((v,) + d.in_adj[v]) for v in range(n)]
+    prepends = []
+    for rest in sets[j - 1]:
+        lim = rest[0] if rest else n - 1
+        prepends.append([
+            [unmoved_index[(u,) + rest] for u in closed_in[v] if u <= lim]
+            for v in range(n)
+        ])
+    return removals, prepends
+
+
+def _reach_tables(d: Digraph):
+    """(shift, table) pairs covering the vertices eight at a time: for a
+    mask m, the union of table[m >> shift & 255] over the pairs is the set
+    of vertices with an arc into m or in m."""
+    closed_in = [sum(1 << u for u in (v,) + d.in_adj[v]) for v in range(d.n)]
+    tables = []
+    for shift in range(0, d.n, 8):
+        part = closed_in[shift:shift + 8]
+        table = [0] * (1 << len(part))
+        for b in range(1, len(table)):
+            low = b & -b
+            table[b] = table[b ^ low] | part[low.bit_length() - 1]
+        tables.append((shift, table))
+    return tables
+
+
+def _record_ranks(planes, deltas, level: int, num_cw: int) -> None:
+    """Add level to the bit-sliced ranks of the positions in deltas: plane t
+    holds, per cop multiset, the mask of robber vertices whose rank has bit
+    t set."""
+    t = 0
+    while level >> t:
+        if t == len(planes):
+            planes.append([0] * num_cw)
+        if level >> t & 1:
+            plane = planes[t]
+            for ci, mask in deltas:
+                plane[ci] |= mask
+        t += 1
+
+
 def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> SolveResult:
     """Classify every position of the k-cop game on d.
 
-    Raises StateBudgetExceeded before allocating anything when the position
-    space (or the cop move table) would not fit the budget.
+    Raises StateBudgetExceeded before allocating anything when the
+    positions, the sub-move states or the sub-move arcs would not fit the
+    budget.
     """
     if k < 1:
         raise InputError(f"cop count must be >= 1, got {k}")
+    _check_budget(d, k, state_budget)
     n = d.n
-    cop_sets = list(combinations_with_replacement(range(n), k))
+    full = (1 << n) - 1
+    sets = [list(combinations_with_replacement(range(n), t)) for t in range(k + 1)]
+    index = [{s: i for i, s in enumerate(level)} for level in sets]
+    cop_sets = sets[k]
     num_cw = len(cop_sets)
-    total = num_cw * n * 2
-    if total > state_budget:
-        raise StateBudgetExceeded(
-            f"{total} positions exceed the state budget of {state_budget}"
-        )
-    index = {cw: i for i, cw in enumerate(cop_sets)}
-    out_opts = [(v,) + d.out_adj[v] for v in range(n)]
+    tables = [None] + [_parent_tables(d, sets, index, j) for j in range(1, k + 1)]
+    reach_tables = _reach_tables(d)
 
-    copsucc = []
-    entries = 0
-    for cw in cop_sets:
-        succ = sorted({
-            index[tuple(sorted(t))]
-            for t in product(*[out_opts[c] for c in cw])
-        })
-        entries += len(succ)
-        if entries > state_budget:
-            raise StateBudgetExceeded(
-                f"cop move table exceeds the state budget of {state_budget}"
-            )
-        copsucc.append(succ)
-    coppred = [[] for _ in range(num_cw)]
-    for ci, succs in enumerate(copsucc):
-        for s in succs:
-            coppred[s].append(ci)
+    capture = [sum(1 << c for c in set(cw)) for cw in cop_sets]
+    # masks[j][i]: robber vertices from which stage-j state i reaches a
+    # robber-to-move cop win.  masks[0] is robwin and masks[k] is copwin,
+    # both indexed by cop multiset.
+    masks = [capture[:]]
+    masks += [[0] * (len(sets[k - j]) * len(sets[j])) for j in range(1, k)]
+    masks.append(capture[:])
+    robwin, copwin = masks[0], masks[k]
+    rank = ([], [])
 
-    rpred = [(r,) + d.in_adj[r] for r in range(n)]
-    half_total = num_cw * n
-    win = bytearray(2 * half_total)
-    rank = [0] * (2 * half_total)
-    counter = [0] * half_total
-    out_counts = [1 + d.out_degree(r) for r in range(n)]
-    for ci in range(num_cw):
-        base = ci * n
-        for r in range(n):
-            counter[base + r] = out_counts[r]
+    new_cop = new_rob = list(enumerate(capture))
+    level = 0
+    while new_cop or new_rob:
+        level += 1
+        # Robber to move: (C, r) wins when no successor of r is outside
+        # copwin[C], i.e. r is outside the closed in-neighbourhood of every
+        # cop-side escape.  Only cop sets with new cop wins can change.
+        settled = []
+        for ci, _ in new_cop:
+            escapes = full & ~copwin[ci]
+            reach = 0
+            for shift, table in reach_tables:
+                reach |= table[escapes >> shift & 255]
+            gained = full & ~reach & ~robwin[ci]
+            if gained:
+                robwin[ci] |= gained
+                settled.append((ci, gained))
+        # Cops to move: push last level's robber-side wins back one
+        # sub-move stage at a time; a bit is new only where the parent's
+        # mask lacks it.  before keeps each touched parent's mask from the
+        # start of the level, so its delta is what the level added.
+        delta = new_rob
+        for j in range(1, k + 1):
+            removals, prepends = tables[j]
+            size_child = len(prepends)
+            stage = masks[j]
+            before = {}
+            for child, mask in delta:
+                m, u = divmod(child, size_child)
+                row = prepends[u]
+                for v, base in removals[m]:
+                    for q in row[v]:
+                        p = base + q
+                        old = stage[p]
+                        if mask & ~old:
+                            if p not in before:
+                                before[p] = old
+                            stage[p] = old | mask
+            for p, old in before.items():
+                before[p] = stage[p] & ~old
+            delta = before.items()
+        new_cop = list(delta)
+        new_rob = settled
+        _record_ranks(rank[0], new_cop, level, num_cw)
+        _record_ranks(rank[1], new_rob, level, num_cw)
 
-    queue = deque()
-    for ci, cw in enumerate(cop_sets):
-        base2 = ci * n * 2
-        for r in set(cw):
-            p = base2 + 2 * r
-            win[p] = 1
-            win[p + 1] = 1
-            queue.append(p)
-            queue.append(p + 1)
-
-    popleft = queue.popleft
-    append = queue.append
-    while queue:
-        pid = popleft()
-        rk1 = rank[pid] + 1
-        half = pid >> 1
-        ci, r = divmod(half, n)
-        if pid & 1:
-            # A robber-to-move position became winning: every cop-to-move
-            # position one cop move earlier wins too.
-            for ci2 in coppred[ci]:
-                p = (ci2 * n + r) * 2
-                if not win[p]:
-                    win[p] = 1
-                    rank[p] = rk1
-                    append(p)
-        else:
-            # A cop-to-move position became winning: robber predecessors
-            # lose one escape option each.
-            base = ci * n
-            for r1 in rpred[r]:
-                h = base + r1
-                p = h * 2 + 1
-                if not win[p]:
-                    left = counter[h] - 1
-                    counter[h] = left
-                    if left == 0:
-                        win[p] = 1
-                        rank[p] = rk1
-                        append(p)
-
-    return SolveResult(d, k, cop_sets, index, copsucc, win, rank)
+    return SolveResult(d, k, cop_sets, index[k], copwin, robwin, rank)
 
 
 def cops_win_from_placement(result: SolveResult, cops) -> bool:
     """True when the placement wins against every robber placement."""
     return result.placement_wins(cops)
+
+
+def _first_winning_placement(d: Digraph, k_max: int, state_budget: int):
+    """(k, placement) for the smallest k <= k_max with a placement beating
+    every robber reply, the placement lexicographically first; (None, None)
+    when k_max cops do not suffice."""
+    for k in range(1, k_max + 1):
+        cw = next(solve(d, k, state_budget).winning_placements(), None)
+        if cw is not None:
+            return k, cw
+    return None, None
 
 
 def cop_number(d: Digraph, k_max: int, state_budget: int = DEFAULT_STATE_BUDGET):
@@ -263,11 +387,7 @@ def cop_number(d: Digraph, k_max: int, state_budget: int = DEFAULT_STATE_BUDGET)
     """
     if k_max < 1:
         raise InputError(f"k_max must be >= 1, got {k_max}")
-    for k in range(1, k_max + 1):
-        result = solve(d, k, state_budget)
-        if any(True for _ in result.winning_placements()):
-            return k
-    return None
+    return _first_winning_placement(d, k_max, state_budget)[0]
 
 
 @dataclass(frozen=True)
@@ -307,18 +427,14 @@ def play_trace(
     result = solve(d, k, state_budget)
     n = d.n
 
-    best_cw, best_count = None, -1
-    for cw in result.placements():
-        cnt = sum(
-            1 for r in range(n) if result.win(GamePosition(cw, r, COPS))
-        )
+    best_cw, best_mask, best_count = None, 0, -1
+    for cw, mask in zip(result.placements(), result._wins[0]):
+        cnt = mask.bit_count()
         if cnt > best_count:
-            best_cw, best_count = cw, cnt
-    safe = [
-        r for r in range(n) if not result.win(GamePosition(best_cw, r, COPS))
-    ]
+            best_cw, best_mask, best_count = cw, mask, cnt
+    safe = ~best_mask & ((1 << n) - 1)
     if safe:
-        r0 = safe[0]
+        r0 = (safe & -safe).bit_length() - 1
     else:
         r0, best_rank = 0, -1
         for r in range(n):

@@ -260,3 +260,8 @@ class TestInputErrors:
         src = write(tmp_path, "bad.dg", "3 2\n0 1\n")
         code, _, err = run(capsys, "check", src, "--pk", "3")
         assert code == 2 and "bad.dg" in err
+
+    def test_huge_vertex_count(self, capsys, tmp_path):
+        src = write(tmp_path, "huge.dg", "1000000000 0\n")
+        code, _, err = run(capsys, "check", src, "--pk", "2")
+        assert code == 2 and "exceeds the limit" in err

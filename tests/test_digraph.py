@@ -19,6 +19,7 @@ from copgame import (
     to_dot,
     underlying_girth,
 )
+from copgame.digraph import MAX_VERTICES
 
 import oracles
 
@@ -50,6 +51,14 @@ class TestConstruction:
     def test_zero_vertices_rejected(self):
         with pytest.raises(InputError):
             Digraph(0)
+
+    def test_vertex_count_capped_before_allocation(self):
+        # A billion vertices would need two billion adjacency lists; the
+        # cap rejects the count before building any of them.
+        with pytest.raises(InputError, match="exceeds the limit"):
+            Digraph(10**9)
+        with pytest.raises(InputError, match="exceeds the limit"):
+            Digraph(MAX_VERTICES + 1)
 
     def test_repeated_arcs_collapse(self):
         d = Digraph(2, [(0, 1), (0, 1)])
@@ -197,6 +206,10 @@ class TestArcListFormat:
     def test_out_of_range_rejected(self):
         with pytest.raises(InputError, match="out of range"):
             parse_arc_list("2 1\n0 5\n")
+
+    def test_huge_header_rejected(self):
+        with pytest.raises(InputError, match="exceeds the limit"):
+            parse_arc_list("1000000000 0\n")
 
     def test_source_name_in_message(self):
         with pytest.raises(InputError, match="bad.dg"):

@@ -108,9 +108,12 @@ class TestRanks:
             else:
                 assert result.rank(pos) is None
 
-    def test_cops_minimize_robber_maximizes(self):
-        d = gen_random_digraph(4, 0.5, 5)
-        result = solve(d, 2)
+    # k = 3 is the first k with a sub-move stage where both the moved and
+    # the unmoved multiset are non-empty and one of them has two cops.
+    @settings(max_examples=30, deadline=None)
+    @given(digraphs(), st.integers(1, 3))
+    def test_cops_minimize_robber_maximizes(self, d, k):
+        result = solve(d, k)
         for pos in result.positions():
             if not result.win(pos) or result.rank(pos) == 0:
                 continue
@@ -129,6 +132,19 @@ class TestRanks:
                 continue
             nxt = result.best_move(pos)
             assert result.rank(nxt) == result.rank(pos) - 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(digraphs(), st.integers(1, 3))
+    def test_best_move_is_smallest_rank_decreasing_successor(self, d, k):
+        result = solve(d, k)
+        for pos in result.positions():
+            if pos.to_move != COPS or not result.rank(pos):
+                continue
+            target = result.rank(pos) - 1
+            expected = min(
+                s for s in legal_moves(d, pos) if result.rank(s) == target
+            )
+            assert result.best_move(pos) == expected
 
     def test_best_move_none_cases(self):
         result = solve(C4, 2)
@@ -218,6 +234,12 @@ class TestBudget:
         # 80 positions fit exactly, but the cop move table has 100 entries
         with pytest.raises(StateBudgetExceeded, match="move table"):
             solve(k4, 2, state_budget=80)
+
+    def test_sub_move_arcs_checked_before_allocation(self):
+        plane = gen_projective_plane_incidence_doubled(3)
+        # The 1,235,052 positions fit, the 1,586,520 sub-move arcs do not.
+        with pytest.raises(StateBudgetExceeded, match="move table of 1586520"):
+            solve(plane, 4, state_budget=1_300_000)
 
     def test_cop_number_propagates(self):
         with pytest.raises(StateBudgetExceeded):
