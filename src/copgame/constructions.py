@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .digraph import Digraph, neighborhood_partition
+from .digraph import MAX_VERTICES, Digraph, neighborhood_partition
 from .errors import InputError
 
 KIND_MINUS = "minus"
@@ -46,6 +46,13 @@ class PortMap:
 
     def __len__(self):
         return len(self.ports)
+
+
+def _check_vertex_cap(n: int) -> None:
+    """Refuse a graph of n vertices before any of it is built; Digraph
+    applies the same cap, but only to arc lists already in memory."""
+    if n > MAX_VERTICES:
+        raise InputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
 
 
 def build_port_map(d: Digraph) -> PortMap:
@@ -168,6 +175,7 @@ def subdivide_arcs(d: Digraph, m: int) -> Digraph:
     """
     if m < 1:
         raise InputError(f"subdivision factor must be >= 1, got {m}")
+    _check_vertex_cap(d.n + d.arc_count * (m - 1))
     if m == 1:
         return Digraph(d.n, d.arcs)
     arcs = []
@@ -186,6 +194,7 @@ def gen_directed_path(k: int) -> Digraph:
     """Directed path 0 -> 1 -> ... -> k-1."""
     if k < 1:
         raise InputError(f"path length must be >= 1, got {k}")
+    _check_vertex_cap(k)
     return Digraph(k, [(i, i + 1) for i in range(k - 1)])
 
 
@@ -193,6 +202,7 @@ def gen_directed_cycle(n: int) -> Digraph:
     """Directed cycle on n vertices; n = 2 gives the bidirected pair."""
     if n < 2:
         raise InputError(f"cycle length must be >= 2, got {n}")
+    _check_vertex_cap(n)
     return Digraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -230,6 +240,9 @@ def gen_projective_plane_incidence_doubled(q: int) -> Digraph:
     point i and line j are adjacent when their dot product is 0 mod q.
     Points take ids 0..N-1 and lines N..2N-1 where N = q*q + q + 1.
     """
+    if q >= 2:
+        # before the primality test, whose trial division is O(sqrt q)
+        _check_vertex_cap(2 * (q * q + q + 1))
     if not _is_prime(q):
         raise InputError(f"plane order must be prime, got {q}")
     triples = [(1, y, z) for y in range(q) for z in range(q)]
@@ -249,6 +262,7 @@ def gen_projective_plane_incidence_doubled(q: int) -> Digraph:
 def _random_digraph_from(rng: random.Random, n: int, p: float) -> Digraph:
     """Each ordered pair becomes an arc independently with probability p,
     consuming the rng in fixed lexicographic pair order."""
+    _check_vertex_cap(n)
     arcs = [
         (u, v)
         for u in range(n)

@@ -137,6 +137,20 @@ class TestCheck:
         code, _, err = run(capsys, "check", src, "--pk", "1")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "flag, kind",
+        [("--pk", "pk-subgraph"), ("--pk-star", "pk-star"), ("--induced", "induced-iso")],
+    )
+    def test_long_path_witness(self, capsys, tmp_path, flag, kind):
+        # deeper than the default recursion limit of 1000
+        src = str(tmp_path / "p.dg")
+        assert run(capsys, "gen", "path", "--k", "1500", "-o", src)[0] == 0
+        code, out, _ = run(capsys, "check", src, flag, src if flag == "--induced" else "1500")
+        payload = json.loads(out)
+        assert code == 0 and payload["free"] is False
+        assert payload["kind"] == kind
+        assert payload["witness"] == list(range(1500))
+
 
 class TestSolve:
     def test_cycle_needs_two(self, capsys, tmp_path):
@@ -260,6 +274,24 @@ class TestInputErrors:
         src = write(tmp_path, "bad.dg", "3 2\n0 1\n")
         code, _, err = run(capsys, "check", src, "--pk", "3")
         assert code == 2 and "bad.dg" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen", "random", "--n", "1000000000", "--p", "0", "--seed", "1"),
+            ("gen", "path", "--k", "1000000000"),
+            ("gen", "cycle", "--n", "1000000000"),
+            ("gen", "plane", "--q", "1000000007"),
+        ],
+    )
+    def test_huge_generator(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "exceeds the limit" in err
+
+    def test_huge_subdivision(self, capsys, tmp_path):
+        src = write(tmp_path, "c3.dg", C3_TEXT)
+        code, _, err = run(capsys, "transform", src, "--op", "subdivide", "--m", "1000000000")
+        assert code == 2 and "exceeds the limit" in err
 
     def test_huge_vertex_count(self, capsys, tmp_path):
         src = write(tmp_path, "huge.dg", "1000000000 0\n")

@@ -1,6 +1,8 @@
 """Generators, clique substitution and arc subdivision."""
 
 import math
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,8 @@ from copgame import (
     subdivide_arcs,
     underlying_girth,
 )
+from copgame.constructions import _random_digraph_from
+from copgame.digraph import MAX_VERTICES
 
 import oracles
 
@@ -285,3 +289,46 @@ class TestFamilies:
             gen_random_digraph(0, 0.5, 1)
         with pytest.raises(InputError):
             gen_random_digraph(3, 1.5, 1)
+
+
+class TestVertexCap:
+    # The first six calls would produce exactly MAX_VERTICES + 1 vertices
+    # (227 is the smallest prime plane above the cap), the rest far more;
+    # the cap must fire before any arc list exists, so each call allocates
+    # next to nothing.
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: gen_directed_path(MAX_VERTICES + 1),
+            lambda: gen_directed_cycle(MAX_VERTICES + 1),
+            lambda: gen_random_digraph(MAX_VERTICES + 1, 0.0, 1),
+            lambda: gen_projective_plane_incidence_doubled(227),
+            lambda: subdivide_arcs(gen_directed_path(2), MAX_VERTICES),
+            lambda: subdivide_arcs(gen_directed_cycle(3), MAX_VERTICES // 3 + 1),
+            lambda: gen_directed_path(10**18),
+            lambda: gen_directed_cycle(10**18),
+            lambda: gen_random_digraph(10**18, 0.5, 1),
+            lambda: gen_projective_plane_incidence_doubled(10**18 + 9),
+            lambda: subdivide_arcs(HUB, 10**18),
+        ],
+    )
+    def test_refused_before_building(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="exceeds the limit"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_random_draws_nothing(self):
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(InputError, match="exceeds the limit"):
+            _random_digraph_from(rng, MAX_VERTICES + 1, 0.5)
+        assert rng.getstate() == state
+
+    def test_at_the_cap(self):
+        out = subdivide_arcs(gen_directed_path(2), MAX_VERTICES - 1)
+        assert out.n == MAX_VERTICES

@@ -8,14 +8,18 @@ from copgame import (
     Digraph,
     InputError,
     PatternWitness,
+    clique_substitute_all,
     containment_chain_check,
     find_induced,
     find_pk_star,
     find_pk_subgraph,
+    gen_claw_orientations,
     gen_directed_cycle,
     gen_directed_path,
+    gen_projective_plane_incidence_doubled,
     gen_random_digraph,
 )
+from copgame.patterns import MAX_MASK_BITS
 
 import oracles
 
@@ -53,6 +57,12 @@ class TestFrozenChainValues:
 
     def test_triangle_no_induced_path(self):
         assert find_induced(C3, P3) is None
+
+    def test_substituted_plane_is_claw_free(self):
+        host = clique_substitute_all(gen_projective_plane_incidence_doubled(2))
+        assert host.n == 42
+        for claw in gen_claw_orientations():
+            assert find_induced(host, claw) is None
 
 
 class TestSmallCases:
@@ -93,6 +103,35 @@ class TestSmallCases:
         assert find_induced(K3, gen_directed_cycle(2)).kind == "induced-iso"
 
 
+class TestLongPatterns:
+    # far deeper than the interpreter's default recursion limit of 1000
+    def test_whole_path_found(self):
+        path = gen_directed_path(1500)
+        whole = tuple(range(1500))
+        assert find_pk_subgraph(path, 1500).vertices == whole
+        assert find_pk_star(path, 1500).vertices == whole
+        assert find_induced(path, path).vertices == whole
+
+    def test_mask_limit_refused_before_building(self):
+        # the out-masks of a 100,000-vertex path alone take n^2 / 2 bits
+        path = gen_directed_path(100_000)
+        assert path.n * path.n // 2 > MAX_MASK_BITS
+        for search in (find_pk_subgraph, find_pk_star):
+            with pytest.raises(InputError, match="candidate masks"):
+                search(path, 2)
+        with pytest.raises(InputError, match="candidate masks"):
+            find_induced(path, P3)
+
+
+def patterns():
+    """Patterns on 1-4 vertices: the claws, and random digraphs, which
+    include disconnected ones, isolated vertices and opposite arc pairs."""
+    return st.one_of(
+        st.sampled_from(gen_claw_orientations()),
+        digraphs(max_n=4),
+    )
+
+
 class TestAgainstOracles:
     @settings(max_examples=60, deadline=None)
     @given(digraphs(), st.integers(2, 4))
@@ -119,6 +158,13 @@ class TestAgainstOracles:
     @given(digraphs(max_n=6))
     def test_induced_cycle_against_oracle(self, d):
         pattern = gen_directed_cycle(3)
+        got = find_induced(d, pattern)
+        expected = oracles.naive_induced(d, pattern)
+        assert (got.vertices if got else None) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(digraphs(), patterns())
+    def test_induced_general_pattern_lex_first(self, d, pattern):
         got = find_induced(d, pattern)
         expected = oracles.naive_induced(d, pattern)
         assert (got.vertices if got else None) == expected
