@@ -1,25 +1,30 @@
 """Batch verification suites over seeded digraph instances.
 
-Each suite replays one structural claim (monotonicity of a transformation,
-a forbidden-pattern guarantee, a cop-number bound) on seeded random
-digraphs, plus an exhaustive sweep of all small digraphs for the path
-pattern bound.  One CSV row is written per checked fact.  Identical
-configurations reproduce identical records; the elapsed-micros column is
-the only field that may differ between runs.
-
-Suites are registered under short stable tokens (lemma1 .. theorem3) used
-by the command line and the CSV output:
+Each suite replays one structural claim on seeded instances and writes one
+CSV row per checked fact.  Identical configurations reproduce identical
+records except for the elapsed-micros column.  The suites are the entries
+of one table, `_SUITES`, under the stable tokens that the command line and
+the CSV output use; RUN_ORDER is the table's order.
 
     lemma1    clique substitution never lowers the cop number
-    lemma2    arc subdivision never lowers the cop number
+    lemma2    arc subdivision by m = 2, 3 never lowers the cop number
     lemma3    clique substitution keeps strong connectivity and leaves no
               induced claw orientation
-    lemma4    subdividing by l pushes the underlying girth to at least l
-              and keeps strong connectivity
+    lemma4    subdividing by l = 2, 3, 4 pushes the underlying girth to at
+              least l and keeps strong connectivity
     theorem1  the cop number is at least the source count; the doubled
               order-2 plane needs exactly 3 cops and has no induced P_2
     theorem3  strongly connected hosts free of the forward-exact path
               tuple on k vertices have cop number at most k - 2
+
+An entry holds the suite's default config and its passes; a pass runs one
+check over every instance of one source.  Random instances have seeds
+>= 0 (see _Drawn).  Fixed instances have negative seeds: -1 is theorem1's
+doubled plane, and -((n << 20) | code) - 1 is the digraph with arc mask
+`code` (see iter_all_digraphs) in theorem3's sweep of the strongly
+connected digraphs on 1 .. min(4, n_max) vertices.  `run_suite` runs the
+passes in order; `replay_instance` recomputes the rows of one (suite, seed)
+pair from the seed alone, and rejects a seed that no run records.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from __future__ import annotations
 import csv
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 from .constructions import (
@@ -51,17 +57,10 @@ from .solver import DEFAULT_STATE_BUDGET, cop_number
 
 RETRY_CAP = 1000
 
-CSV_HEADER = (
-    "suite",
-    "seed",
-    "n",
-    "arcs",
-    "transform",
-    "c_before",
-    "c_after",
-    "verdicts",
-    "micros",
-)
+GIRTH_TARGETS = (2, 3, 4)
+
+# theorem3's exhaustive sweep covers 1 .. min(_SWEEP_N, n_max) vertices.
+_SWEEP_N = 4
 
 
 @dataclass(frozen=True)
@@ -80,6 +79,9 @@ class SuiteConfig:
             raise InputError(f"n_max must be >= 2, got {self.n_max}")
         if not 0.0 <= self.p <= 1.0:
             raise InputError(f"arc probability must be in [0, 1], got {self.p}")
+        # Negative seeds are the fixed instances'.
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -95,17 +97,10 @@ class InstanceRecord:
     micros: int
 
     def row(self) -> list[str]:
-        return [
-            self.suite,
-            str(self.seed),
-            str(self.n),
-            str(self.arcs),
-            self.transform,
-            "" if self.c_before is None else str(self.c_before),
-            "" if self.c_after is None else str(self.c_after),
-            self.verdicts,
-            str(self.micros),
-        ]
+        return ["" if v is None else str(v) for v in astuple(self)]
+
+
+CSV_HEADER = tuple(f.name for f in fields(InstanceRecord))
 
 
 @dataclass
@@ -132,407 +127,292 @@ class ExperimentReport:
         return not self.violations
 
 
-def _micros(t0: int) -> int:
-    return (time.perf_counter_ns() - t0) // 1000
+# ------------------------------------------------------------------ checks
+# A check takes an instance and its config and yields one fact per row:
+# (transform, c_before, c_after, verdicts, outcome).  An outcome of True or
+# False appends ";ok" or ";violation" to the verdicts, None appends
+# nothing, and a StateBudgetExceeded marks a row the budget cut short.
 
 
-def _draw(seed: int, n_min: int, n_max: int, p: float) -> Digraph:
-    """The instance a given attempt seed denotes: vertex count first, then
-    arcs, from one seeded stream."""
-    rng = random.Random(seed)
-    n = rng.randint(n_min, n_max)
-    return _random_digraph_from(rng, n, p)
+def _budget_error(transform, exc):
+    return transform, None, None, "error=state-budget", exc
 
 
-def _find_seed(base: int, cfg: SuiteConfig, predicate) -> int | None:
-    """Attempt seeds base*1000 .. base*1000+999 until the drawn instance
-    satisfies the predicate.  None when the retry cap is hit."""
-    for j in range(RETRY_CAP):
-        s = base * 1000 + j
-        if predicate(_draw(s, 2, cfg.n_max, cfg.p)):
-            return s
-    return None
-
-
-def _any(_d: Digraph) -> bool:
-    return True
-
-
-def _run_sampled(token, cfg, predicate, instance_fn, **kw):
-    records, violations, errors = [], [], []
-    for i in range(cfg.trials):
-        s = _find_seed(cfg.seed + i, cfg, predicate)
-        if s is None:
-            errors.append(
-                f"instance {i}: no instance satisfied the predicate in {RETRY_CAP} draws"
-            )
-            continue
-        recs, vio, errs = instance_fn(s, cfg, **kw)
-        records.extend(recs)
-        violations.extend(vio)
-        errors.extend(errs)
-    return ExperimentReport(token, records, violations, errors)
-
-
-def _budget_error(token, seed, d, transform, exc):
-    rec = InstanceRecord(
-        token, seed, d.n, d.arc_count, transform, None, None, "error=state-budget", 0
-    )
-    return [rec], [], [f"seed {seed}: {exc}; raise state_budget to run this instance"]
-
-
-def _clique_sub_instance(seed, cfg):
-    t0 = time.perf_counter_ns()
-    d = _draw(seed, 2, cfg.n_max, cfg.p)
+def _clique_sub_check(d, cfg):
     big = clique_substitute_all(d)
     try:
         c_before = cop_number(d, d.n, cfg.state_budget)
         c_after = cop_number(big, big.n, cfg.state_budget)
     except StateBudgetExceeded as exc:
-        return _budget_error("lemma1", seed, d, "clique-sub", exc)
-    ok = c_after >= c_before
-    rec = InstanceRecord(
-        "lemma1",
-        seed,
-        d.n,
-        d.arc_count,
-        "clique-sub",
-        c_before,
-        c_after,
-        f"n_after={big.n};{'ok' if ok else 'violation'}",
-        _micros(t0),
-    )
-    return [rec], ([] if ok else [seed]), []
+        yield _budget_error("clique-sub", exc)
+        return
+    yield "clique-sub", c_before, c_after, f"n_after={big.n}", c_after >= c_before
 
 
-def _subdivide_instance(seed, cfg):
-    d = _draw(seed, 2, cfg.n_max, cfg.p)
+def _subdivision_check(d, cfg, factors):
     try:
         c_before = cop_number(d, d.n, cfg.state_budget)
     except StateBudgetExceeded as exc:
-        return _budget_error("lemma2", seed, d, "subdivide", exc)
-    records, violations, errors = [], [], []
-    for m in (2, 3):
-        t0 = time.perf_counter_ns()
+        yield _budget_error("subdivide", exc)
+        return
+    for m in factors:
         sub = subdivide_arcs(d, m)
         try:
             c_after = cop_number(sub, sub.n, cfg.state_budget)
         except StateBudgetExceeded as exc:
-            r, _, e = _budget_error("lemma2", seed, d, f"subdivide-m{m}", exc)
-            records.extend(r)
-            errors.extend(e)
+            yield _budget_error(f"subdivide-m{m}", exc)
             continue
         ok = c_after >= c_before
-        records.append(
-            InstanceRecord(
-                "lemma2",
-                seed,
-                d.n,
-                d.arc_count,
-                f"subdivide-m{m}",
-                c_before,
-                c_after,
-                f"n_after={sub.n};{'ok' if ok else 'violation'}",
-                _micros(t0),
-            )
-        )
-        if not ok:
-            violations.append(seed)
-    return records, violations, errors
+        yield f"subdivide-m{m}", c_before, c_after, f"n_after={sub.n}", ok
 
 
-def _claw_instance(seed, cfg):
-    t0 = time.perf_counter_ns()
-    d = _draw(seed, 2, cfg.n_max, cfg.p)
+def _claw_check(d, cfg):
     big = clique_substitute_all(d)
     sc = is_strongly_connected(big)
     found = []
     for i, claw in enumerate(gen_claw_orientations()):
         w = find_induced(big, claw)
         if w is not None:
-            found.append((i, w.vertices))
-    ok = sc and not found
-    if found:
-        detail = ";".join(
-            f"claw{i}={'-'.join(map(str, vs))}" for i, vs in found
-        )
-    else:
-        detail = "claws=absent"
-    rec = InstanceRecord(
-        "lemma3",
-        seed,
-        d.n,
-        d.arc_count,
-        "clique-sub",
-        None,
-        None,
-        f"sc={int(sc)};{detail};{'ok' if ok else 'violation'}",
-        _micros(t0),
-    )
-    return [rec], ([] if ok else [seed]), []
+            found.append(f"claw{i}={'-'.join(map(str, w.vertices))}")
+    detail = ";".join(found) if found else "claws=absent"
+    yield "clique-sub", None, None, f"sc={int(sc)};{detail}", sc and not found
 
 
-def _girth_instance(seed, cfg, l):
-    t0 = time.perf_counter_ns()
-    d = _draw(seed, 2, cfg.n_max, cfg.p)
+def _girth_check(d, cfg, l):
     sub = subdivide_arcs(d, l)
     g = underlying_girth(sub)
     sc = is_strongly_connected(sub)
-    ok = g >= l and sc
     g_text = "inf" if g == float("inf") else str(g)
-    rec = InstanceRecord(
-        "lemma4",
-        seed,
-        d.n,
-        d.arc_count,
-        f"subdivide-m{l}",
-        None,
-        None,
-        f"girth={g_text};sc={int(sc)};{'ok' if ok else 'violation'}",
-        _micros(t0),
-    )
-    return [rec], ([] if ok else [seed]), []
+    yield f"subdivide-m{l}", None, None, f"girth={g_text};sc={int(sc)}", g >= l and sc
 
 
-def _source_bound_instance(seed, cfg):
-    t0 = time.perf_counter_ns()
-    d = _draw(seed, 2, cfg.n_max, cfg.p)
+def _source_bound_check(d, cfg):
     sources = count_sources(d)
     try:
         c = cop_number(d, d.n, cfg.state_budget)
     except StateBudgetExceeded as exc:
-        return _budget_error("theorem1", seed, d, "", exc)
-    ok = c >= sources
-    rec = InstanceRecord(
-        "theorem1",
-        seed,
-        d.n,
-        d.arc_count,
-        "",
-        c,
-        None,
-        f"sources={sources};{'ok' if ok else 'violation'}",
-        _micros(t0),
-    )
-    return [rec], ([] if ok else [seed]), []
+        yield _budget_error("", exc)
+        return
+    yield "", c, None, f"sources={sources}", c >= sources
 
 
-def _plane_record(cfg):
-    t0 = time.perf_counter_ns()
-    plane = gen_projective_plane_incidence_doubled(2)
-    induced = find_induced(plane, gen_directed_path(2))
+def _plane_check(d, cfg):
+    induced = find_induced(d, gen_directed_path(2))
     try:
-        c = cop_number(plane, 3, cfg.state_budget)
+        c = cop_number(d, 3, cfg.state_budget)
     except StateBudgetExceeded as exc:
-        return _budget_error("theorem1", -1, plane, "doubled-plane-q2", exc)
-    ok = induced is None and c == 3
-    rec = InstanceRecord(
-        "theorem1",
-        -1,
-        plane.n,
-        plane.arc_count,
-        "doubled-plane-q2",
-        c,
-        None,
-        f"p2_induced={'absent' if induced is None else 'present'};"
-        f"{'ok' if ok else 'violation'}",
-        _micros(t0),
-    )
-    return [rec], ([] if ok else [-1]), []
+        yield _budget_error("doubled-plane-q2", exc)
+        return
+    p2 = "absent" if induced is None else "present"
+    yield "doubled-plane-q2", c, None, f"p2_induced={p2}", induced is None and c == 3
 
 
-def _path_star_instance(d, seed, transform, cfg):
-    records, violations, errors = [], [], []
+def _path_star_check(d, cfg, transform):
+    for k in cfg.k_values:
+        if k not in (3, 4, 5):
+            raise InputError(f"k values must be within {{3, 4, 5}}, got {k}")
     c = None
     for k in cfg.k_values:
-        t0 = time.perf_counter_ns()
         w = find_pk_star(d, k)
-        if w is None:
-            if c is None:
-                try:
-                    c = cop_number(d, d.n, cfg.state_budget)
-                except StateBudgetExceeded as exc:
-                    r, _, e = _budget_error("theorem3", seed, d, transform, exc)
-                    records.extend(r)
-                    errors.extend(e)
-                    continue
-            ok = c <= k - 2
-            verdict = f"k={k};free;{'ok' if ok else 'violation'}"
-            if not ok:
-                violations.append(seed)
-            c_col = c
-        else:
-            verdict = f"k={k};witness={'-'.join(map(str, w.vertices))}"
-            c_col = None
-        records.append(
+        if w is not None:
+            witness = "-".join(map(str, w.vertices))
+            yield transform, None, None, f"k={k};witness={witness}", None
+            continue
+        if c is None:
+            try:
+                c = cop_number(d, d.n, cfg.state_budget)
+            except StateBudgetExceeded as exc:
+                yield _budget_error(transform, exc)
+                continue
+        yield transform, c, None, f"k={k};free", c <= k - 2
+
+
+def _run_check(report, check, seed, d, cfg) -> None:
+    """Add the rows, violations and errors of one check on one instance to
+    report; a row's micros is the time spent on its fact."""
+    t0 = time.perf_counter_ns()
+    for transform, c_before, c_after, verdicts, outcome in check(d, cfg):
+        if isinstance(outcome, StateBudgetExceeded):
+            report.errors.append(
+                f"seed {seed}: {outcome}; raise state_budget to run this instance"
+            )
+        elif outcome is not None:
+            verdicts += ";ok" if outcome else ";violation"
+            if not outcome:
+                report.violations.append(seed)
+        t1 = time.perf_counter_ns()
+        micros = (t1 - t0) // 1000
+        report.records.append(
             InstanceRecord(
-                "theorem3",
-                seed,
-                d.n,
-                d.arc_count,
-                transform,
-                c_col,
-                None,
-                verdict,
-                _micros(t0),
+                report.suite, seed, d.n, d.arc_count, transform, c_before, c_after,
+                verdicts, micros,
             )
         )
-    return records, violations, errors
+        t0 = t1
+
+
+def _draw(seed: int, cfg: SuiteConfig) -> Digraph:
+    """The instance a random attempt seed denotes: vertex count first, then
+    arcs, from one seeded stream."""
+    rng = random.Random(seed)
+    n = rng.randint(2, cfg.n_max)
+    return _random_digraph_from(rng, n, cfg.p)
+
+
+@dataclass(frozen=True)
+class _Drawn:
+    """Random instances.  Instance i of a run is the first attempt seed
+    (cfg.seed + i) * 1000 + j, j < RETRY_CAP, whose draw satisfies the
+    predicate, or None when no attempt does."""
+
+    predicate: object
+
+    def instances(self, cfg: SuiteConfig):
+        for i in range(cfg.trials):
+            start = (cfg.seed + i) * 1000
+            yield self._first(start, start + RETRY_CAP, cfg)
+
+    def decode(self, seed: int, cfg: SuiteConfig):
+        """The digraph of an attempt seed, or None unless it is the first
+        of its block whose draw satisfies the predicate."""
+        found = self._first(seed - seed % 1000, seed + 1, cfg) if seed >= 0 else None
+        return found[1] if found is not None and found[0] == seed else None
+
+    def _first(self, start: int, stop: int, cfg: SuiteConfig):
+        for s in range(start, stop):
+            d = _draw(s, cfg)
+            if self.predicate(d):
+                return s, d
+        return None
+
+
+@dataclass(frozen=True)
+class _Fixed:
+    """Fixed instances, under negative seeds."""
+
+    seeds: object  # cfg -> the candidate seeds, in record order
+    decode: object  # (seed, cfg) -> the digraph, or None if no run records it
+
+    def instances(self, cfg: SuiteConfig):
+        for s in self.seeds(cfg):
+            d = self.decode(s, cfg)
+            if d is not None:
+                yield s, d
+
+
+def _digraph_of_code(n: int, code: int) -> Digraph:
+    """The loop-free digraph on 0..n-1 whose arcs are the set bits of code,
+    bit b standing for the b-th ordered pair (u, v), u != v, in
+    lexicographic order."""
+    pairs = ((u, v) for u in range(n) for v in range(n) if u != v)
+    return Digraph(n, [pair for b, pair in enumerate(pairs) if code >> b & 1])
 
 
 def iter_all_digraphs(n: int):
     """Every loop-free digraph on vertices 0..n-1, as (code, digraph); the
     code is the arc-subset bitmask over lexicographic ordered pairs."""
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    for code in range(1 << len(pairs)):
-        arcs = [pairs[b] for b in range(len(pairs)) if code >> b & 1]
-        yield code, Digraph(n, arcs)
+    for code in range(1 << n * (n - 1)):
+        yield code, _digraph_of_code(n, code)
 
 
-def _exhaustive_seed(n: int, code: int) -> int:
-    return -((n << 20) | code) - 1
+def _sweep_seeds(cfg: SuiteConfig):
+    for n in range(1, min(_SWEEP_N, cfg.n_max) + 1):
+        for code in range(1 << n * (n - 1)):
+            yield -((n << 20) | code) - 1
 
 
-def _decode_exhaustive_seed(seed: int):
-    s = -seed - 1
-    return s >> 20, s & ((1 << 20) - 1)
+def _decode_sweep_seed(seed: int, cfg: SuiteConfig):
+    """The digraph a theorem3 seed encodes, or None unless the sweep under
+    cfg records it: n in 1 .. min(4, n_max), a code below 2^(n(n-1)) and a
+    strongly connected digraph."""
+    n, code = divmod(-seed - 1, 1 << 20)
+    if not 1 <= n <= min(_SWEEP_N, cfg.n_max) or code >> n * (n - 1):
+        return None
+    d = _digraph_of_code(n, code)
+    return d if is_strongly_connected(d) else None
 
 
-def suite_clique_substitution(cfg: SuiteConfig) -> ExperimentReport:
-    """Cop number of the whole-graph clique substitution is never below the
-    cop number of the source (weakly connected instances)."""
-    return _run_sampled("lemma1", cfg, is_weakly_connected, _clique_sub_instance)
+def _decode_plane_seed(seed: int, cfg: SuiteConfig):
+    return gen_projective_plane_incidence_doubled(2) if seed == -1 else None
 
 
-def suite_arc_subdivision(cfg: SuiteConfig) -> ExperimentReport:
-    """Cop number never drops under arc subdivision with m in {2, 3}."""
-    return _run_sampled("lemma2", cfg, is_weakly_connected, _subdivide_instance)
+# ------------------------------------------------------------------- table
 
+# The predicates look their function up when called, so that rebinding the
+# module's names (as a tracer does) reaches every call.
+_WEAK = _Drawn(lambda d: is_weakly_connected(d))
+_STRONG = _Drawn(lambda d: is_strongly_connected(d))
 
-def suite_claw_free_substitution(cfg: SuiteConfig) -> ExperimentReport:
-    """Clique substitution of a strongly connected digraph stays strongly
-    connected and contains no induced claw orientation."""
-    return _run_sampled("lemma3", cfg, is_strongly_connected, _claw_instance)
-
-
-def suite_girth_subdivision(cfg: SuiteConfig, l: int) -> ExperimentReport:
-    """Subdividing a strongly connected digraph by l gives underlying girth
-    at least l and keeps strong connectivity."""
-    if l < 2:
-        raise InputError(f"girth target must be >= 2, got {l}")
-    return _run_sampled("lemma4", cfg, is_strongly_connected, _girth_instance, l=l)
-
-
-def suite_source_bound_families(cfg: SuiteConfig) -> ExperimentReport:
-    """Cop number is at least the source count on random instances, and the
-    doubled order-2 plane has cop number 3 with no induced directed P_2."""
-    report = _run_sampled("theorem1", cfg, _any, _source_bound_instance)
-    recs, vio, errs = _plane_record(cfg)
-    report.records.extend(recs)
-    report.violations.extend(vio)
-    report.errors.extend(errs)
-    return report
-
-
-def suite_path_star_bound(cfg: SuiteConfig) -> ExperimentReport:
-    """Strongly connected digraphs free of the forward-exact k-tuple have
-    at most k - 2 cops: exhaustive on small vertex counts, seeded random
-    above that."""
-    for k in cfg.k_values:
-        if k not in (3, 4, 5):
-            raise InputError(f"k values must be within {{3, 4, 5}}, got {k}")
-    records, violations, errors = [], [], []
-    for n in range(1, min(4, cfg.n_max) + 1):
-        for code, d in iter_all_digraphs(n):
-            if not is_strongly_connected(d):
-                continue
-            recs, vio, errs = _path_star_instance(
-                d, _exhaustive_seed(n, code), "exhaustive", cfg
-            )
-            records.extend(recs)
-            violations.extend(vio)
-            errors.extend(errs)
-    for i in range(cfg.trials):
-        s = _find_seed(cfg.seed + i, cfg, is_strongly_connected)
-        if s is None:
-            errors.append(
-                f"instance {i}: no instance satisfied the predicate in {RETRY_CAP} draws"
-            )
-            continue
-        d = _draw(s, 2, cfg.n_max, cfg.p)
-        recs, vio, errs = _path_star_instance(d, s, "random", cfg)
-        records.extend(recs)
-        violations.extend(vio)
-        errors.extend(errs)
-    return ExperimentReport("theorem3", records, violations, errors)
-
-
-SUITE_FUNCS = {
-    "lemma1": suite_clique_substitution,
-    "lemma2": suite_arc_subdivision,
-    "lemma3": suite_claw_free_substitution,
-    "theorem1": suite_source_bound_families,
-    "theorem3": suite_path_star_bound,
+# token -> (default config, passes); a pass is (instance source, check).
+_SUITES = {
+    "lemma1": (SuiteConfig(trials=200, n_max=6), [(_WEAK, _clique_sub_check)]),
+    "lemma2": (
+        SuiteConfig(trials=200, n_max=5),
+        [(_WEAK, partial(_subdivision_check, factors=(2, 3)))],
+    ),
+    "lemma3": (SuiteConfig(trials=100, n_max=6), [(_STRONG, _claw_check)]),
+    "lemma4": (
+        SuiteConfig(trials=100, n_max=6),
+        [(_STRONG, partial(_girth_check, l=l)) for l in GIRTH_TARGETS],
+    ),
+    "theorem1": (
+        SuiteConfig(trials=200, n_max=6),
+        [
+            (_Drawn(lambda d: True), _source_bound_check),
+            (_Fixed(lambda cfg: (-1,), _decode_plane_seed), _plane_check),
+        ],
+    ),
+    "theorem3": (
+        SuiteConfig(trials=300, n_max=7, k_values=(3, 4)),
+        [
+            (
+                _Fixed(_sweep_seeds, _decode_sweep_seed),
+                partial(_path_star_check, transform="exhaustive"),
+            ),
+            (_STRONG, partial(_path_star_check, transform="random")),
+        ],
+    ),
 }
 
-RUN_ORDER = ("lemma1", "lemma2", "lemma3", "lemma4", "theorem1", "theorem3")
+RUN_ORDER = tuple(_SUITES)
 
-DEFAULT_SUITE_CONFIGS = {
-    "lemma1": SuiteConfig(trials=200, n_max=6),
-    "lemma2": SuiteConfig(trials=200, n_max=5),
-    "lemma3": SuiteConfig(trials=100, n_max=6),
-    "lemma4": SuiteConfig(trials=100, n_max=6),
-    "theorem1": SuiteConfig(trials=200, n_max=6),
-    "theorem3": SuiteConfig(trials=300, n_max=7, k_values=(3, 4)),
-}
+DEFAULT_SUITE_CONFIGS = {token: default for token, (default, _) in _SUITES.items()}
 
-GIRTH_TARGETS = (2, 3, 4)
+
+def _lookup(token: str, cfg: SuiteConfig | None):
+    if token not in _SUITES:
+        raise InputError(f"unknown suite '{token}'; choose from {', '.join(RUN_ORDER)}")
+    default, passes = _SUITES[token]
+    return passes, default if cfg is None else cfg
 
 
 def run_suite(token: str, cfg: SuiteConfig | None = None) -> ExperimentReport:
-    """Run one registered suite; lemma4 covers all of its girth targets."""
-    if token not in RUN_ORDER:
-        raise InputError(f"unknown suite '{token}'; choose from {', '.join(RUN_ORDER)}")
-    if cfg is None:
-        cfg = DEFAULT_SUITE_CONFIGS[token]
-    if token == "lemma4":
-        merged = ExperimentReport("lemma4", [], [], [])
-        for l in GIRTH_TARGETS:
-            rep = suite_girth_subdivision(cfg, l)
-            merged.records.extend(rep.records)
-            merged.violations.extend(rep.violations)
-            merged.errors.extend(rep.errors)
-        return merged
-    return SUITE_FUNCS[token](cfg)
+    """Run one suite: each check over every instance of its pass in turn."""
+    passes, cfg = _lookup(token, cfg)
+    report = ExperimentReport(token, [], [], [])
+    for source, check in passes:
+        for i, instance in enumerate(source.instances(cfg)):
+            if instance is None:
+                report.errors.append(
+                    f"instance {i}: no instance satisfied the predicate in {RETRY_CAP} draws"
+                )
+            else:
+                _run_check(report, check, *instance, cfg)
+    return report
 
 
 def replay_instance(token: str, seed: int, cfg: SuiteConfig | None = None):
-    """Recompute the records a recorded (suite, seed) pair denotes."""
-    if token not in RUN_ORDER:
-        raise InputError(f"unknown suite '{token}'")
-    if cfg is None:
-        cfg = DEFAULT_SUITE_CONFIGS[token]
-    if token == "lemma1":
-        return _clique_sub_instance(seed, cfg)[0]
-    if token == "lemma2":
-        return _subdivide_instance(seed, cfg)[0]
-    if token == "lemma3":
-        return _claw_instance(seed, cfg)[0]
-    if token == "lemma4":
-        records = []
-        for l in GIRTH_TARGETS:
-            records.extend(_girth_instance(seed, cfg, l)[0])
-        return records
-    if token == "theorem1":
-        if seed == -1:
-            return _plane_record(cfg)[0]
-        return _source_bound_instance(seed, cfg)[0]
-    if seed < 0:
-        n, code = _decode_exhaustive_seed(seed)
-        d = next(g for c, g in iter_all_digraphs(n) if c == code)
-        return _path_star_instance(d, seed, "exhaustive", cfg)[0]
-    d = _draw(seed, 2, cfg.n_max, cfg.p)
-    return _path_star_instance(d, seed, "random", cfg)[0]
+    """Recompute the records a recorded (suite, seed) pair denotes.  A seed
+    that no run of the suite under cfg records raises InputError."""
+    passes, cfg = _lookup(token, cfg)
+    report = ExperimentReport(token, [], [], [])
+    for source, check in passes:
+        d = source.decode(seed, cfg)
+        if d is not None:
+            _run_check(report, check, seed, d, cfg)
+    if not report.records:
+        raise InputError(f"no {token} run records seed {seed}")
+    return report.records
 
 
 def write_report_csv(report: ExperimentReport, path) -> None:

@@ -363,11 +363,6 @@ def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> Solve
     return SolveResult(d, k, cop_sets, index[k], copwin, robwin, rank)
 
 
-def cops_win_from_placement(result: SolveResult, cops) -> bool:
-    """True when the placement wins against every robber placement."""
-    return result.placement_wins(cops)
-
-
 def _first_winning_placement(d: Digraph, k_max: int, state_budget: int):
     """(k, placement) for the smallest k <= k_max with a placement beating
     every robber reply, the placement lexicographically first; (None, None)

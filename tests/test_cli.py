@@ -254,6 +254,14 @@ class TestVerify:
         assert code == 2
         assert "errors=1" in out
 
+    def test_negative_seed_exits_two(self, capsys, tmp_path):
+        out_dir = tmp_path / "r"
+        code, out, err = run(
+            capsys, "verify", "--seed", "-2", "--out-dir", str(out_dir)
+        )
+        assert code == 2 and out == "" and "seed must be >= 0" in err
+        assert not out_dir.exists()
+
     def test_bad_k_values(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

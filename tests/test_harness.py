@@ -1,6 +1,7 @@
 """Verification suites: determinism, replay, CSV output and error paths."""
 
 import csv
+import hashlib
 
 import pytest
 
@@ -22,6 +23,14 @@ from copgame import (
 
 TINY = SuiteConfig(trials=2, n_max=4)
 
+# Row count and sha256 of every row of run_all(cfg=SuiteConfig(trials=3,
+# n_max=4)), micros dropped, each row comma-joined and newline-terminated.
+# Frozen: a change to any row of any suite changes the digest.
+FROZEN_ROWS = (
+    3283,
+    "a81774d4b2417209aff3af522a14abda19fc6540fe8e36b7eb393fac76570cca",
+)
+
 
 def rows_without_micros(report):
     return [rec.row()[:-1] for rec in report.records]
@@ -40,6 +49,14 @@ class TestSuiteConfig:
             SuiteConfig(n_max=1)
         with pytest.raises(InputError):
             SuiteConfig(p=1.5)
+
+    def test_negative_seed_rejected(self):
+        # negative seeds are the fixed instances' (theorem1's plane is -1)
+        with pytest.raises(InputError, match="seed must be >= 0"):
+            SuiteConfig(seed=-1)
+        with pytest.raises(InputError, match="seed must be >= 0"):
+            config_with_overrides("theorem3", seed=-2)
+        assert SuiteConfig(seed=0).seed == 0
 
     def test_overrides(self):
         cfg = config_with_overrides("lemma1", trials=7, n_max=None)
@@ -80,12 +97,6 @@ class TestSuiteRuns:
         with pytest.raises(InputError, match="unknown suite"):
             run_suite("lemma9", TINY)
 
-    def test_girth_target_validated(self):
-        from copgame import suite_girth_subdivision
-
-        with pytest.raises(InputError):
-            suite_girth_subdivision(TINY, 1)
-
     def test_path_star_k_values_validated(self):
         with pytest.raises(InputError, match="k values"):
             run_suite("theorem3", SuiteConfig(trials=1, n_max=3, k_values=(2,)))
@@ -122,6 +133,81 @@ class TestDeterminism:
     def test_replay_unknown_token(self):
         with pytest.raises(InputError):
             replay_instance("nope", 1, TINY)
+
+    def test_frozen_rows(self):
+        rows = [
+            ",".join(rec.row()[:-1]) + "\n"
+            for report in run_all(cfg=SuiteConfig(trials=3, n_max=4))
+            for rec in report.records
+        ]
+        digest = hashlib.sha256("".join(rows).encode()).hexdigest()
+        assert (len(rows), digest) == FROZEN_ROWS
+
+    def test_replay_every_exhaustive_seed(self):
+        report = run_suite("theorem3", TINY)
+        recorded = {}
+        for rec in report.records:
+            if rec.transform == "exhaustive":
+                recorded.setdefault(rec.seed, []).append(rec.row()[:-1])
+        assert len(recorded) == 1626
+        for seed, rows in recorded.items():
+            replayed = replay_instance("theorem3", seed, TINY)
+            assert [rec.row()[:-1] for rec in replayed] == rows
+
+
+def _sweep_seed(n, code):
+    return -((n << 20) | code) - 1
+
+
+class TestReplayRejects:
+    def test_sweep_code_out_of_range(self):
+        # n = 3 has 6 ordered pairs, so codes stop at 63
+        assert _sweep_seed(3, 4095) == -3149824
+        with pytest.raises(InputError, match="no theorem3 run records seed -3149824"):
+            replay_instance("theorem3", -3149824)
+
+    def test_sweep_vertex_count_out_of_range(self):
+        assert _sweep_seed(9, 0) == -9437185
+        with pytest.raises(InputError, match="no theorem3 run records"):
+            replay_instance("theorem3", -9437185)
+        with pytest.raises(InputError, match="no theorem3 run records"):
+            replay_instance("theorem3", _sweep_seed(0, 0))
+        # the 4-cycle (arcs 0->1, 1->2, 2->3, 3->0 are pairs 0, 4, 8 and 9)
+        # is swept when n_max >= 4 only
+        cycle = _sweep_seed(4, 1 << 0 | 1 << 4 | 1 << 8 | 1 << 9)
+        rec = replay_instance("theorem3", cycle, TINY)[0]
+        assert (rec.n, rec.arcs, rec.transform) == (4, 4, "exhaustive")
+        with pytest.raises(InputError, match="no theorem3 run records"):
+            replay_instance("theorem3", cycle, SuiteConfig(trials=1, n_max=3))
+
+    def test_sweep_digraph_not_strongly_connected(self):
+        # code 1 on two vertices is the single arc 0 -> 1
+        with pytest.raises(InputError, match="no theorem3 run records"):
+            replay_instance("theorem3", _sweep_seed(2, 1))
+        assert replay_instance("theorem3", _sweep_seed(2, 3))
+
+    def test_negative_seed_of_a_suite_without_it(self):
+        for token in ("lemma1", "lemma2", "lemma3", "lemma4"):
+            with pytest.raises(InputError, match=f"no {token} run records"):
+                replay_instance(token, -1, TINY)
+        with pytest.raises(InputError, match="no theorem1 run records"):
+            replay_instance("theorem1", -2, TINY)
+
+    def test_random_seed_not_first_in_its_block(self):
+        # trial 0 of TINY reads block 1000..1999; 1001 is its first weakly
+        # connected draw, so a run never records 1002, though its draw is too
+        assert [rec.seed for rec in run_suite("lemma1", TINY).records][0] == 1001
+        assert replay_instance("lemma1", 1001, TINY)
+        with pytest.raises(InputError, match="no lemma1 run records seed 1002"):
+            replay_instance("lemma1", 1002, TINY)
+
+    def test_random_seed_failing_the_predicate(self):
+        # with p = 0 no draw is weakly connected
+        cfg = SuiteConfig(trials=1, n_max=3, p=0.0)
+        with pytest.raises(InputError, match="no lemma1 run records seed 5000"):
+            replay_instance("lemma1", 5000, cfg)
+        # theorem1 takes any instance, so the first attempt of a block is it
+        assert replay_instance("theorem1", 5000, cfg)
 
 
 class TestErrorPaths:

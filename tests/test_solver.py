@@ -12,7 +12,6 @@ from copgame import (
     InputError,
     StateBudgetExceeded,
     cop_number,
-    cops_win_from_placement,
     gen_directed_cycle,
     gen_directed_path,
     gen_projective_plane_incidence_doubled,
@@ -203,7 +202,6 @@ class TestPlacements:
         wins = list(result.winning_placements())
         assert wins
         for cw in wins:
-            assert cops_win_from_placement(result, cw)
             assert result.placement_wins(cw)
 
     def test_placement_validation(self):
