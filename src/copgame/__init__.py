@@ -6,9 +6,6 @@ verification suites that replay the structural claims tying them together.
 """
 
 from .constructions import (
-    Port,
-    PortMap,
-    build_port_map,
     clique_substitute_all,
     clique_substitute_vertex,
     gen_claw_orientations,
@@ -20,12 +17,10 @@ from .constructions import (
 )
 from .digraph import (
     Digraph,
-    NeighborhoodPartition,
     count_sources,
     format_arc_list,
     is_strongly_connected,
     is_weakly_connected,
-    neighborhood_partition,
     parse_arc_list,
     to_dot,
     underlying_girth,
@@ -71,8 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Digraph",
-    "NeighborhoodPartition",
-    "neighborhood_partition",
     "is_strongly_connected",
     "is_weakly_connected",
     "count_sources",
@@ -80,9 +73,6 @@ __all__ = [
     "parse_arc_list",
     "format_arc_list",
     "to_dot",
-    "Port",
-    "PortMap",
-    "build_port_map",
     "clique_substitute_vertex",
     "clique_substitute_all",
     "subdivide_arcs",

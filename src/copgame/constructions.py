@@ -1,51 +1,22 @@
 """Digraph generators and the two cop-monotone transformations.
 
-The clique substitution replaces a vertex by one port vertex per neighbor
-and wires the ports into directed cliques; arc subdivision replaces every
-arc by a directed path.  Both keep the rest of the graph untouched and are
-the transformations whose effect on the cop number the verification suites
-replay.
+Clique substitution replaces a vertex v by one port per underlying
+neighbor w, the port of v facing w, and wires the ports of v into directed
+cliques by the direction of their arcs.  Both substitutions, of one vertex
+and of all of them, share one port layout (_substitute): kept vertices
+first, then the ports in (v, w) lexicographic order, each arc of the
+source joining the two ends that face each other.  Arc subdivision
+replaces every arc by a directed path.  Both transformations keep the rest
+of the graph untouched, are sized before they are built, and are the ones
+whose effect on the cop number the verification suites replay.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import NamedTuple
 
-from .digraph import MAX_VERTICES, Digraph, neighborhood_partition
+from .digraph import MAX_ARCS, MAX_VERTICES, Digraph
 from .errors import InputError
-
-KIND_MINUS = "minus"
-KIND_PLUS = "plus"
-KIND_PM = "pm"
-
-
-class Port(NamedTuple):
-    vertex: int
-    kind: str
-
-
-@dataclass(frozen=True)
-class PortMap:
-    """Port assignment of a whole-graph clique substitution.
-
-    ports maps every ordered adjacent pair (v, w) of the source digraph to
-    the replacement vertex of v that faces w, tagged with its direction
-    class: "minus" when w only sends an arc to v, "plus" when w only
-    receives one, "pm" when arcs run both ways.
-    """
-
-    ports: dict
-
-    def port(self, v: int, w: int) -> Port:
-        return self.ports[(v, w)]
-
-    def ports_of(self, v: int) -> list[Port]:
-        return [p for (a, _), p in sorted(self.ports.items()) if a == v]
-
-    def __len__(self):
-        return len(self.ports)
 
 
 def _check_vertex_cap(n: int) -> None:
@@ -55,116 +26,86 @@ def _check_vertex_cap(n: int) -> None:
         raise InputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
 
 
-def build_port_map(d: Digraph) -> PortMap:
-    """Assign one fresh vertex id per ordered adjacent pair.
+def _substitute(d: Digraph, subst) -> Digraph:
+    """Replace every vertex v of subst (ascending) by one port per
+    underlying neighbor w of v: the port of v facing w.
 
-    Ids are dense and follow (vertex, neighbor) lexicographic order, so the
-    replacement graph is reproducible.  Every vertex must have a neighbor.
+    The vertices outside subst come first, in their original order; the
+    ports follow in (v, w) lexicographic order.  An arc (a, b) of d becomes
+    one arc from a's port facing b (or a itself when a is kept) to b's port
+    facing a (or b).  The ports of one vertex fall into three classes:
+    minus when w only sends an arc to v, plus when w only receives one, pm
+    when arcs run both ways.  Each class forms a bidirected clique, pm
+    ports are joined both ways to every other port and every minus port
+    sends one arc to every plus port.
+
+    The result is sized in closed form and refused before any port or arc
+    exists when it would pass MAX_VERTICES or MAX_ARCS.
     """
-    ports = {}
-    next_id = 0
-    for v in range(d.n):
-        nbrs = d.neighbors(v)
-        if not nbrs:
+    is_sub = [False] * d.n
+    for v in subst:
+        is_sub[v] = True
+    first = [0] * d.n  # the new id of a kept vertex, the first port of another
+    n = 0
+    for u in range(d.n):
+        if not is_sub[u]:
+            first[u] = n
+            n += 1
+    m = d.arc_count
+    for v in subst:
+        pm = len(set(d.out_adj[v]).intersection(d.in_adj[v]))
+        minus, plus = d.in_degree(v) - pm, d.out_degree(v) - pm
+        if not minus + plus + pm:
             raise InputError(f"vertex {v} is isolated; substitution needs degree >= 1")
-        part = neighborhood_partition(d, v)
-        for w in nbrs:
-            if w in part.both:
-                kind = KIND_PM
-            elif w in part.in_only:
-                kind = KIND_MINUS
-            else:
-                kind = KIND_PLUS
-            ports[(v, w)] = Port(next_id, kind)
-            next_id += 1
-    return PortMap(ports)
+        first[v] = n
+        n += minus + plus + pm
+        m += (
+            minus * (minus - 1) + plus * (plus - 1) + pm * (pm - 1)
+            + 2 * pm * (minus + plus) + minus * plus
+        )
+    _check_vertex_cap(n)
+    if m > MAX_ARCS:
+        raise InputError(f"arc count {m} exceeds the limit of {MAX_ARCS}")
 
-
-def _cluster_arcs(minus, plus, pm):
-    """Arcs wiring one vertex's ports together.
-
-    Each direction class forms a bidirected clique; pm ports are joined both
-    ways to every other port; every minus port sends one arc to every plus
-    port.
-    """
+    port = {}
     arcs = []
-    for group in (minus, plus, pm):
-        for a in group:
-            for b in group:
-                if a != b:
-                    arcs.append((a, b))
-    for a in pm:
-        for b in minus + plus:
-            arcs.append((a, b))
-            arcs.append((b, a))
-    for a in minus:
-        for b in plus:
-            arcs.append((a, b))
-    return arcs
+    for v in subst:
+        outs, ins = set(d.out_adj[v]), set(d.in_adj[v])
+        minus, plus, pm = [], [], []
+        for p, w in enumerate(sorted(outs | ins), first[v]):
+            port[v, w] = p
+            if w not in outs:
+                minus.append(p)
+            elif w not in ins:
+                plus.append(p)
+            else:
+                pm.append(p)
+        for group in (minus, plus, pm):
+            arcs += [(x, y) for x in group for y in group if x != y]
+        for x in pm:
+            for y in minus + plus:
+                arcs += ((x, y), (y, x))
+        arcs += [(x, y) for x in minus for y in plus]
+    arcs += [(port.get((a, b), first[a]), port.get((b, a), first[b])) for a, b in d.arcs]
+    return Digraph(n, arcs)
 
 
 def clique_substitute_vertex(d: Digraph, v: int) -> Digraph:
     """Replace one vertex by its port cluster, keeping everything else.
 
-    Remaining vertices keep their relative order (ids above v shift down by
-    one); the ports are appended in ascending neighbor order.  Each port is
-    joined to its neighbor by arcs of the original direction, and the ports
-    are wired together as in _cluster_arcs.
+    Ids above v shift down by one and the ports of v follow the kept
+    vertices in ascending neighbor order; see _substitute.
     """
     if not (0 <= v < d.n):
         raise InputError(f"vertex {v} is out of range for n={d.n}")
-    nbrs = d.neighbors(v)
-    if not nbrs:
-        raise InputError(f"vertex {v} is isolated; substitution needs degree >= 1")
-    part = neighborhood_partition(d, v)
-
-    def keep(u):
-        return u if u < v else u - 1
-
-    base = d.n - 1
-    port_of = {w: base + i for i, w in enumerate(nbrs)}
-    arcs = [(keep(a), keep(b)) for a, b in d.arcs if v not in (a, b)]
-    minus, plus, pm = [], [], []
-    for w in nbrs:
-        y = port_of[w]
-        if w in part.in_only:
-            arcs.append((keep(w), y))
-            minus.append(y)
-        elif w in part.out_only:
-            arcs.append((y, keep(w)))
-            plus.append(y)
-        else:
-            arcs.append((keep(w), y))
-            arcs.append((y, keep(w)))
-            pm.append(y)
-    arcs.extend(_cluster_arcs(minus, plus, pm))
-    return Digraph(base + len(nbrs), arcs)
+    return _substitute(d, [v])
 
 
 def clique_substitute_all(d: Digraph) -> Digraph:
-    """Replace every vertex of d by its port cluster at once.
-
-    The result has one vertex per ordered adjacent pair of d (ids from
-    build_port_map).  Ports of the same source vertex are wired as in
-    _cluster_arcs; the two ports of an adjacent pair are joined by arcs
-    mirroring the original direction(s) between their vertices.
-    """
-    pm = build_port_map(d)
-    arcs = []
-    for v in range(d.n):
-        minus, plus, both = [], [], []
-        for w in d.neighbors(v):
-            port = pm.port(v, w)
-            if port.kind == KIND_MINUS:
-                minus.append(port.vertex)
-            elif port.kind == KIND_PLUS:
-                plus.append(port.vertex)
-            else:
-                both.append(port.vertex)
-        arcs.extend(_cluster_arcs(minus, plus, both))
-    for u, v in d.arcs:
-        arcs.append((pm.port(u, v).vertex, pm.port(v, u).vertex))
-    return Digraph(len(pm), arcs)
+    """Replace every vertex of d by its port cluster at once: one vertex per
+    ordered adjacent pair (v, w), numbered in lexicographic order; see
+    _substitute."""
+    return _substitute(d, range(d.n))
 
 
 def subdivide_arcs(d: Digraph, m: int) -> Digraph:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import InputError
 
@@ -19,6 +18,11 @@ from .errors import InputError
 # vertices), and small enough that the adjacency lists of a hostile
 # header such as "1000000000 0" are refused before they are allocated.
 MAX_VERTICES = 100_000
+
+# The clique substitutions size their result before building it and refuse
+# more arcs than this: building one costs about 250 B at the peak, so the
+# cap is about 1.2 GiB.
+MAX_ARCS = 5_000_000
 
 
 class Digraph:
@@ -81,36 +85,6 @@ class Digraph:
 
     def __repr__(self):
         return f"Digraph(n={self.n}, arcs={self.arc_count})"
-
-
-def _check_vertex(d: Digraph, v: int) -> None:
-    if not (0 <= v < d.n):
-        raise InputError(f"vertex {v} is out of range for n={d.n}")
-
-
-@dataclass(frozen=True)
-class NeighborhoodPartition:
-    """Split of a vertex's underlying neighbors by arc direction.
-
-    in_only holds neighbors with only an arc into the vertex, out_only those
-    with only an arc out of it, both those joined in both directions.
-    """
-
-    in_only: frozenset
-    out_only: frozenset
-    both: frozenset
-
-
-def neighborhood_partition(d: Digraph, v: int) -> NeighborhoodPartition:
-    """Classify every underlying neighbor of v by the direction of its arcs."""
-    _check_vertex(d, v)
-    outs = set(d.out_adj[v])
-    ins = set(d.in_adj[v])
-    return NeighborhoodPartition(
-        in_only=frozenset(ins - outs),
-        out_only=frozenset(outs - ins),
-        both=frozenset(ins & outs),
-    )
 
 
 def _reachable(adj, start: int) -> int:

@@ -6,5 +6,6 @@ class InputError(ValueError):
 
 
 class StateBudgetExceeded(RuntimeError):
-    """A game would need more positions (or move-table entries) than the
-    configured budget allows."""
+    """A game would need more positions (or sub-move states and arcs) than
+    the configured budget allows, or a played trace more rounds than its
+    limit."""

@@ -79,6 +79,11 @@ class SuiteConfig:
             raise InputError(f"n_max must be >= 2, got {self.n_max}")
         if not 0.0 <= self.p <= 1.0:
             raise InputError(f"arc probability must be in [0, 1], got {self.p}")
+        if not self.k_values:
+            raise InputError("k values must not be empty")
+        for k in self.k_values:
+            if k not in (3, 4, 5):
+                raise InputError(f"k values must be within {{3, 4, 5}}, got {k}")
         # Negative seeds are the fixed instances'.
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
@@ -208,9 +213,6 @@ def _plane_check(d, cfg):
 
 
 def _path_star_check(d, cfg, transform):
-    for k in cfg.k_values:
-        if k not in (3, 4, 5):
-            raise InputError(f"k values must be within {{3, 4, 5}}, got {k}")
     c = None
     for k in cfg.k_values:
         w = find_pk_star(d, k)

@@ -367,6 +367,8 @@ def _first_winning_placement(d: Digraph, k_max: int, state_budget: int):
     """(k, placement) for the smallest k <= k_max with a placement beating
     every robber reply, the placement lexicographically first; (None, None)
     when k_max cops do not suffice."""
+    if k_max < 1:
+        raise InputError(f"k_max must be >= 1, got {k_max}")
     for k in range(1, k_max + 1):
         cw = next(solve(d, k, state_budget).winning_placements(), None)
         if cw is not None:
@@ -380,8 +382,6 @@ def cop_number(d: Digraph, k_max: int, state_budget: int = DEFAULT_STATE_BUDGET)
     Returns None when even k_max cops do not suffice.  k_max = d.n always
     suffices because the cops can then cover every vertex.
     """
-    if k_max < 1:
-        raise InputError(f"k_max must be >= 1, got {k_max}")
     return _first_winning_placement(d, k_max, state_budget)[0]
 
 
@@ -448,7 +448,7 @@ def play_trace(
             outcome = "capture"
             break
         if len(snapshots) - 1 >= half_limit:
-            raise RuntimeError(
+            raise StateBudgetExceeded(
                 "trace exceeded the round limit without capture or repetition"
             )
         if result.win(pos):

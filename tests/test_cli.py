@@ -175,6 +175,12 @@ class TestSolve:
         code, _, err = run(capsys, "solve", src, "--state-budget", "4")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("k_max", ["0", "-3"])
+    def test_k_max_below_one(self, capsys, tmp_path, k_max):
+        src = write(tmp_path, "c4.dg", C4_TEXT)
+        code, out, err = run(capsys, "solve", src, "--k-max", k_max)
+        assert code == 2 and out == "" and "k_max must be >= 1" in err
+
 
 class TestSimulate:
     def test_capture(self, capsys, tmp_path):
@@ -198,6 +204,13 @@ class TestSimulate:
         assert payload["outcome"] == "robber-escape"
         i, j = payload["repeat"]
         assert payload["snapshots"][i] == payload["snapshots"][j]
+
+    @pytest.mark.parametrize("rounds", ["1", "-1"])
+    def test_round_limit(self, capsys, tmp_path, rounds):
+        # two cops need more than one round to catch the robber on C4
+        src = write(tmp_path, "c4.dg", C4_TEXT)
+        code, out, err = run(capsys, "simulate", src, "--k", "2", "--max-rounds", rounds)
+        assert code == 2 and out == "" and "round limit" in err
 
 
 class TestDot:
@@ -271,6 +284,14 @@ class TestVerify:
             "--out-dir", str(tmp_path / "r"),
         )
         assert code == 2 and "comma-separated" in err
+
+    def test_k_values_checked_before_any_suite(self, capsys, tmp_path):
+        out_dir = tmp_path / "r"
+        code, out, err = run(
+            capsys, "verify", "--k-values", "2", "--out-dir", str(out_dir)
+        )
+        assert code == 2 and out == "" and "k values must be within" in err
+        assert not out_dir.exists()
 
 
 class TestInputErrors:

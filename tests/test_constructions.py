@@ -1,5 +1,6 @@
 """Generators, clique substitution and arc subdivision."""
 
+import hashlib
 import math
 import random
 import tracemalloc
@@ -11,11 +12,10 @@ from hypothesis import strategies as st
 from copgame import (
     Digraph,
     InputError,
-    Port,
-    build_port_map,
     clique_substitute_all,
     clique_substitute_vertex,
     find_induced,
+    format_arc_list,
     gen_claw_orientations,
     gen_directed_cycle,
     gen_directed_path,
@@ -25,8 +25,9 @@ from copgame import (
     subdivide_arcs,
     underlying_girth,
 )
+import copgame.constructions
 from copgame.constructions import _random_digraph_from
-from copgame.digraph import MAX_VERTICES
+from copgame.digraph import MAX_ARCS, MAX_VERTICES
 
 import oracles
 
@@ -44,6 +45,12 @@ HUB_SUB_ARCS = {
     (5, 6), (6, 5), (8, 9), (9, 8),
     (5, 7), (7, 5), (6, 7), (7, 6), (7, 8), (8, 7), (7, 9), (9, 7),
     (5, 8), (5, 9), (6, 8), (6, 9),
+}
+
+HUB_ALL_ARCS = {
+    (0, 2), (1, 3), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 4), (3, 5),
+    (3, 6), (4, 2), (4, 3), (4, 5), (4, 6), (4, 7), (5, 4), (5, 6), (5, 8),
+    (6, 4), (6, 5), (6, 9), (7, 4),
 }
 
 
@@ -75,35 +82,65 @@ def sequential_substitute(d):
     return g
 
 
-class TestPortMap:
-    def test_hub_ids_and_kinds(self):
-        pm = build_port_map(HUB)
-        assert len(pm) == sum(HUB.degree(v) for v in range(HUB.n)) == 10
-        assert pm.port(0, 2) == Port(0, "plus")
-        assert pm.port(1, 2) == Port(1, "plus")
-        assert pm.port(2, 0) == Port(2, "minus")
-        assert pm.port(2, 3) == Port(4, "pm")
-        assert pm.port(3, 2) == Port(7, "pm")
-        assert pm.port(5, 2) == Port(9, "minus")
-        assert [p.vertex for p in pm.ports_of(2)] == [2, 3, 4, 5, 6]
+def port_ids(d):
+    """Port (v, w) of the all-at-once substitution: the rank of (v, w) among
+    the ordered adjacent pairs of d."""
+    pairs = sorted((v, w) for v in range(d.n) for w in d.neighbors(v))
+    return {pair: i for i, pair in enumerate(pairs)}
 
-    def test_isolated_vertex_rejected(self):
-        with pytest.raises(InputError, match="isolated"):
-            build_port_map(Digraph(3, [(0, 1)]))
+
+def substitution_outputs():
+    """Arc lists (or error messages) of both substitutions, at every vertex
+    and at -1 and n, over a fixed seeded set of hosts."""
+    rng = random.Random(2024)
+    hosts = [HUB, gen_directed_cycle(12), gen_projective_plane_incidence_doubled(2)]
+    hosts += [gen_random_digraph(rng.randint(1, 8), rng.random(), seed) for seed in range(300)]
+    for d in hosts:
+        calls = [lambda: clique_substitute_all(d)]
+        calls += [lambda v=v: clique_substitute_vertex(d, v) for v in range(-1, d.n + 1)]
+        for call in calls:
+            try:
+                yield format_arc_list(call())
+            except InputError as exc:
+                yield f"error: {exc}\n"
+
+
+def bidirected_star(leaves):
+    return Digraph(leaves + 1, [a for w in range(1, leaves + 1) for a in ((0, w), (w, 0))])
+
+
+class TestPortLayout:
+    def test_hub_arcs(self):
+        # Ports 0, 1 face 2 from 0, 1 (plus); 2..6 are 2's ports facing
+        # 0, 1 (minus), 3 (pm), 4, 5 (plus); 7 faces 2 from 3 (pm); 8, 9
+        # face 2 from 4, 5 (minus).
+        assert clique_substitute_all(HUB).arcs == frozenset(HUB_ALL_ARCS)
 
     @settings(max_examples=40, deadline=None)
     @given(connected_digraphs())
-    def test_ids_dense_and_lex_ordered(self, d):
-        pm = build_port_map(d)
-        keys = sorted(pm.ports)
-        assert [pm.ports[key].vertex for key in keys] == list(range(len(pm)))
-        for (v, w), port in pm.ports.items():
-            if port.kind == "pm":
-                assert d.has_arc(v, w) and d.has_arc(w, v)
-            elif port.kind == "minus":
-                assert d.has_arc(w, v) and not d.has_arc(v, w)
-            else:
-                assert d.has_arc(v, w) and not d.has_arc(w, v)
+    def test_ports_follow_pair_rank(self, d):
+        port = port_ids(d)
+        out = clique_substitute_all(d)
+        assert out.n == len(port)
+        links = {(port[u, v], port[v, u]) for u, v in d.arcs}
+        # Inside a cluster every ordered pair of ports is an arc except a
+        # plus port (v -> w only) to a minus port (w -> v only).
+        plus = {port[u, v] for u, v in d.arcs if not d.has_arc(v, u)}
+        minus = {port[v, u] for u, v in d.arcs if not d.has_arc(v, u)}
+        cluster = {
+            (x, y)
+            for (v, w), x in port.items()
+            for (u, z), y in port.items()
+            if u == v and w != z and not (x in plus and y in minus)
+        }
+        assert out.arcs == links | cluster
+
+    def test_frozen_outputs(self):
+        # 2,297 outputs, 851 of them errors; the digest was taken from the
+        # two substitutions' separate implementations that _substitute
+        # replaced, so it pins the port layout and the error messages.
+        digest = hashlib.sha256("".join(substitution_outputs()).encode()).hexdigest()
+        assert digest == "6bd68881cf926e2eb09ff9c029b71cb88bcf856ff18379979dee43a07bd76f7e"
 
 
 class TestVertexSubstitution:
@@ -332,3 +369,34 @@ class TestVertexCap:
     def test_at_the_cap(self):
         out = subdivide_arcs(gen_directed_path(2), MAX_VERTICES - 1)
         assert out.n == MAX_VERTICES
+
+
+class TestArcCap:
+    def test_big_star_refused_before_building(self):
+        # 100,000 vertices pass the vertex cap; the center alone would need
+        # 50,000 * 49,999 cluster arcs.
+        star = bidirected_star(50_000)
+        for substitute in (clique_substitute_all, lambda d: clique_substitute_vertex(d, 0)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(InputError, match=f"exceeds the limit of {MAX_ARCS}"):
+                    substitute(star)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2**20
+
+    def test_vertex_cap_comes_first(self):
+        star = bidirected_star(50_001)
+        for substitute in (clique_substitute_all, lambda d: clique_substitute_vertex(d, 0)):
+            with pytest.raises(InputError, match="vertex count 100002 exceeds the limit"):
+                substitute(star)
+
+    def test_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(copgame.constructions, "MAX_ARCS", 22)
+        assert clique_substitute_all(HUB).arc_count == 22
+        assert clique_substitute_vertex(HUB, 2).arc_count == 22
+        monkeypatch.setattr(copgame.constructions, "MAX_ARCS", 21)
+        for substitute in (clique_substitute_all, lambda d: clique_substitute_vertex(d, 2)):
+            with pytest.raises(InputError, match="arc count 22 exceeds the limit of 21"):
+                substitute(HUB)

@@ -14,7 +14,6 @@ from copgame import (
     gen_random_digraph,
     is_strongly_connected,
     is_weakly_connected,
-    neighborhood_partition,
     parse_arc_list,
     to_dot,
     underlying_girth,
@@ -73,41 +72,6 @@ class TestConstruction:
 
     def test_equality_ignores_arc_order(self):
         assert Digraph(3, [(0, 1), (1, 2)]) == Digraph(3, [(1, 2), (0, 1)])
-
-
-class TestPartition:
-    def test_hub_example(self):
-        part = neighborhood_partition(HUB, 2)
-        assert part.in_only == frozenset({0, 1})
-        assert part.out_only == frozenset({4, 5})
-        assert part.both == frozenset({3})
-
-    def test_bidirected_pair(self):
-        d = Digraph(2, [(0, 1), (1, 0)])
-        part = neighborhood_partition(d, 0)
-        assert part.both == frozenset({1})
-        assert not part.in_only and not part.out_only
-
-    def test_isolated_vertex(self):
-        part = neighborhood_partition(Digraph(2), 0)
-        assert part == neighborhood_partition(Digraph(2), 1)
-        assert not (part.in_only | part.out_only | part.both)
-
-    def test_out_of_range(self):
-        with pytest.raises(InputError):
-            neighborhood_partition(HUB, 6)
-
-    @settings(max_examples=50, deadline=None)
-    @given(digraphs())
-    def test_classes_partition_the_neighborhood(self, d):
-        for v in range(d.n):
-            part = neighborhood_partition(d, v)
-            classes = (part.in_only, part.out_only, part.both)
-            assert sum(map(len, classes)) == d.degree(v)
-            assert part.in_only | part.out_only | part.both == set(d.neighbors(v))
-            assert not (part.in_only & part.out_only)
-            assert not (part.in_only & part.both)
-            assert not (part.out_only & part.both)
 
 
 class TestConnectivity:

@@ -49,6 +49,10 @@ class TestSuiteConfig:
             SuiteConfig(n_max=1)
         with pytest.raises(InputError):
             SuiteConfig(p=1.5)
+        with pytest.raises(InputError, match="k values must not be empty"):
+            SuiteConfig(k_values=())
+        with pytest.raises(InputError, match="k values must be within"):
+            SuiteConfig(k_values=(3, 6))
 
     def test_negative_seed_rejected(self):
         # negative seeds are the fixed instances' (theorem1's plane is -1)

@@ -1,5 +1,10 @@
 """Pattern searches and the containment chain between them."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +24,7 @@ from copgame import (
     gen_projective_plane_incidence_doubled,
     gen_random_digraph,
 )
+import copgame
 from copgame.patterns import MAX_MASK_BITS
 
 import oracles
@@ -50,6 +56,28 @@ class TestFrozenChainValues:
 
     def test_path_contains_itself(self):
         assert containment_chain_check(P3, 3) == (False, False, False)
+
+    def test_chain_checked_under_python_O(self):
+        # With a star search that never finds anything, P3 is star-free but
+        # contains an induced P3; python -O must not strip that check.
+        script = (
+            "import sys\n"
+            "from copgame import Digraph, containment_chain_check, patterns\n"
+            "if __debug__:\n"
+            "    sys.exit('not optimized')\n"
+            "patterns.find_pk_star = lambda d, k: None\n"
+            "try:\n"
+            "    print(containment_chain_check(Digraph(3, [(0, 1), (1, 2)]), 3))\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(copgame.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "raised: star-free host contains an induced path\n"
 
     def test_triangle_star_witness(self):
         wit = find_pk_star(C3, 3)
