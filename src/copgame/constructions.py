@@ -26,6 +26,12 @@ def _check_vertex_cap(n: int) -> None:
         raise InputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
 
 
+def _check_arc_cap(m: int) -> None:
+    """Refuse a graph of m arcs before any of them is built."""
+    if m > MAX_ARCS:
+        raise InputError(f"arc count {m} exceeds the limit of {MAX_ARCS}")
+
+
 def _substitute(d: Digraph, subst) -> Digraph:
     """Replace every vertex v of subst (ascending) by one port per
     underlying neighbor w of v: the port of v facing w.
@@ -64,8 +70,7 @@ def _substitute(d: Digraph, subst) -> Digraph:
             + 2 * pm * (minus + plus) + minus * plus
         )
     _check_vertex_cap(n)
-    if m > MAX_ARCS:
-        raise InputError(f"arc count {m} exceeds the limit of {MAX_ARCS}")
+    _check_arc_cap(m)
 
     port = {}
     arcs = []
@@ -179,11 +184,15 @@ def gen_projective_plane_incidence_doubled(q: int) -> Digraph:
     q must be prime.  Points and lines are the projective triples over the
     q-element field (first nonzero coordinate 1, lexicographic order);
     point i and line j are adjacent when their dot product is 0 mod q.
-    Points take ids 0..N-1 and lines N..2N-1 where N = q*q + q + 1.
+    Points take ids 0..N-1 and lines N..2N-1 where N = q*q + q + 1; every
+    point lies on q + 1 lines, so there are 2N(q + 1) arcs.
     """
     if q >= 2:
-        # before the primality test, whose trial division is O(sqrt q)
-        _check_vertex_cap(2 * (q * q + q + 1))
+        # before the primality test, whose trial division is O(sqrt q),
+        # and the N^2 incidence tests
+        size = q * q + q + 1
+        _check_vertex_cap(2 * size)
+        _check_arc_cap(2 * size * (q + 1))
     if not _is_prime(q):
         raise InputError(f"plane order must be prime, got {q}")
     triples = [(1, y, z) for y in range(q) for z in range(q)]

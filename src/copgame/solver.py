@@ -23,13 +23,22 @@ stage (see _parent_tables), rather than as one list of arcs.
 Every state carries one int bit mask over robber vertices, so one OR
 settles a state for all n robber positions at once.  The backward
 attractor runs level by level, and the level at which a position is won
-is its rank.  Level L first settles the robber side from the cop wins of
-level L-1: a robber-to-move position (C, r) wins once every vertex of the
-closed out-neighbourhood of r is a cop win against C.  It then pushes the
-robber wins of level L-1 back through the k sub-move stages, each stage
-against its own snapshot, so a cop-to-move position is won at
-1 + the smallest rank among its winning successors, and a robber-to-move
-position at 1 + the largest rank among its successors.  Sub-move stages
+is its rank.  Levels 0 and 1 have a closed form and are never pushed
+through the sub-move arcs: at level 0 the robber is caught on bits(C),
+the vertices of the cop multiset C, and after level 1 a stage state
+(M, U) holds bits(M) | N+[U], where N+[U] is the union of the closed
+out-neighbourhoods of U's vertices.  So copwin[C] = N+[C] and
+robwin[C] = bits(C): the robber side gains nothing at level 1, since the
+robber may stay put.  From level 2 on, level L first settles the robber
+side from the cop wins of level L-1: a robber-to-move position (C, r)
+wins once every vertex of the closed out-neighbourhood of r is a cop win
+against C.  It then pushes the robber wins of level L-1 back through the
+k sub-move stages, so a cop-to-move position is won at 1 + the smallest
+rank among its winning successors, and a robber-to-move position at
+1 + the largest rank among its successors.  Each stage is copied before
+its push, its delta (the bits the push added) is read off by comparing
+it with the copy, and that delta is what the next stage pushes; the
+level stops at the first stage with an empty delta.  Sub-move stages
 add nothing to the rank, which counts whole half-moves.  Ranks are kept
 bit-sliced: one mask per cop multiset and bit of the level.
 
@@ -41,8 +50,9 @@ cop move table).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, compress, count, product
 from math import comb
+from operator import ne
 
 from .digraph import Digraph
 from .errors import InputError, StateBudgetExceeded
@@ -270,17 +280,36 @@ def _reach_tables(d: Digraph):
     return tables
 
 
-def _record_ranks(planes, deltas, level: int, num_cw: int) -> None:
-    """Add level to the bit-sliced ranks of the positions in deltas: plane t
-    holds, per cop multiset, the mask of robber vertices whose rank has bit
-    t set."""
+def _union_masks(vertex_masks, k: int):
+    """Per size t = 0..k, the OR of vertex_masks over each multiset of t
+    vertices, in combinations_with_replacement order.  The multisets of
+    size t - 1 with smallest vertex >= v are the last multisets(n - v, t - 1)
+    of their list, and prefixing v to each gives the size-t multisets that
+    start with v, in order."""
+    n = len(vertex_masks)
+    unions = [[0]]
+    for t in range(1, k + 1):
+        prev = unions[-1]
+        size = len(prev)
+        unions.append([
+            vm | p
+            for v, vm in enumerate(vertex_masks)
+            for p in prev[size - _multisets(n - v, t - 1):]
+        ])
+    return unions
+
+
+def _record_ranks(planes, idx, masks, level: int, num_cw: int) -> None:
+    """Add level to the bit-sliced ranks of the positions in the delta
+    (idx[i], masks[i]): plane t holds, per cop multiset, the mask of robber
+    vertices whose rank has bit t set."""
     t = 0
     while level >> t:
         if t == len(planes):
             planes.append([0] * num_cw)
         if level >> t & 1:
             plane = planes[t]
-            for ci, mask in deltas:
+            for ci, mask in zip(idx, masks):
                 plane[ci] |= mask
         t += 1
 
@@ -304,25 +333,33 @@ def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> Solve
     tables = [None] + [_parent_tables(d, sets, index, j) for j in range(1, k + 1)]
     reach_tables = _reach_tables(d)
 
-    capture = [sum(1 << c for c in set(cw)) for cw in cop_sets]
+    # Levels 0 and 1 in closed form: after level 1 the stage-j state
+    # (M, U) holds bits(M) | N+[U], since the robber is caught where a cop
+    # stands or where a cop still to move can step.
+    bits = _union_masks([1 << v for v in range(n)], k)
+    nbhd = _union_masks([1 << v | sum(1 << w for w in d.out_adj[v]) for v in range(n)], k)
     # masks[j][i]: robber vertices from which stage-j state i reaches a
     # robber-to-move cop win.  masks[0] is robwin and masks[k] is copwin,
     # both indexed by cop multiset.
-    masks = [capture[:]]
-    masks += [[0] * (len(sets[k - j]) * len(sets[j])) for j in range(1, k)]
-    masks.append(capture[:])
+    masks = [[b | c for b in bits[k - j] for c in nbhd[j]] for j in range(k + 1)]
     robwin, copwin = masks[0], masks[k]
     rank = ([], [])
+    # No robber-to-move position is won at level 1: the robber may stay
+    # on r, which is a level-0 cop win only when r is in C.
+    new_cop = [c & ~b for c, b in zip(copwin, bits[k])]
+    cop_idx = list(compress(count(), new_cop))
+    cop_masks = [new_cop[ci] for ci in cop_idx]
+    rob_idx, rob_masks = [], []
+    _record_ranks(rank[0], cop_idx, cop_masks, 1, num_cw)
 
-    new_cop = new_rob = list(enumerate(capture))
-    level = 0
-    while new_cop or new_rob:
+    level = 1
+    while cop_idx or rob_idx:
         level += 1
         # Robber to move: (C, r) wins when no successor of r is outside
         # copwin[C], i.e. r is outside the closed in-neighbourhood of every
         # cop-side escape.  Only cop sets with new cop wins can change.
-        settled = []
-        for ci, _ in new_cop:
+        settled_idx, settled_masks = [], []
+        for ci in cop_idx:
             escapes = full & ~copwin[ci]
             reach = 0
             for shift, table in reach_tables:
@@ -330,35 +367,31 @@ def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> Solve
             gained = full & ~reach & ~robwin[ci]
             if gained:
                 robwin[ci] |= gained
-                settled.append((ci, gained))
+                settled_idx.append(ci)
+                settled_masks.append(gained)
         # Cops to move: push last level's robber-side wins back one
-        # sub-move stage at a time; a bit is new only where the parent's
-        # mask lacks it.  before keeps each touched parent's mask from the
-        # start of the level, so its delta is what the level added.
-        delta = new_rob
+        # sub-move stage at a time.  A stage's delta is what the push
+        # added to it, found by comparing it with its copy from before.
+        idx, delta = rob_idx, rob_masks
         for j in range(1, k + 1):
+            if not idx:
+                break
             removals, prepends = tables[j]
             size_child = len(prepends)
             stage = masks[j]
-            before = {}
-            for child, mask in delta:
+            snap = stage[:]
+            for child, mask in zip(idx, delta):
                 m, u = divmod(child, size_child)
                 row = prepends[u]
                 for v, base in removals[m]:
                     for q in row[v]:
-                        p = base + q
-                        old = stage[p]
-                        if mask & ~old:
-                            if p not in before:
-                                before[p] = old
-                            stage[p] = old | mask
-            for p, old in before.items():
-                before[p] = stage[p] & ~old
-            delta = before.items()
-        new_cop = list(delta)
-        new_rob = settled
-        _record_ranks(rank[0], new_cop, level, num_cw)
-        _record_ranks(rank[1], new_rob, level, num_cw)
+                        stage[base + q] |= mask
+            idx = list(compress(count(), map(ne, stage, snap)))
+            delta = [stage[p] & ~snap[p] for p in idx]
+        cop_idx, cop_masks = idx, delta
+        rob_idx, rob_masks = settled_idx, settled_masks
+        _record_ranks(rank[0], cop_idx, cop_masks, level, num_cw)
+        _record_ranks(rank[1], rob_idx, rob_masks, level, num_cw)
 
     return SolveResult(d, k, cop_sets, index[k], copwin, robwin, rank)
 
@@ -417,8 +450,11 @@ def play_trace(
     best_move.  The robber places on a losing-for-cops vertex when one
     exists, otherwise on a vertex of maximal rank, and keeps maximizing
     rank (or keeps the game unwinnable for the cops) afterwards, breaking
-    ties toward smaller positions.
+    ties toward smaller positions.  max_rounds, when given, must be at
+    least 1; a trace that reaches it raises StateBudgetExceeded.
     """
+    if max_rounds is not None and max_rounds < 1:
+        raise InputError(f"max_rounds must be >= 1, got {max_rounds}")
     result = solve(d, k, state_budget)
     n = d.n
 

@@ -205,12 +205,14 @@ class TestSimulate:
         i, j = payload["repeat"]
         assert payload["snapshots"][i] == payload["snapshots"][j]
 
-    @pytest.mark.parametrize("rounds", ["1", "-1"])
+    @pytest.mark.parametrize("rounds", ["1", "0", "-1"])
     def test_round_limit(self, capsys, tmp_path, rounds):
-        # two cops need more than one round to catch the robber on C4
+        # two cops need more than one round to catch the robber on C4; a
+        # limit below one round is refused as invalid before solving
         src = write(tmp_path, "c4.dg", C4_TEXT)
         code, out, err = run(capsys, "simulate", src, "--k", "2", "--max-rounds", rounds)
-        assert code == 2 and out == "" and "round limit" in err
+        expected = "round limit" if rounds == "1" else f"max_rounds must be >= 1, got {rounds}"
+        assert code == 2 and out == "" and expected in err
 
 
 class TestDot:

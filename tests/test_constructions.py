@@ -392,6 +392,25 @@ class TestArcCap:
             with pytest.raises(InputError, match="vertex count 100002 exceeds the limit"):
                 substitute(star)
 
+    def test_plane_refused_before_building(self):
+        # q = 223 passes the vertex cap with 99,906 vertices, but its
+        # 2 * 49,953 * 224 arcs would take the N^2 incidence loop minutes
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match=f"22378944 exceeds the limit of {MAX_ARCS}"):
+                gen_projective_plane_incidence_doubled(223)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_plane_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(copgame.constructions, "MAX_ARCS", 104)
+        assert gen_projective_plane_incidence_doubled(3).arc_count == 104
+        monkeypatch.setattr(copgame.constructions, "MAX_ARCS", 103)
+        with pytest.raises(InputError, match="arc count 104 exceeds the limit of 103"):
+            gen_projective_plane_incidence_doubled(3)
+
     def test_at_the_cap(self, monkeypatch):
         monkeypatch.setattr(copgame.constructions, "MAX_ARCS", 22)
         assert clique_substitute_all(HUB).arc_count == 22

@@ -1,5 +1,8 @@
 """Game solver: move generation, the attractor, ranks and traces."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,6 +154,54 @@ class TestRanks:
         assert result.best_move(GamePosition((0, 1), 2, ROBBER)) is None
 
 
+def frozen_games():
+    rng = random.Random(6)
+    for _ in range(300):
+        d = gen_random_digraph(rng.randint(1, 6), rng.random(), rng.randrange(10**6))
+        yield d, rng.randint(1, 3)
+    yield gen_projective_plane_incidence_doubled(2), 3
+
+
+def table_lines(d, k):
+    result = solve(d, k)
+    for pos in result.positions():
+        move = result.best_move(pos)
+        yield (
+            f"{pos.cops} {pos.robber} {pos.to_move} {result.win(pos)} "
+            f"{result.rank(pos)} {move and move.cops}\n"
+        )
+
+
+class TestFrozenTables:
+    def test_win_rank_best_move(self):
+        # 49,000 positions: 300 seeded games with n <= 6 and k <= 3, then
+        # the q = 2 plane at k = 3.  The digest was taken from the solver
+        # that pushed level 1 through the sub-move arcs and kept a dict of
+        # each stage's touched states, so it pins the tables across cores.
+        digest = hashlib.sha256()
+        for d, k in frozen_games():
+            for line in table_lines(d, k):
+                digest.update(line.encode())
+        assert digest.hexdigest() == (
+            "7bfdbb8ee38c98dea66c5df353de95278fc7acecbe758a1319b672c6b6efaf30"
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(digraphs(6), st.integers(1, 3))
+    def test_level_one_closed_form(self, d, k):
+        # The cops capture within one half-move exactly when the robber
+        # stands in N+[C], the closed out-neighbourhood of the cops; the
+        # robber to move is lost at once only when already caught.
+        result = solve(d, k)
+        for pos in result.positions():
+            rank = result.rank(pos)
+            if pos.to_move == COPS:
+                reach = set(pos.cops).union(*(d.out_adj[c] for c in pos.cops))
+                assert (rank is not None and rank <= 1) == (pos.robber in reach)
+            else:
+                assert (rank == 0) == (pos.robber in pos.cops)
+
+
 class TestCopNumber:
     def test_directed_cycles(self):
         assert cop_number(gen_directed_cycle(2), 2) == 1
@@ -285,8 +336,16 @@ class TestTraces:
             assert play_trace(d, k) == play_trace(d, k)
 
     def test_round_limit(self):
+        # two cops need more than one round to catch the robber on C4
         with pytest.raises(RuntimeError, match="round limit"):
-            play_trace(C4, 1, max_rounds=0)
+            play_trace(C4, 2, max_rounds=1)
+
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_round_limit_below_one_refused_before_solving(self, rounds):
+        # a budget of one position would fail the solve, so the InputError
+        # shows that the check comes first
+        with pytest.raises(InputError, match=f"max_rounds must be >= 1, got {rounds}"):
+            play_trace(C4, 2, max_rounds=rounds, state_budget=1)
 
     @settings(max_examples=15, deadline=None)
     @given(digraphs(), st.integers(1, 2))
