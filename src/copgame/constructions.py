@@ -18,6 +18,10 @@ import random
 from .digraph import MAX_ARCS, MAX_VERTICES, Digraph
 from .errors import InputError
 
+# A random digraph costs one draw per ordered pair of vertices, so the
+# vertex cap alone would admit 10^10 draws (about 9 minutes).
+MAX_RANDOM_DRAWS = 10 * MAX_ARCS
+
 
 def _check_vertex_cap(n: int) -> None:
     """Refuse a graph of n vertices before any of it is built; Digraph
@@ -211,14 +215,22 @@ def gen_projective_plane_incidence_doubled(q: int) -> Digraph:
 
 def _random_digraph_from(rng: random.Random, n: int, p: float) -> Digraph:
     """Each ordered pair becomes an arc independently with probability p,
-    consuming the rng in fixed lexicographic pair order."""
+    consuming the rng in fixed lexicographic pair order.
+
+    The n(n - 1) draws are refused before the rng is touched when they
+    would pass MAX_RANDOM_DRAWS, and the arcs as soon as a row of draws
+    takes them past MAX_ARCS.
+    """
     _check_vertex_cap(n)
-    arcs = [
-        (u, v)
-        for u in range(n)
-        for v in range(n)
-        if u != v and rng.random() < p
-    ]
+    draws = n * (n - 1)
+    if draws > MAX_RANDOM_DRAWS:
+        raise InputError(
+            f"random draw count {draws} exceeds the limit of {MAX_RANDOM_DRAWS}"
+        )
+    arcs = []
+    for u in range(n):
+        arcs += [(u, v) for v in range(n) if u != v and rng.random() < p]
+        _check_arc_cap(len(arcs))
     return Digraph(n, arcs)
 
 

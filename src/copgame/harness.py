@@ -32,8 +32,9 @@ from __future__ import annotations
 import csv
 import random
 import time
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 from .constructions import (
@@ -102,10 +103,12 @@ class InstanceRecord:
     micros: int
 
     def row(self) -> list[str]:
-        return ["" if v is None else str(v) for v in astuple(self)]
+        # Plain attribute reads: dataclasses.astuple deep-copies every field.
+        return ["" if v is None else str(v) for v in _row_values(self)]
 
 
 CSV_HEADER = tuple(f.name for f in fields(InstanceRecord))
+_row_values = attrgetter(*CSV_HEADER)
 
 
 @dataclass

@@ -14,20 +14,41 @@ half-moves to capture: cops minimize it, the robber maximizes it.
 The solver never tabulates whole cop moves.  A cop move is split into k
 single-cop sub-moves (Petr, Portier and Versteegen, "A faster algorithm
 for Cops and Robbers"): the smallest not-yet-moved cop always moves next,
-so an intermediate state is a pair (moved multiset, unmoved multiset) of k
-vertices in all, and stage j holds the states with j cops still to move.
-Stage k is the cop-to-move positions, stage 0 the robber-to-move ones.
-The sub-move arcs are stored inverted, factored into two small tables per
-stage (see _parent_tables), rather than as one list of arcs.
+so an intermediate state is a pair (moved multiset M, unmoved multiset U)
+of k vertices in all, and stage j holds the states with j cops still to
+move.  Stage k is the cop-to-move positions, stage 0 the robber-to-move
+ones.
 
-Every state carries one int bit mask over robber vertices, so one OR
-settles a state for all n robber positions at once.  The backward
-attractor runs level by level, and the level at which a position is won
-is its rank.  Levels 0 and 1 have a closed form and are never pushed
-through the sub-move arcs: at level 0 the robber is caught on bits(C),
-the vertices of the cop multiset C, and after level 1 a stage state
-(M, U) holds bits(M) | N+[U], where N+[U] is the union of the closed
-out-neighbourhoods of U's vertices.  So copwin[C] = N+[C] and
+Every state carries one bit mask over robber vertices, so one OR settles
+a state for all n robber positions at once.  Stage 0 (robwin) and stage k
+(copwin) keep one int mask per cop multiset, the layout the robber side,
+the ranks and SolveResult read.  Each middle stage j, 1 <= j < k, keeps
+one int per moved multiset M, its row: lane i(U) of the row, W bits wide,
+holds the mask of state (M, U), with i(U) the place of U in
+combinations_with_replacement order.  W is the smallest of 8, 16, 32 and
+64 that holds n, or else a multiple of 64.
+
+A row is pushed one sub-move back with shifts, not one state at a time.
+The sub-move arcs into a child (M', U') of stage j - 1 come from
+(M' minus one v, (u,) + U') for each distinct v in M' and each u in the
+closed in-neighbourhood N-[v] with u <= min(U'), since u must be the
+smallest cop still to move.  The (j-1)-multisets with min >= u are a
+suffix of their list, from lane cut_u on, and prefixing u to each gives,
+in the same order, the block of j-multisets that start with u, from lane
+put_u on.  So (x >> W*cut_u) << W*put_u moves every lane of a child row x
+to the lane of its parent in row M' - v, and drops the lanes whose min is
+below u.  At j = 1 every cut is 0, and while W is at most one word the
+u of N-[v] fold into one multiply by the sum of 2^(W*u).  The push into
+stage k reads the nonzero lanes of each changed stage-(k-1) row from its
+bytes.
+
+The backward attractor runs level by level, and the level at which a
+position is won is its rank.  Levels 0 and 1 have a closed form and are
+never pushed through the sub-move arcs: at level 0 the robber is caught on
+bits(C), the vertices of the cop multiset C, and after level 1 a stage
+state (M, U) holds bits(M) | N+[U], where N+[U] is the union of the closed
+out-neighbourhoods of U's vertices; a row is bits(M) times the row with 1
+in every lane, OR the row of the N+[U].  So copwin[C] = N+[C] and
 robwin[C] = bits(C): the robber side gains nothing at level 1, since the
 robber may stay put.  From level 2 on, level L first settles the robber
 side from the cop wins of level L-1: a robber-to-move position (C, r)
@@ -49,6 +70,7 @@ cop move table).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, compress, count, product
 from math import comb
@@ -58,6 +80,13 @@ from .digraph import Digraph
 from .errors import InputError, StateBudgetExceeded
 
 DEFAULT_STATE_BUDGET = 50_000_000
+
+# memoryview formats of the lane widths up to one word.  A cast reads
+# native byte order, so only a little-endian host takes lanes from it.
+_LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+_NATIVE_LITTLE = sys.byteorder == "little"
+# bytes.translate table mapping each nonzero byte to 1.
+_NONZERO = bytes([0] + [1] * 255)
 
 COPS = "cops"
 ROBBER = "robber"
@@ -226,42 +255,79 @@ def _check_budget(d: Digraph, k: int, state_budget: int) -> None:
         )
 
 
-def _parent_tables(d: Digraph, sets, index, j: int):
-    """The sub-move arcs from stage j to stage j - 1, inverted and factored.
+def _lane_width(n: int) -> int:
+    """Bits per lane of a packed row: the smallest of 8, 16, 32 and 64 that
+    holds n robber vertices, or else the next multiple of 64."""
+    for width in (8, 16, 32, 64):
+        if n <= width:
+            return width
+    return -(-n // 64) * 64
 
-    A child of stage j - 1 is (M', U') with |M'| = k - j + 1 and
-    |U'| = j - 1, numbered i(M') * len(sets[j - 1]) + i(U').  Its parents
-    are (M' minus one copy of v, (u,) + U') for every distinct v in M' and
-    every u in the closed in-neighbourhood of v that is no larger than
-    min(U'), since u must be the smallest cop still to move.  A parent's
-    number is i(M' minus v) * len(sets[j]) + i((u,) + U'), so the arcs
-    factor into two small tables:
 
-    removals[i(M')]: (v, i(M' minus v) * len(sets[j])) per distinct v;
-    prepends[i(U')][v]: i((u,) + U') for each such u.
+def _prepend_lanes(n: int, t: int):
+    """(cut, put) per vertex u, in lanes, for prepending u to a row whose
+    lanes are the multisets of size t in combinations_with_replacement
+    order.  Those with smallest vertex >= u are the last
+    multisets(n - u, t), from lane cut on; prefixing u to each gives, in
+    the same order, the block of (t + 1)-multisets that start with u, from
+    lane put on."""
+    total = _multisets(n, t)
+    lanes = []
+    put = 0
+    for u in range(n):
+        size = _multisets(n - u, t)
+        lanes.append((total - size, put))
+        put += size
+    return lanes
+
+
+def _removal_tables(n: int, k: int):
+    """tables[t][i(M')], for each multiset M' of size t <= k: the flat
+    tuple v, i(M' minus one v), v, ... over the distinct v of M', ascending
+    (flat to save memory: one tuple per M' rather than one per pair).
+
+    Built from size t - 1 without any lookup: M' = (a,) + R with R one of
+    the (t-1)-multisets with min >= a, in the order of the suffix-to-block
+    identity (see _prepend_lanes).  Removing a leaves R; removing any other
+    v of R leaves (a,) + (R minus v), whose index is that of R minus v
+    moved by the same identity one size down.
     """
-    k = len(sets) - 1
-    n = d.n
-    size_j = len(sets[j])
-    moved_index = index[k - j]
-    unmoved_index = index[j]
-    removals = [
-        [
-            (v, moved_index[moved[:i] + moved[i + 1:]] * size_j)
-            for i, v in enumerate(moved)
-            if i == 0 or moved[i - 1] != v
-        ]
-        for moved in sets[k - j + 1]
-    ]
-    closed_in = [sorted((v,) + d.in_adj[v]) for v in range(n)]
-    prepends = []
-    for rest in sets[j - 1]:
-        lim = rest[0] if rest else n - 1
-        prepends.append([
-            [unmoved_index[(u,) + rest] for u in closed_in[v] if u <= lim]
-            for v in range(n)
-        ])
-    return removals, prepends
+    tables = [[()]]
+    for t in range(1, k + 1):
+        prev = tables[-1]
+        into = _prepend_lanes(n, t - 1)
+        within = _prepend_lanes(n, t - 2) if t > 1 else [(0, 0)] * n
+        # Row numbers are shared int objects: one per row, not one per pair.
+        rows = list(range(len(prev)))
+        table = []
+        for a in range(n):
+            offset = within[a][1] - within[a][0]
+            for r in rows[into[a][0]:]:
+                pairs = iter(prev[r])
+                table.append((a, r, *[
+                    x for v, q in zip(pairs, pairs) if v != a for x in (v, rows[offset + q])
+                ]))
+        tables.append(table)
+    return tables
+
+
+def _nonzero_lanes(x: int, width: int, lane_ids):
+    """(i, lane i of x) for each nonzero lane of the packed row x, whose
+    lanes are numbered by lane_ids, the list 0, 1, 2, ..."""
+    step = width // 8
+    raw = x.to_bytes(len(lane_ids) * step, "little")
+    if width <= 64 and _NATIVE_LITTLE:
+        view = memoryview(raw).cast(_LANE_FORMATS[width])
+        return [(i, view[i]) for i in compress(lane_ids, view)]
+    # Otherwise find the first nonzero byte from each lane boundary on.
+    flags = raw.translate(_NONZERO)
+    lanes = []
+    pos = flags.find(1)
+    while pos >= 0:
+        start = pos - pos % step
+        lanes.append((start // step, int.from_bytes(raw[start:start + step], "little")))
+        pos = flags.find(1, start + step)
+    return lanes
 
 
 def _reach_tables(d: Digraph):
@@ -282,19 +348,16 @@ def _reach_tables(d: Digraph):
 
 def _union_masks(vertex_masks, k: int):
     """Per size t = 0..k, the OR of vertex_masks over each multiset of t
-    vertices, in combinations_with_replacement order.  The multisets of
-    size t - 1 with smallest vertex >= v are the last multisets(n - v, t - 1)
-    of their list, and prefixing v to each gives the size-t multisets that
-    start with v, in order."""
+    vertices, in combinations_with_replacement order: the size-t multisets
+    that start with v are v prefixed to a suffix of the size-(t - 1) list
+    (see _prepend_lanes)."""
     n = len(vertex_masks)
     unions = [[0]]
     for t in range(1, k + 1):
         prev = unions[-1]
-        size = len(prev)
+        lanes = _prepend_lanes(n, t - 1)
         unions.append([
-            vm | p
-            for v, vm in enumerate(vertex_masks)
-            for p in prev[size - _multisets(n - v, t - 1):]
+            vm | p for vm, (cut, _) in zip(vertex_masks, lanes) for p in prev[cut:]
         ])
     return unions
 
@@ -326,29 +389,58 @@ def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> Solve
     _check_budget(d, k, state_budget)
     n = d.n
     full = (1 << n) - 1
-    sets = [list(combinations_with_replacement(range(n), t)) for t in range(k + 1)]
-    index = [{s: i for i, s in enumerate(level)} for level in sets]
-    cop_sets = sets[k]
+    width = _lane_width(n)
+    cop_sets = list(combinations_with_replacement(range(n), k))
     num_cw = len(cop_sets)
-    tables = [None] + [_parent_tables(d, sets, index, j) for j in range(1, k + 1)]
+    closed_in = [sorted((v,) + d.in_adj[v]) for v in range(n)]
+    # removals[k - j + 1]: the parent rows of each stage-(j - 1) row, j < k.
+    removals = _removal_tables(n, k)
+    # shifts[j][v]: per u in N-[v], the bit shifts that prepend u to the
+    # lanes of a stage-(j - 1) row.
+    shifts = [None]
+    for j in range(1, k):
+        lanes = _prepend_lanes(n, j - 1)
+        shifts.append([
+            [(width * lanes[u][0], width * lanes[u][1]) for u in closed_in[v]]
+            for v in range(n)
+        ])
+    # At j = 1 every cut is 0 and put is u, so while a lane fits one word
+    # the shifts fold into one multiply by fold[v], which costs less than
+    # the shifts; with wider lanes it costs more.
+    fold = None
+    if k > 1 and width <= 64:
+        fold = [sum(1 << width * u for u in closed_in[v]) for v in range(n)]
+    # Stage-k targets of a stage-(k - 1) row of v: per u in N-[v], the
+    # first lane u may be prepended to and the offset to its multiset.
+    lanes = _prepend_lanes(n, k - 1)
+    targets = [[(lanes[u][0], lanes[u][1] - lanes[u][0]) for u in closed_in[v]]
+               for v in range(n)]
+    child_lanes = list(range(_multisets(n, k - 1)))
     reach_tables = _reach_tables(d)
 
     # Levels 0 and 1 in closed form: after level 1 the stage-j state
     # (M, U) holds bits(M) | N+[U], since the robber is caught where a cop
-    # stands or where a cop still to move can step.
+    # stands or where a cop still to move can step.  Row M of stage j is
+    # therefore bits(M) times the row with a 1 in every lane, OR the row
+    # of the N+[U].
     bits = _union_masks([1 << v for v in range(n)], k)
     nbhd = _union_masks([1 << v | sum(1 << w for w in d.out_adj[v]) for v in range(n)], k)
-    # masks[j][i]: robber vertices from which stage-j state i reaches a
-    # robber-to-move cop win.  masks[0] is robwin and masks[k] is copwin,
-    # both indexed by cop multiset.
-    masks = [[b | c for b in bits[k - j] for c in nbhd[j]] for j in range(k + 1)]
-    robwin, copwin = masks[0], masks[k]
+    step = width // 8
+    # rows[j][i(M)]: stage j, 1 <= j < k, lane i(U) holding the robber
+    # vertices from which (M, U) reaches a robber-to-move cop win.
+    rows = [None]
+    for j in range(1, k):
+        ones = int.from_bytes((b"\x01" + bytes(step - 1)) * len(nbhd[j]), "little")
+        packed = int.from_bytes(b"".join(m.to_bytes(step, "little") for m in nbhd[j]), "little")
+        rows.append([b * ones | packed for b in bits[k - j]])
+    # Stage 0 and stage k stay one mask per cop multiset.
+    robwin, copwin = bits[k], nbhd[k]
     rank = ([], [])
     # No robber-to-move position is won at level 1: the robber may stay
-    # on r, which is a level-0 cop win only when r is in C.
-    new_cop = [c & ~b for c, b in zip(copwin, bits[k])]
-    cop_idx = list(compress(count(), new_cop))
-    cop_masks = [new_cop[ci] for ci in cop_idx]
+    # on r, which is a level-0 cop win only when r is in C.  The cop
+    # side's level-1 wins are N+[C] minus bits(C).
+    cop_idx = list(compress(count(), map(ne, copwin, robwin)))
+    cop_masks = [copwin[ci] ^ robwin[ci] for ci in cop_idx]
     rob_idx, rob_masks = [], []
     _record_ranks(rank[0], cop_idx, cop_masks, 1, num_cw)
 
@@ -370,30 +462,51 @@ def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> Solve
                 settled_idx.append(ci)
                 settled_masks.append(gained)
         # Cops to move: push last level's robber-side wins back one
-        # sub-move stage at a time.  A stage's delta is what the push
-        # added to it, found by comparing it with its copy from before.
+        # sub-move stage at a time.  A changed row of stage j - 1 reaches
+        # row M' - v of stage j, for each distinct v in M', with u in
+        # N-[v] prepended to every lane; its delta is what the push added,
+        # found by comparing the stage with its copy from before.
         idx, delta = rob_idx, rob_masks
-        for j in range(1, k + 1):
+        for j in range(1, k):
             if not idx:
                 break
-            removals, prepends = tables[j]
-            size_child = len(prepends)
-            stage = masks[j]
+            stage = rows[j]
             snap = stage[:]
-            for child, mask in zip(idx, delta):
-                m, u = divmod(child, size_child)
-                row = prepends[u]
-                for v, base in removals[m]:
-                    for q in row[v]:
-                        stage[base + q] |= mask
+            parents = removals[k - j + 1]
+            if j == 1 and fold:
+                for m, x in zip(idx, delta):
+                    pairs = iter(parents[m])
+                    for v, p in zip(pairs, pairs):
+                        stage[p] |= x * fold[v]
+            else:
+                shift = shifts[j]
+                for m, x in zip(idx, delta):
+                    pairs = iter(parents[m])
+                    for v, p in zip(pairs, pairs):
+                        for cut, put in shift[v]:
+                            stage[p] |= x >> cut << put
             idx = list(compress(count(), map(ne, stage, snap)))
-            delta = [stage[p] & ~snap[p] for p in idx]
+            delta = [stage[p] ^ snap[p] for p in idx]
+        # Stage k: a changed row of stage k - 1 belongs to M' = (v,), and
+        # each nonzero lane goes to the cop multisets (u,) + U'.
+        if idx:
+            snap = copwin[:]
+            for v, x in zip(idx, delta):
+                target = targets[v]
+                for i, mask in _nonzero_lanes(x, width, child_lanes):
+                    for cut, offset in target:
+                        if i < cut:
+                            break
+                        copwin[i + offset] |= mask
+            idx = list(compress(count(), map(ne, copwin, snap)))
+            delta = [copwin[ci] ^ snap[ci] for ci in idx]
         cop_idx, cop_masks = idx, delta
         rob_idx, rob_masks = settled_idx, settled_masks
         _record_ranks(rank[0], cop_idx, cop_masks, level, num_cw)
         _record_ranks(rank[1], rob_idx, rob_masks, level, num_cw)
 
-    return SolveResult(d, k, cop_sets, index[k], copwin, robwin, rank)
+    index = {cw: i for i, cw in enumerate(cop_sets)}
+    return SolveResult(d, k, cop_sets, index, copwin, robwin, rank)
 
 
 def _first_winning_placement(d: Digraph, k_max: int, state_budget: int):

@@ -319,6 +319,13 @@ class TestInputErrors:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "exceeds the limit" in err
 
+    def test_random_draws_refused_before_drawing(self, capsys):
+        # Every vertex count up to the cap of 100,000 is allowed, but
+        # 100,000 vertices would take 10^10 draws: about nine minutes.
+        code, out, err = run(capsys, "gen", "random", "--n", "100000", "--p", "0", "--seed", "1")
+        assert code == 2 and out == ""
+        assert "random draw count 9999900000 exceeds the limit" in err
+
     def test_huge_subdivision(self, capsys, tmp_path):
         src = write(tmp_path, "c3.dg", C3_TEXT)
         code, _, err = run(capsys, "transform", src, "--op", "subdivide", "--m", "1000000000")

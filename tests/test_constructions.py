@@ -26,7 +26,7 @@ from copgame import (
     underlying_girth,
 )
 import copgame.constructions
-from copgame.constructions import _random_digraph_from
+from copgame.constructions import MAX_RANDOM_DRAWS, _random_digraph_from
 from copgame.digraph import MAX_ARCS, MAX_VERTICES
 
 import oracles
@@ -419,3 +419,54 @@ class TestArcCap:
         for substitute in (clique_substitute_all, lambda d: clique_substitute_vertex(d, 2)):
             with pytest.raises(InputError, match="arc count 22 exceeds the limit of 21"):
                 substitute(HUB)
+
+
+class CountingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+class TestRandomDrawCap:
+    def test_cap_sits_between_7071_and_7072_vertices(self):
+        assert MAX_RANDOM_DRAWS == 10 * MAX_ARCS
+        assert 7071 * 7070 <= MAX_RANDOM_DRAWS < 7072 * 7071
+
+    def test_refused_before_drawing(self):
+        rng = random.Random(5)
+        state = rng.getstate()
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="random draw count 50006112 exceeds the limit"):
+                _random_digraph_from(rng, 7072, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rng.getstate() == state
+        assert peak < 100_000
+
+    def test_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(copgame.constructions, "MAX_RANDOM_DRAWS", 12)
+        rng = CountingRandom(3)
+        assert _random_digraph_from(rng, 4, 0.5) == gen_random_digraph(4, 0.5, 3)
+        assert rng.draws == 12
+        monkeypatch.setattr(copgame.constructions, "MAX_RANDOM_DRAWS", 11)
+        with pytest.raises(InputError, match="random draw count 12 exceeds the limit of 11"):
+            gen_random_digraph(4, 0.5, 3)
+
+    def test_arcs_refused_mid_draw(self, monkeypatch):
+        # p = 1 makes every draw an arc: the first row of 9 passes a cap
+        # of 5 and the generator stops there, 81 draws short of the end.
+        monkeypatch.setattr(copgame.constructions, "MAX_ARCS", 5)
+        rng = CountingRandom(1)
+        with pytest.raises(InputError, match="arc count 9 exceeds the limit of 5"):
+            _random_digraph_from(rng, 10, 1.0)
+        assert rng.draws == 9
+
+    def test_arc_cap_admits_exactly_the_cap(self, monkeypatch):
+        monkeypatch.setattr(copgame.constructions, "MAX_ARCS", 90)
+        assert gen_random_digraph(10, 1.0, 1).arc_count == 90

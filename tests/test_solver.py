@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,9 @@ from copgame import (
     play_trace,
     solve,
 )
+
+import copgame.solver as solver
+from copgame.solver import _lane_width, _nonzero_lanes, _prepend_lanes
 
 import oracles
 
@@ -162,14 +166,60 @@ def frozen_games():
     yield gen_projective_plane_incidence_doubled(2), 3
 
 
-def table_lines(d, k):
+def table_lines(d, k, robbers=None):
+    """One line per position, or per position whose robber is in robbers."""
     result = solve(d, k)
-    for pos in result.positions():
+    positions = result.positions()
+    if robbers is not None:
+        positions = (
+            GamePosition(cw, r, side)
+            for cw in result.placements()
+            for r in robbers
+            for side in (COPS, ROBBER)
+        )
+    for pos in positions:
         move = result.best_move(pos)
         yield (
             f"{pos.cops} {pos.robber} {pos.to_move} {result.win(pos)} "
             f"{result.rank(pos)} {move and move.cops}\n"
         )
+
+
+def lane_class_games():
+    """Games in every lane class of the packed sub-move stages: lanes of 8,
+    16, 32 and 64 bits (n up to 8, 16, 32 and 64), then lanes of several
+    64-bit words (n from 65 to 130; n = 128 fills its lanes).  The larger
+    games check only the positions of a few robber vertices, the last
+    vertex among them, whose bit is the top of its lane."""
+    rng = random.Random(7)
+    table = [
+        (5, 0.5, 3, None),
+        (6, 0.3, 2, None),
+        (7, 0.4, 3, None),
+        (8, 0.3, 1, None),
+        (8, 0.25, 3, None),
+        (9, 0.3, 3, None),
+        (12, 0.2, 2, None),
+        (16, 0.15, 1, None),
+        (16, 0.12, 2, None),
+        (17, 0.1, 3, (0, 16)),
+        (24, 0.08, 2, (0, 23)),
+        (32, 0.06, 1, None),
+        (33, 0.06, 2, None),
+        (36, 0.05, 3, (35,)),
+        (64, 0.03, 1, None),
+        (65, 0.03, 1, None),
+        (66, 0.03, 2, (0, 33, 65)),
+        (130, 0.02, 1, None),
+        (128, 0.015, 2, (127,)),
+    ]
+    for n, p, k, robbers in table:
+        yield gen_random_digraph(n, p, rng.randrange(10**6)), k, robbers
+    yield gen_directed_cycle(100), 2, (0, 64, 99)
+
+
+def packed(lanes, width):
+    return sum(mask << width * i for i, mask in enumerate(lanes))
 
 
 class TestFrozenTables:
@@ -186,6 +236,18 @@ class TestFrozenTables:
             "7bfdbb8ee38c98dea66c5df353de95278fc7acecbe758a1319b672c6b6efaf30"
         )
 
+    def test_win_rank_best_move_in_every_lane_class(self):
+        # 185,074 positions of 20 games, n from 5 to 130 and k from 1 to 3.
+        # The digest was taken from the solver that kept one mask per
+        # sub-move state, before the middle stages were packed into rows.
+        digest = hashlib.sha256()
+        for d, k, robbers in lane_class_games():
+            for line in table_lines(d, k, robbers):
+                digest.update(line.encode())
+        assert digest.hexdigest() == (
+            "e09737a8037834f03a1924389b9acfb9ad9157bedbfa5bd7eb33f1685e7215ab"
+        )
+
     @settings(max_examples=40, deadline=None)
     @given(digraphs(6), st.integers(1, 3))
     def test_level_one_closed_form(self, d, k):
@@ -200,6 +262,59 @@ class TestFrozenTables:
                 assert (rank is not None and rank <= 1) == (pos.robber in reach)
             else:
                 assert (rank == 0) == (pos.robber in pos.cops)
+
+
+class TestLanes:
+    def test_lane_width(self):
+        widths = {1: 8, 8: 8, 9: 16, 16: 16, 17: 32, 32: 32, 33: 64, 64: 64,
+                  65: 128, 128: 128, 129: 192, 600: 640}
+        for n, width in widths.items():
+            assert _lane_width(n) == width
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 3), st.data())
+    def test_suffix_to_block(self, n, t, data):
+        # The t-multisets with smallest vertex >= u are a suffix of their
+        # list; with u prepended they are the block of (t + 1)-multisets
+        # that start with u, in the same order.  So one shift pair moves
+        # every lane of a packed row to the lane of its parent.
+        smaller = list(combinations_with_replacement(range(n), t))
+        larger = list(combinations_with_replacement(range(n), t + 1))
+        lanes = _prepend_lanes(n, t)
+        width = _lane_width(n)
+        masks = data.draw(st.lists(
+            st.integers(0, (1 << n) - 1), min_size=len(smaller), max_size=len(smaller)
+        ))
+        x = packed(masks, width)
+        for u in range(n):
+            cut, put = lanes[u]
+            suffix = [s for s in smaller if not s or s[0] >= u]
+            assert smaller[cut:] == suffix
+            assert larger[put:put + len(suffix)] == [(u,) + s for s in suffix]
+            expected = [0] * len(larger)
+            for i, s in enumerate(smaller):
+                if not s or s[0] >= u:
+                    expected[larger.index((u,) + s)] = masks[i]
+            assert x >> width * cut << width * put == packed(expected, width)
+
+    @pytest.mark.parametrize("native", [True, False])
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 200), st.data())
+    def test_nonzero_lanes(self, native, n, data):
+        # native=False reads every lane with int.from_bytes, the path of a
+        # big-endian host; both must agree with plain shifts.
+        width = _lane_width(n)
+        masks = data.draw(st.lists(
+            st.one_of(st.just(0), st.integers(1, (1 << n) - 1)), min_size=1, max_size=40
+        ))
+        x = packed(masks, width)
+        saved = solver._NATIVE_LITTLE
+        solver._NATIVE_LITTLE = saved and native
+        try:
+            got = list(_nonzero_lanes(x, width, list(range(len(masks)))))
+        finally:
+            solver._NATIVE_LITTLE = saved
+        assert got == [(i, m) for i, m in enumerate(masks) if m]
 
 
 class TestCopNumber:
