@@ -27,19 +27,15 @@ from .digraph import (
 )
 from .errors import InputError, StateBudgetExceeded
 from .harness import (
-    CSV_HEADER,
     DEFAULT_SUITE_CONFIGS,
-    GIRTH_TARGETS,
     RUN_ORDER,
     ExperimentReport,
-    InstanceRecord,
     SuiteConfig,
     config_with_overrides,
     iter_all_digraphs,
     replay_instance,
     run_all,
     run_suite,
-    write_report_csv,
     write_reports,
 )
 from .patterns import (
@@ -97,18 +93,14 @@ __all__ = [
     "play_trace",
     "DEFAULT_STATE_BUDGET",
     "SuiteConfig",
-    "InstanceRecord",
     "ExperimentReport",
     "DEFAULT_SUITE_CONFIGS",
     "RUN_ORDER",
-    "GIRTH_TARGETS",
-    "CSV_HEADER",
     "config_with_overrides",
     "iter_all_digraphs",
     "run_suite",
     "run_all",
     "replay_instance",
-    "write_report_csv",
     "write_reports",
     "InputError",
     "StateBudgetExceeded",

@@ -22,7 +22,13 @@ from .constructions import (
 )
 from .digraph import format_arc_list, parse_arc_list, to_dot
 from .errors import InputError, StateBudgetExceeded
-from .harness import RUN_ORDER, config_with_overrides, run_suite, write_reports
+from .harness import (
+    RUN_ORDER,
+    _report_dir,
+    config_with_overrides,
+    run_suite,
+    write_reports,
+)
 from .patterns import find_induced, find_pk_star, find_pk_subgraph
 from .solver import DEFAULT_STATE_BUDGET, _first_winning_placement, play_trace
 
@@ -141,13 +147,14 @@ def _cmd_dot(args):
 
 
 def _cmd_verify(args):
+    _report_dir(args.out_dir)
     tokens = list(RUN_ORDER) if args.suite == "all" else [args.suite]
     k_values = None
     if args.k_values is not None:
         try:
             k_values = tuple(int(x) for x in args.k_values.split(","))
         except ValueError:
-            raise InputError(f"--k-values must be comma-separated integers") from None
+            raise InputError("--k-values must be comma-separated integers") from None
     reports = []
     for token in tokens:
         cfg = config_with_overrides(

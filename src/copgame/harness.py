@@ -420,22 +420,25 @@ def replay_instance(token: str, seed: int, cfg: SuiteConfig | None = None):
     return report.records
 
 
-def write_report_csv(report: ExperimentReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for rec in report.records:
-            writer.writerow(rec.row())
-
-
-def write_reports(reports, out_dir) -> None:
-    """One CSV per suite plus a summary.csv in out_dir."""
+def _report_dir(out_dir) -> Path:
+    """out_dir as a Path, refused with InputError if it exists and is not a
+    directory.  run_all and the verify command check it before any suite
+    runs, so a bad out_dir costs no suite time."""
     out = Path(out_dir)
     if out.exists() and not out.is_dir():
         raise InputError(f"{out} exists and is not a directory")
+    return out
+
+
+def write_reports(reports, out_dir) -> None:
+    """One CSV per suite, one row per record, plus a summary.csv in out_dir."""
+    out = _report_dir(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for report in reports:
-        write_report_csv(report, out / f"{report.suite}.csv")
+        with open(out / f"{report.suite}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(CSV_HEADER)
+            writer.writerows(rec.row() for rec in report.records)
     with open(out / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("suite", "instances", "violations", "errors", "violating_seeds"))
@@ -453,6 +456,8 @@ def write_reports(reports, out_dir) -> None:
 
 def run_all(out_dir=None, cfg: SuiteConfig | None = None):
     """Run every suite in order; write CSVs when out_dir is given."""
+    if out_dir is not None:
+        _report_dir(out_dir)
     reports = [run_suite(token, cfg) for token in RUN_ORDER]
     if out_dir is not None:
         write_reports(reports, out_dir)

@@ -14,25 +14,45 @@ loosest host condition:
 Hence subgraph-free implies P_k*-free implies induced-free, the containment
 chain replayed by the verification suites.
 
-All three searches fill a tuple of distinct host vertices one position at a
-time, on one iterative depth-first loop (_first_tuple).  The candidates for
-a position are an int bit mask over host vertices, computed from per-vertex
-out- and in-neighbour masks built once per call: a P_k subgraph extends
-along the out-mask of the last vertex, a P_k* tuple also drops the
-out-neighbours of the earlier vertices, and an induced embedding ANDs, for
-every vertex already mapped, its in- and out-mask or their complements as
-the pattern's arcs demand.  Candidates are tried by ascending bit, so every
-search returns the lexicographically first witness.  The loop keeps one
-mask per position on an explicit stack instead of recursing, so a pattern
-may be as long as the host; the masks cost up to n bits per host vertex and
-position, and a search whose masks would pass MAX_MASK_BITS is refused with
-InputError before any is built.
+All three are ordered patterns: positions 0 .. p - 1, and for each ordered
+pair of positions an arc that is required, forbidden or free.  A P_k
+subgraph requires the consecutive arcs and leaves every other pair free; a
+P_k* tuple also forbids every other forward arc; an induced copy of H
+requires H's arcs and forbids all the others.  One depth-first loop
+(_first_witness) fills a tuple of distinct host vertices one position at a
+time and reads the pattern from a spec with one entry per position,
+
+    spec[i] = (s_out, s_in, rules):
+
+no arc into position i from a position below s_out, no arc out of it to a
+position below s_in, and each (j, into, present) in rules requires or
+forbids the one arc between positions j and i (j -> i when into, i -> j
+otherwise).  Every other pair is free.
+
+Candidates are int bit masks over host vertices, from per-vertex out- and
+in-neighbour masks built once per call.  The loop folds the masks of the
+mapped vertices into one running OR per side and prefix length, so a
+forbidden prefix costs one mask operation however long it is.  A P_k*
+position i forbids positions 0 .. i - 2 with s_out = i - 1.  An induced
+position is non-adjacent to every position before its first earlier pattern
+neighbour s, so (s, s) forbids that prefix both ways and only the pairs
+from s up get rules.  All three searches for a path therefore cost O(p)
+mask operations per full descent, not the O(p^2) of one operation per
+mapped vertex and position.
+
+Candidates are tried by ascending bit, so every search returns the
+lexicographically first witness.  The loop keeps its masks in per-position
+lists instead of recursing, so a pattern may be as long as the host; the
+masks cost up to n bits per host vertex and position, and a search whose
+masks would pass MAX_MASK_BITS is refused with InputError before any is
+built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .constructions import gen_directed_path
 from .digraph import Digraph
 from .errors import InputError
 
@@ -54,51 +74,69 @@ class PatternWitness:
     kind: str
 
 
-def _masks(host: Digraph, adjs, levels: int) -> list[list[int]]:
-    """Per-vertex neighbour masks for each adjacency in adjs: bit v of
-    masks[a][u] is set when v is in adjs[a][u].
+def _masks(host: Digraph, levels: int, with_in: bool):
+    """Per-vertex out- and in-neighbour masks: bit v of out_m[u] (of
+    in_m[u]) is set when u -> v (v -> u) is an arc.  Without with_in the
+    in-masks stay zero.
 
-    The size check counts each mask at the bit length of its largest
-    neighbour, plus two n-bit masks per search level (the untried
-    candidates and one search-specific mask), before anything is built.
+    The size check counts each built mask at the bit length of its largest
+    neighbour, plus, per search level, one n-bit mask of untried candidates
+    and one prefix fold per built side, before anything is built.
     """
-    bits = 2 * levels * host.n + sum(vs[-1] + 1 for adj in adjs for vs in adj if vs)
+    adjs = (host.out_adj, host.in_adj) if with_in else (host.out_adj,)
+    bits = (1 + len(adjs)) * levels * host.n
+    bits += sum(vs[-1] + 1 for adj in adjs for vs in adj if vs)
     if bits > MAX_MASK_BITS:
         raise InputError(
             f"pattern search of {levels} vertices on {host.n} needs about "
             f"{bits >> 23} MiB of candidate masks, above the limit of "
             f"{MAX_MASK_BITS >> 23} MiB"
         )
-    return [[sum(1 << v for v in vs) for vs in adj] for adj in adjs]
+    out_m, in_m = [0] * host.n, [0] * host.n
+    for u, v in host.arcs:
+        out_m[u] |= 1 << v
+        if with_in:
+            in_m[v] |= 1 << u
+    return out_m, in_m
 
 
-def _first_tuple(k: int, candidates):
-    """Lexicographically first k-tuple of distinct vertices, or None.
+def _first_witness(spec, allowed, out_m, in_m, kind: str):
+    """Lexicographically first tuple of distinct host vertices that meets
+    spec (see the module docstring), as a PatternWitness of kind, or None.
 
-    candidates(tup) returns the bit mask of vertices allowed at position
-    len(tup) after the prefix tup; vertices already in tup are removed
-    here.  It is called once each time the prefix grows, in depth-first
-    order.  Each level keeps its untried candidates as one mask on the
-    stack and tries them by ascending bit.
+    allowed[i] masks the host vertices admitted at position i.  outs[t] and
+    ins[t] fold the out- and in-masks of the first t mapped vertices.  Each
+    level keeps its untried candidates as one mask on the stack and tries
+    them by ascending bit.
     """
-    tup = []
-    used = 0
-    stack = [candidates(tup)]
-    while stack:
-        rest = stack[-1]
+    k = len(spec)
+    tup, outs, ins = [0] * k, [0] * k, [0] * k
+    used = i = 0
+    stack = [allowed[0]]
+    while True:
+        rest = stack[i]
         if not rest:
+            if not i:
+                return None
             stack.pop()
-            if tup:
-                used ^= 1 << tup.pop()
+            i -= 1
+            used ^= 1 << tup[i]
             continue
         low = rest & -rest
-        stack[-1] = rest ^ low
-        tup.append(low.bit_length() - 1)
-        if len(tup) == k:
-            return tuple(tup)
+        stack[i] = rest ^ low
+        v = tup[i] = low.bit_length() - 1
+        i += 1
+        if i == k:
+            return PatternWitness(tuple(tup), kind)
         used |= low
-        stack.append(candidates(tup) & ~used)
-    return None
+        outs[i] = outs[i - 1] | out_m[v]
+        ins[i] = ins[i - 1] | in_m[v]
+        s_out, s_in, rules = spec[i]
+        mask = allowed[i] & ~(used | outs[s_out] | ins[s_in])
+        for j, into, present in rules:
+            m = out_m[tup[j]] if into else in_m[tup[j]]
+            mask &= m if present else ~m
+        stack.append(mask)
 
 
 def find_induced(host: Digraph, pattern: Digraph):
@@ -112,55 +150,48 @@ def find_induced(host: Digraph, pattern: Digraph):
     p = pattern.n
     if p > host.n:
         return None
-    out_m, in_m = _masks(host, (host.out_adj, host.in_adj), p)
-    # deg_ok[i]: host vertices whose degrees admit pattern vertex i, shared
-    # between pattern vertices with equal degrees.
+    out_m, in_m = _masks(host, p, True)
+    # s: the first earlier pattern neighbour of i (i if none); allowed[i]:
+    # host vertices whose degrees admit pattern vertex i, shared between
+    # pattern vertices with equal degrees.
     by_degrees = {}
-    deg_ok = []
+    spec, allowed = [], []
     for i in range(p):
-        need = (pattern.out_degree(i), pattern.in_degree(i))
+        out_i, in_i = pattern.out_adj[i], pattern.in_adj[i]
+        s = min(out_i[:1] + in_i[:1] + (i,))
+        spec.append((s, s, [
+            rule for j in range(s, i)
+            for rule in ((j, True, j in in_i), (j, False, j in out_i))
+        ]))
+        need = (len(out_i), len(in_i))
         if need not in by_degrees:
             by_degrees[need] = sum(
                 1 << c
                 for c in range(host.n)
                 if host.out_degree(c) >= need[0] and host.in_degree(c) >= need[1]
             )
-        deg_ok.append(by_degrees[need])
-    pattern_out = [set(vs) for vs in pattern.out_adj]
-    pattern_in = [set(vs) for vs in pattern.in_adj]
-
-    def candidates(tup):
-        i = len(tup)
-        mask = deg_ok[i]
-        into, out_of = pattern_out[i], pattern_in[i]
-        for j, h in enumerate(tup):
-            # pattern arc i -> j needs c in the in-mask of h, j -> i its out-mask
-            mask &= in_m[h] if j in into else ~in_m[h]
-            mask &= out_m[h] if j in out_of else ~out_m[h]
-        return mask
-
-    tup = _first_tuple(p, candidates)
-    return None if tup is None else PatternWitness(tup, INDUCED_ISO)
+        allowed.append(by_degrees[need])
+    return _first_witness(spec, allowed, out_m, in_m, INDUCED_ISO)
 
 
-def _check_k(k: int) -> None:
+def _find_path(host: Digraph, k: int, kind: str):
+    """The P_k subgraph or P_k* search.  Only out-masks are built, as no
+    path spec forbids an arc out of a position."""
     if k < 2:
         raise InputError(f"path pattern length must be >= 2, got {k}")
+    if host.n < k:
+        return None
+    out_m, in_m = _masks(host, k, False)
+    star = kind == PK_STAR
+    spec = [(0, 0, ())] + [
+        (i - 1 if star else 0, 0, ((i - 1, True, True),)) for i in range(1, k)
+    ]
+    return _first_witness(spec, [(1 << host.n) - 1] * k, out_m, in_m, kind)
 
 
 def find_pk_subgraph(host: Digraph, k: int):
     """First directed path on k distinct vertices, extra arcs allowed."""
-    _check_k(k)
-    if host.n < k:
-        return None
-    (out_m,) = _masks(host, (host.out_adj,), k)
-    everyone = (1 << host.n) - 1
-
-    def candidates(tup):
-        return out_m[tup[-1]] if tup else everyone
-
-    tup = _first_tuple(k, candidates)
-    return None if tup is None else PatternWitness(tup, PK_SUBGRAPH)
+    return _find_path(host, k, PK_SUBGRAPH)
 
 
 def find_pk_star(host: Digraph, k: int):
@@ -170,24 +201,7 @@ def find_pk_star(host: Digraph, k: int):
     Arcs from later tuple vertices back to earlier ones are unconstrained;
     any forward shortcut disqualifies the tuple.
     """
-    _check_k(k)
-    if host.n < k:
-        return None
-    (out_m,) = _masks(host, (host.out_adj,), k)
-    everyone = (1 << host.n) - 1
-    # reach[i]: out-neighbours of tup[:i], kept in step with the prefix.
-    reach = [0]
-
-    def candidates(tup):
-        i = len(tup)
-        if not i:
-            return everyone
-        del reach[i:]
-        reach.append(reach[i - 1] | out_m[tup[-1]])
-        return out_m[tup[-1]] & ~reach[i - 1]
-
-    tup = _first_tuple(k, candidates)
-    return None if tup is None else PatternWitness(tup, PK_STAR)
+    return _find_path(host, k, PK_STAR)
 
 
 def containment_chain_check(d: Digraph, k: int) -> tuple[bool, bool, bool]:
@@ -197,9 +211,6 @@ def containment_chain_check(d: Digraph, k: int) -> tuple[bool, bool, bool]:
     A chain failure would mean one of the searches is wrong, so it raises
     AssertionError rather than returning.
     """
-    _check_k(k)
-    from .constructions import gen_directed_path
-
     sub_free = find_pk_subgraph(d, k) is None
     star_free = find_pk_star(d, k) is None
     induced_free = find_induced(d, gen_directed_path(k)) is None

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from copgame import Digraph, gen_directed_cycle, format_arc_list, parse_arc_list
+from copgame import cli
 from copgame.cli import main
 
 C3_TEXT = format_arc_list(gen_directed_cycle(3))
@@ -294,6 +295,18 @@ class TestVerify:
         )
         assert code == 2 and out == "" and "k values must be within" in err
         assert not out_dir.exists()
+
+    def test_out_dir_file_refused_before_any_suite(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "occupied"
+        target.write_text("x")
+
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a suite ran before the --out-dir check")
+
+        monkeypatch.setattr(cli, "run_suite", no_suite)
+        code, out, err = run(capsys, "verify", "--out-dir", str(target))
+        assert code == 2 and out == "" and "not a directory" in err
+        assert target.read_text() == "x"
 
 
 class TestInputErrors:

@@ -6,8 +6,6 @@ import hashlib
 import pytest
 
 from copgame import (
-    CSV_HEADER,
-    GIRTH_TARGETS,
     RUN_ORDER,
     InputError,
     SuiteConfig,
@@ -17,9 +15,10 @@ from copgame import (
     replay_instance,
     run_all,
     run_suite,
-    write_report_csv,
     write_reports,
 )
+from copgame import harness
+from copgame.harness import CSV_HEADER, GIRTH_TARGETS
 
 TINY = SuiteConfig(trials=2, n_max=4)
 
@@ -237,9 +236,8 @@ class TestErrorPaths:
 class TestCsvOutput:
     def test_single_report(self, tmp_path):
         report = run_suite("lemma1", TINY)
-        path = tmp_path / "out.csv"
-        write_report_csv(report, path)
-        with open(path, newline="") as fh:
+        write_reports([report], tmp_path)
+        with open(tmp_path / "lemma1.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == list(CSV_HEADER)
         assert len(rows) == 1 + report.instances_run
@@ -274,3 +272,14 @@ class TestCsvOutput:
         target.write_text("x")
         with pytest.raises(InputError, match="not a directory"):
             write_reports([], target)
+
+    def test_out_dir_file_refused_before_any_suite(self, tmp_path, monkeypatch):
+        target = tmp_path / "occupied"
+        target.write_text("x")
+
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a suite ran before the out_dir check")
+
+        monkeypatch.setattr(harness, "run_suite", no_suite)
+        with pytest.raises(InputError, match="not a directory"):
+            run_all(out_dir=target)

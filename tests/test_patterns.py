@@ -1,6 +1,8 @@
 """Pattern searches and the containment chain between them."""
 
+import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +34,11 @@ import oracles
 C3 = gen_directed_cycle(3)
 K3 = Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)])
 P3 = gen_directed_path(3)
+
+# Call count and digest of witness_digest(), computed before the searches
+# shared one spec-reading loop.
+FROZEN_WITNESSES_CALLS = 4200
+FROZEN_WITNESSES_SHA256 = "88a2222d4510ee02b7f8d945228264719f8ded43a932246b50723d33c1babec2"
 
 
 def digraphs(max_n=7):
@@ -91,6 +98,50 @@ class TestFrozenChainValues:
         assert host.n == 42
         for claw in gen_claw_orientations():
             assert find_induced(host, claw) is None
+
+
+def witness_digest():
+    """(calls, sha256 over the repr of every witness, or None) of the three
+    searches on a seeded set: random hosts on n <= 30 vertices and
+    clique_substitute_all hosts, each searched for P_k subgraphs and P_k*
+    tuples with k = 2 .. 6, and for induced claws, paths, cycles and
+    random patterns on at most 5 vertices."""
+    rng = random.Random(20240801)
+    hosts = [
+        gen_random_digraph(
+            rng.randint(1, 30), rng.choice((0.05, 0.1, 0.2, 0.35, 0.6)), rng.randrange(10**6)
+        )
+        for _ in range(100)
+    ]
+    while len(hosts) < 120:
+        base = gen_random_digraph(rng.randint(2, 6), 0.4, rng.randrange(10**6))
+        if all(base.degree(v) for v in range(base.n)):
+            hosts.append(clique_substitute_all(base))
+    patterns = list(gen_claw_orientations())
+    patterns += [gen_directed_path(k) for k in range(2, 7)]
+    patterns += [gen_directed_cycle(k) for k in range(2, 6)]
+    patterns += [
+        gen_random_digraph(rng.randint(1, 5), rng.choice((0.2, 0.4, 0.7)), rng.randrange(10**6))
+        for _ in range(12)
+    ]
+    h = hashlib.sha256()
+    calls = 0
+    for host in hosts:
+        for k in range(2, 7):
+            h.update(repr(find_pk_subgraph(host, k)).encode())
+            h.update(repr(find_pk_star(host, k)).encode())
+            calls += 2
+        for pattern in patterns:
+            h.update(repr(find_induced(host, pattern)).encode())
+            calls += 1
+    return calls, h.hexdigest()
+
+
+class TestFrozenWitnesses:
+    def test_witness_digest(self):
+        # Frozen before the three searches became specs of one loop: any
+        # change to any witness, its kind or its absence changes the digest.
+        assert witness_digest() == (FROZEN_WITNESSES_CALLS, FROZEN_WITNESSES_SHA256)
 
 
 class TestSmallCases:
@@ -176,7 +227,7 @@ class TestAgainstOracles:
         assert (got.vertices if got else None) == expected
 
     @settings(max_examples=60, deadline=None)
-    @given(digraphs(max_n=6), st.integers(2, 3))
+    @given(digraphs(max_n=6), st.integers(2, 5))
     def test_induced_path_lex_first(self, d, k):
         got = find_induced(d, gen_directed_path(k))
         expected = oracles.naive_induced(d, gen_directed_path(k))
