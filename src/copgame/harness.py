@@ -78,6 +78,8 @@ class SuiteConfig:
             raise InputError(f"trials must be >= 1, got {self.trials}")
         if self.n_max < 2:
             raise InputError(f"n_max must be >= 2, got {self.n_max}")
+        if self.state_budget < 1:
+            raise InputError(f"state budget must be >= 1, got {self.state_budget}")
         if not 0.0 <= self.p <= 1.0:
             raise InputError(f"arc probability must be in [0, 1], got {self.p}")
         if not self.k_values:

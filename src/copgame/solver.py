@@ -63,9 +63,22 @@ level stops at the first stage with an empty delta.  Sub-move stages
 add nothing to the rank, which counts whole half-moves.  Ranks are kept
 bit-sliced: one mask per cop multiset and bit of the level.
 
+solve works eagerly only up to the first proof that k cops win.  It
+checks the budget and sets levels 0 and 1 in closed form; then, unless a
+placement already has N+[C] = V, it runs the levels from 2 on (building
+the sub-move tables first) until the fixpoint or until a level whose
+changed cop multisets include one with a full copwin mask.  Masks only
+grow, so that mask stays full.  The remaining levels are left in a
+suspended generator, which holds the tables and the sub-move stages but
+no reference to the SolveResult, so a dropped result is freed at once.
+The queries that need the whole table (win, rank, best_move,
+placement_wins, winning_placements and play_trace's placement scan) run
+those levels first and then drop the generator; cop_number only asks
+whether some placement's mask is full, which never needs them.
+
 The state budget bounds three counts, each computed in closed form before
 anything is allocated: positions, sub-move states, and sub-move arcs (the
-cop move table).
+cop move table).  A budget below 1 is refused with InputError.
 """
 
 from __future__ import annotations
@@ -140,15 +153,36 @@ class SolveResult:
     set when the cop side wins (cop_sets[i], r) with the cops, respectively
     the robber, to move.  rank[side][t][i] is the mask of robber vertices
     whose rank with that side to move has bit t set.
+
+    solve may hand over the tables before the attractor's fixpoint, with
+    levels, the suspended level generator, still to run; every query that
+    reads the tables runs it to the end first.
     """
 
-    def __init__(self, d, k, cop_sets, index, copwin, robwin, rank):
+    def __init__(self, d, k, cop_sets, copwin, robwin, rank, levels):
         self._d = d
         self.k = k
         self._cop_sets = cop_sets
-        self._index = index
+        self._index = None
         self._wins = (copwin, robwin)
         self._rank = rank
+        self._levels = levels
+
+    def _complete(self) -> None:
+        """Run the attractor's remaining levels, then drop the generator
+        and with it the sub-move tables it holds.  The multiset index is
+        built only now: cop_number never needs it, and built earlier it
+        would sit next to the sub-move tables at their peak."""
+        if self._levels is not None:
+            for _ in self._levels:
+                pass
+            self._levels = None
+            self._index = {cw: i for i, cw in enumerate(self._cop_sets)}
+
+    def _some_placement_won(self) -> bool:
+        """True when some placement already beats every robber reply; masks
+        only grow, so this needs no further level."""
+        return (1 << self._d.n) - 1 in self._wins[0]
 
     @property
     def num_positions(self) -> int:
@@ -158,6 +192,7 @@ class SolveResult:
         _check_position(self._d, pos)
         if len(pos.cops) != self.k:
             raise InputError(f"position has {len(pos.cops)} cops, expected {self.k}")
+        self._complete()
         return self._index[pos.cops], 0 if pos.to_move == COPS else 1
 
     def win(self, pos: GamePosition) -> bool:
@@ -199,12 +234,14 @@ class SolveResult:
         cw = tuple(sorted(cops))
         if len(cw) != self.k:
             raise InputError(f"placement has {len(cw)} cops, expected {self.k}")
+        self._complete()
         if cw not in self._index:
             raise InputError(f"placement {cw} is not over vertices 0..{self._d.n - 1}")
         return self._wins[0][self._index[cw]] == (1 << self._d.n) - 1
 
     def winning_placements(self):
         """Cop multisets that beat every robber reply, lexicographic order."""
+        self._complete()
         full = (1 << self._d.n) - 1
         for cw, mask in zip(self._cop_sets, self._wins[0]):
             if mask == full:
@@ -240,6 +277,8 @@ def _table_sizes(d: Digraph, k: int):
 
 
 def _check_budget(d: Digraph, k: int, state_budget: int) -> None:
+    if state_budget < 1:
+        raise InputError(f"state budget must be >= 1, got {state_budget}")
     positions, states, arcs = _table_sizes(d, k)
     if positions > state_budget:
         raise StateBudgetExceeded(
@@ -383,16 +422,48 @@ def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> Solve
 
     Raises StateBudgetExceeded before allocating anything when the
     positions, the sub-move states or the sub-move arcs would not fit the
-    budget.
+    budget.  The attractor runs up to the first level at which some
+    placement beats every robber reply; the result runs the remaining
+    levels under the first query that needs the whole table.
     """
     if k < 1:
         raise InputError(f"cop count must be >= 1, got {k}")
     _check_budget(d, k, state_budget)
     n = d.n
     full = (1 << n) - 1
-    width = _lane_width(n)
     cop_sets = list(combinations_with_replacement(range(n), k))
-    num_cw = len(cop_sets)
+    # Levels 0 and 1 in closed form: after level 1 the stage-j state
+    # (M, U) holds bits(M) | N+[U], since the robber is caught where a cop
+    # stands or where a cop still to move can step.
+    bits = _union_masks([1 << v for v in range(n)], k)
+    nbhd = _union_masks([1 << v | sum(1 << w for w in d.out_adj[v]) for v in range(n)], k)
+    # Stage 0 and stage k stay one mask per cop multiset.
+    robwin, copwin = bits[k], nbhd[k]
+    # No robber-to-move position is won at level 1: the robber may stay
+    # on r, which is a level-0 cop win only when r is in C.  The cop
+    # side's level-1 wins are N+[C] minus bits(C), its first rank plane.
+    rank = ([[c ^ r for c, r in zip(copwin, robwin)]], [])
+    levels = _levels(d, k, bits, nbhd, copwin, robwin, rank)
+    # Masks only grow, so the first full one proves that k cops win.
+    if full not in copwin:
+        for changed in levels:
+            if any(copwin[ci] == full for ci in changed):
+                break
+    return SolveResult(d, k, cop_sets, copwin, robwin, rank, levels)
+
+
+def _levels(d, k, bits, nbhd, copwin, robwin, rank):
+    """Build the sub-move tables, then run the attractor from level 2 to
+    its fixpoint, updating copwin, robwin and the rank planes in place, and
+    yield the cop multisets each level changed on the cop side.
+
+    It holds no reference to the SolveResult that drives it, so a result
+    dropped mid-attractor is freed at once, not by the cyclic collector.
+    """
+    n = d.n
+    full = (1 << n) - 1
+    width = _lane_width(n)
+    num_cw = len(copwin)
     closed_in = [sorted((v,) + d.in_adj[v]) for v in range(n)]
     # removals[k - j + 1]: the parent rows of each stage-(j - 1) row, j < k.
     removals = _removal_tables(n, k)
@@ -420,13 +491,8 @@ def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> Solve
     child_lanes = list(range(_multisets(n, k - 1)))
     reach_tables = _reach_tables(d)
 
-    # Levels 0 and 1 in closed form: after level 1 the stage-j state
-    # (M, U) holds bits(M) | N+[U], since the robber is caught where a cop
-    # stands or where a cop still to move can step.  Row M of stage j is
-    # therefore bits(M) times the row with a 1 in every lane, OR the row
-    # of the N+[U].
-    bits = _union_masks([1 << v for v in range(n)], k)
-    nbhd = _union_masks([1 << v | sum(1 << w for w in d.out_adj[v]) for v in range(n)], k)
+    # Row M of stage j after level 1 is bits(M) times the row with a 1 in
+    # every lane, OR the row of the N+[U].
     step = width // 8
     # rows[j][i(M)]: stage j, 1 <= j < k, lane i(U) holding the robber
     # vertices from which (M, U) reaches a robber-to-move cop win.
@@ -435,16 +501,10 @@ def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> Solve
         ones = int.from_bytes((b"\x01" + bytes(step - 1)) * len(nbhd[j]), "little")
         packed = int.from_bytes(b"".join(m.to_bytes(step, "little") for m in nbhd[j]), "little")
         rows.append([b * ones | packed for b in bits[k - j]])
-    # Stage 0 and stage k stay one mask per cop multiset.
-    robwin, copwin = bits[k], nbhd[k]
-    rank = ([], [])
-    # No robber-to-move position is won at level 1: the robber may stay
-    # on r, which is a level-0 cop win only when r is in C.  The cop
-    # side's level-1 wins are N+[C] minus bits(C).
+    # The cop multisets that level 1 changed on the cop side; none changed
+    # on the robber side.
     cop_idx = list(compress(count(), map(ne, copwin, robwin)))
-    cop_masks = [copwin[ci] ^ robwin[ci] for ci in cop_idx]
     rob_idx, rob_masks = [], []
-    _record_ranks(rank[0], cop_idx, cop_masks, 1, num_cw)
 
     level = 1
     while cop_idx or rob_idx:
@@ -506,9 +566,7 @@ def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> Solve
         rob_idx, rob_masks = settled_idx, settled_masks
         _record_ranks(rank[0], cop_idx, cop_masks, level, num_cw)
         _record_ranks(rank[1], rob_idx, rob_masks, level, num_cw)
-
-    index = {cw: i for i, cw in enumerate(cop_sets)}
-    return SolveResult(d, k, cop_sets, index, copwin, robwin, rank)
+        yield cop_idx
 
 
 def _first_winning_placement(d: Digraph, k_max: int, state_budget: int):
@@ -528,9 +586,16 @@ def cop_number(d: Digraph, k_max: int, state_budget: int = DEFAULT_STATE_BUDGET)
     """Smallest k <= k_max with a placement that beats every robber reply.
 
     Returns None when even k_max cops do not suffice.  k_max = d.n always
-    suffices because the cops can then cover every vertex.
+    suffices because the cops can then cover every vertex.  It never
+    finishes a table: the winning k is settled at the first attractor level
+    that fills a placement's mask.
     """
-    return _first_winning_placement(d, k_max, state_budget)[0]
+    if k_max < 1:
+        raise InputError(f"k_max must be >= 1, got {k_max}")
+    for k in range(1, k_max + 1):
+        if solve(d, k, state_budget)._some_placement_won():
+            return k
+    return None
 
 
 @dataclass(frozen=True)
@@ -571,6 +636,7 @@ def play_trace(
     if max_rounds is not None and max_rounds < 1:
         raise InputError(f"max_rounds must be >= 1, got {max_rounds}")
     result = solve(d, k, state_budget)
+    result._complete()
     n = d.n
 
     best_cw, best_mask, best_count = None, 0, -1

@@ -176,6 +176,12 @@ class TestSolve:
         code, _, err = run(capsys, "solve", src, "--state-budget", "4")
         assert code == 2 and "error:" in err
 
+    def test_budget_below_one(self, capsys, tmp_path):
+        src = write(tmp_path, "c4.dg", C4_TEXT)
+        code, out, err = run(capsys, "solve", src, "--state-budget", "-5")
+        assert code == 2 and out == ""
+        assert "state budget must be >= 1, got -5" in err
+
     @pytest.mark.parametrize("k_max", ["0", "-3"])
     def test_k_max_below_one(self, capsys, tmp_path, k_max):
         src = write(tmp_path, "c4.dg", C4_TEXT)
@@ -294,6 +300,20 @@ class TestVerify:
             capsys, "verify", "--k-values", "2", "--out-dir", str(out_dir)
         )
         assert code == 2 and out == "" and "k values must be within" in err
+        assert not out_dir.exists()
+
+    def test_budget_below_one_refused_before_any_suite(self, capsys, tmp_path, monkeypatch):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a suite ran before the budget check")
+
+        monkeypatch.setattr(cli, "run_suite", no_suite)
+        out_dir = tmp_path / "r"
+        code, out, err = run(
+            capsys, "verify", "--suite", "lemma1", "--state-budget", "0",
+            "--out-dir", str(out_dir),
+        )
+        assert code == 2 and out == ""
+        assert "state budget must be >= 1, got 0" in err
         assert not out_dir.exists()
 
     def test_out_dir_file_refused_before_any_suite(self, capsys, tmp_path, monkeypatch):

@@ -52,6 +52,8 @@ class TestSuiteConfig:
             SuiteConfig(k_values=())
         with pytest.raises(InputError, match="k values must be within"):
             SuiteConfig(k_values=(3, 6))
+        with pytest.raises(InputError, match="state budget must be >= 1, got 0"):
+            SuiteConfig(state_budget=0)
 
     def test_negative_seed_rejected(self):
         # negative seeds are the fixed instances' (theorem1's plane is -1)

@@ -1,7 +1,10 @@
 """Game solver: move generation, the attractor, ranks and traces."""
 
+import gc
 import hashlib
+import inspect
 import random
+import weakref
 from itertools import combinations_with_replacement
 
 import pytest
@@ -26,7 +29,12 @@ from copgame import (
 )
 
 import copgame.solver as solver
-from copgame.solver import _lane_width, _nonzero_lanes, _prepend_lanes
+from copgame.solver import (
+    _first_winning_placement,
+    _lane_width,
+    _nonzero_lanes,
+    _prepend_lanes,
+)
 
 import oracles
 
@@ -317,6 +325,14 @@ class TestLanes:
         assert got == [(i, m) for i, m in enumerate(masks) if m]
 
 
+def cop_number_games():
+    rng = random.Random(9)
+    for _ in range(2000):
+        yield gen_random_digraph(rng.randint(1, 7), rng.random(), rng.randrange(10**6))
+    yield gen_projective_plane_incidence_doubled(2)
+    yield gen_projective_plane_incidence_doubled(3)
+
+
 class TestCopNumber:
     def test_directed_cycles(self):
         assert cop_number(gen_directed_cycle(2), 2) == 1
@@ -352,6 +368,48 @@ class TestCopNumber:
     @given(digraphs(max_n=3))
     def test_matches_minimax(self, d):
         assert cop_number(d, d.n) == oracles.minimax_cop_number(d, d.n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(digraphs(7))
+    def test_early_exit_matches_the_finished_table(self, d):
+        # cop_number stops each solve at the first level that fills a
+        # placement's mask; _first_winning_placement finishes every table.
+        assert cop_number(d, d.n) == _first_winning_placement(d, d.n, 10**6)[0]
+
+    def test_frozen_answers(self):
+        # 2,002 games: 2,000 seeded ones with n <= 7 (cop numbers 1 to 7),
+        # then the q = 2 and q = 3 planes.  The digest was taken from the
+        # solver that ran every attractor to its fixpoint.
+        digest = hashlib.sha256()
+        for d in cop_number_games():
+            digest.update(f"{d.n} {cop_number(d, d.n)}\n".encode())
+        assert digest.hexdigest() == (
+            "6307f2487511ebf00883dd9f7757a033a517fe608cdb80dc55871c26acdc6bd4"
+        )
+
+    def test_dropped_results_are_freed_without_the_collector(self):
+        # A result holds its suspended level generator, and the generator
+        # must hold nothing that leads back to the result: with the cyclic
+        # collector off, a dropped result goes at once, mid-attractor or
+        # finished.
+        plane = gen_projective_plane_incidence_doubled(3)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for finish in (False, True):
+                result = solve(plane, 4)
+                levels = result._levels
+                assert inspect.getgeneratorstate(levels) == inspect.GEN_SUSPENDED
+                del levels
+                if finish:
+                    assert next(result.winning_placements()) == (0, 0, 0, 0)
+                    assert result._levels is None
+                ref = weakref.ref(result)
+                del result
+                assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     @settings(max_examples=10, deadline=None)
     @given(digraphs())
@@ -412,6 +470,16 @@ class TestBudget:
     def test_bad_k(self):
         with pytest.raises(InputError):
             solve(C4, 0)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_refused(self, budget):
+        match = f"state budget must be >= 1, got {budget}"
+        with pytest.raises(InputError, match=match):
+            solve(C4, 1, state_budget=budget)
+        with pytest.raises(InputError, match=match):
+            cop_number(C4, 2, state_budget=budget)
+        with pytest.raises(InputError, match=match):
+            play_trace(C4, 1, state_budget=budget)
 
 
 class TestTraces:
