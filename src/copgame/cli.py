@@ -1,7 +1,8 @@
 """Command line front end: generate, transform, check, solve, simulate,
 verify.  Digraphs travel in the arc-list format; results are JSON on
 stdout.  Exit codes: 0 success / all assertions hold, 1 a verification
-suite found a violation, 2 input or resource error."""
+suite found a violation, 2 input or resource error, including an output
+that cannot be written."""
 
 from __future__ import annotations
 
@@ -30,15 +31,11 @@ from .harness import (
     write_reports,
 )
 from .patterns import find_induced, find_pk_star, find_pk_subgraph
-from .solver import DEFAULT_STATE_BUDGET, _first_winning_placement, play_trace
+from .solver import DEFAULT_STATE_BUDGET, _first_winning_result, play_trace
 
 
 def _read_digraph(path):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from None
-    return parse_arc_list(text, source=str(path))
+    return parse_arc_list(Path(path).read_text(), source=str(path))
 
 
 def _emit(text, out):
@@ -112,12 +109,12 @@ def _cmd_check(args):
 def _cmd_solve(args):
     d = _read_digraph(args.input)
     k_max = args.k_max if args.k_max is not None else d.n
-    found, placement = _first_winning_placement(d, k_max, args.state_budget)
+    result = _first_winning_result(d, k_max, args.state_budget)
     payload = {
         "n": d.n,
         "k_max": k_max,
-        "cop_number": found,
-        "placement": None if placement is None else list(placement),
+        "cop_number": None if result is None else result.k,
+        "placement": None if result is None else list(next(result.winning_placements())),
     }
     print(json.dumps(payload, sort_keys=True))
     return 0
@@ -147,7 +144,6 @@ def _cmd_dot(args):
 
 
 def _cmd_verify(args):
-    _report_dir(args.out_dir)
     tokens = list(RUN_ORDER) if args.suite == "all" else [args.suite]
     k_values = None
     if args.k_values is not None:
@@ -155,9 +151,8 @@ def _cmd_verify(args):
             k_values = tuple(int(x) for x in args.k_values.split(","))
         except ValueError:
             raise InputError("--k-values must be comma-separated integers") from None
-    reports = []
-    for token in tokens:
-        cfg = config_with_overrides(
+    cfgs = [
+        config_with_overrides(
             token,
             trials=args.trials,
             n_max=args.n_max,
@@ -166,7 +161,10 @@ def _cmd_verify(args):
             state_budget=args.state_budget,
             k_values=k_values,
         )
-        reports.append(run_suite(token, cfg))
+        for token in tokens
+    ]
+    _report_dir(args.out_dir)
+    reports = [run_suite(token, cfg) for token, cfg in zip(tokens, cfgs)]
     write_reports(reports, args.out_dir)
     for report in reports:
         print(
@@ -254,7 +252,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, StateBudgetExceeded) as exc:
+    except (InputError, StateBudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

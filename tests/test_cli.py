@@ -37,6 +37,12 @@ class TestGen:
         assert code == 0 and out == ""
         assert parse_arc_list(target.read_text()) == gen_directed_cycle(4)
 
+    def test_unwritable_output_exits_two(self, capsys, tmp_path):
+        # A missing parent directory, then a target that is a directory.
+        for target in (tmp_path / "no" / "such" / "c4.dg", tmp_path):
+            code, out, err = run(capsys, "gen", "cycle", "--n", "4", "-o", str(target))
+            assert code == 2 and out == "" and err.startswith("error:")
+
     def test_claw(self, capsys):
         code, out, _ = run(capsys, "gen", "claw", "--index", "2")
         assert code == 0
@@ -327,6 +333,28 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--out-dir", str(target))
         assert code == 2 and out == "" and "not a directory" in err
         assert target.read_text() == "x"
+
+    def test_uncreatable_out_dir_refused_before_any_suite(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        occupied = tmp_path / "occupied"
+        occupied.write_text("x")
+
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a suite ran before the --out-dir check")
+
+        monkeypatch.setattr(cli, "run_suite", no_suite)
+        code, out, err = run(capsys, "verify", "--out-dir", str(occupied / "sub"))
+        assert code == 2 and out == "" and "cannot be created" in err
+
+    def test_failed_report_write_exits_two(self, capsys, tmp_path):
+        # The directory exists, but lemma1.csv cannot be opened for writing.
+        (tmp_path / "lemma1.csv").mkdir()
+        code, out, err = run(
+            capsys, "verify", "--suite", "lemma1", "--trials", "1", "--n-max", "3",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 class TestInputErrors:

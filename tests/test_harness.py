@@ -63,6 +63,10 @@ class TestSuiteConfig:
             config_with_overrides("theorem3", seed=-2)
         assert SuiteConfig(seed=0).seed == 0
 
+    def test_unknown_suite_names_the_suites(self):
+        with pytest.raises(InputError, match="unknown suite 'nope'; choose from lemma1"):
+            config_with_overrides("nope")
+
     def test_overrides(self):
         cfg = config_with_overrides("lemma1", trials=7, n_max=None)
         assert cfg.trials == 7

@@ -26,11 +26,11 @@ from copgame import (
     legal_moves,
     play_trace,
     solve,
+    subdivide_arcs,
 )
 
 import copgame.solver as solver
 from copgame.solver import (
-    _first_winning_placement,
     _lane_width,
     _nonzero_lanes,
     _prepend_lanes,
@@ -373,8 +373,12 @@ class TestCopNumber:
     @given(digraphs(7))
     def test_early_exit_matches_the_finished_table(self, d):
         # cop_number stops each solve at the first level that fills a
-        # placement's mask; _first_winning_placement finishes every table.
-        assert cop_number(d, d.n) == _first_winning_placement(d, d.n, 10**6)[0]
+        # placement's mask; winning_placements finishes every table.
+        finished = next(
+            k for k in range(1, d.n + 1)
+            if next(solve(d, k).winning_placements(), None) is not None
+        )
+        assert cop_number(d, d.n) == finished
 
     def test_frozen_answers(self):
         # 2,002 games: 2,000 seeded ones with n <= 7 (cop numbers 1 to 7),
@@ -482,7 +486,43 @@ class TestBudget:
             play_trace(C4, 1, state_budget=budget)
 
 
+def trace_games():
+    """1,500 seeded games with n <= 7 and k <= 3, the four simulate
+    instances of the cli benchmark workload (unrelabelled), and C_100 at
+    k = 2, whose lanes span several words."""
+    rng = random.Random(10)
+    for _ in range(1500):
+        d = gen_random_digraph(rng.randint(1, 7), rng.random(), rng.randrange(10**6))
+        yield d, rng.randint(1, 3)
+    plane = gen_projective_plane_incidence_doubled(2)
+    yield plane, 3
+    yield gen_projective_plane_incidence_doubled(3), 3
+    yield gen_directed_cycle(12), 2
+    yield subdivide_arcs(plane, 2), 2
+    yield gen_directed_cycle(100), 2
+
+
+def trace_line(trace):
+    moves = " ".join(f"{p.cops}/{p.robber}/{p.to_move}" for p in trace.snapshots)
+    return (
+        f"{trace.k} {trace.cops_start} {trace.robber_start} {trace.outcome} "
+        f"{trace.repeat} {moves}\n"
+    )
+
+
 class TestTraces:
+    def test_frozen_traces(self):
+        # 1,505 traces: 1,265 captures and 240 escapes.  The digest was
+        # taken from play_trace as five hand-written rules (safe-mask
+        # placement, best_move, a robber rank loop, the first successor, the
+        # first non-win), before every move became a min or max over one key.
+        digest = hashlib.sha256()
+        for d, k in trace_games():
+            digest.update(trace_line(play_trace(d, k)).encode())
+        assert digest.hexdigest() == (
+            "c933c08f6877c153b60b2453b506ed6e4e6a3625d6048a5aaf5d90de8dc711b1"
+        )
+
     def test_capture_on_path(self):
         trace = play_trace(P3, 1)
         assert trace.outcome == "capture"
