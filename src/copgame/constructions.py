@@ -126,8 +126,6 @@ def subdivide_arcs(d: Digraph, m: int) -> Digraph:
     if m < 1:
         raise InputError(f"subdivision factor must be >= 1, got {m}")
     _check_vertex_cap(d.n + d.arc_count * (m - 1))
-    if m == 1:
-        return Digraph(d.n, d.arcs)
     arcs = []
     next_id = d.n
     for u, v in sorted(d.arcs):

@@ -87,6 +87,8 @@ class SuiteConfig:
         for k in self.k_values:
             if k not in (3, 4, 5):
                 raise InputError(f"k values must be within {{3, 4, 5}}, got {k}")
+        if len(set(self.k_values)) < len(self.k_values):
+            raise InputError(f"k values must not repeat, got {self.k_values}")
         # Negative seeds are the fixed instances'.
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
@@ -141,39 +143,49 @@ class ExperimentReport:
 # A check takes an instance and its config and yields one fact per row:
 # (transform, c_before, c_after, verdicts, outcome).  An outcome of True or
 # False appends ";ok" or ";violation" to the verdicts, None appends
-# nothing, and a StateBudgetExceeded marks a row the budget cut short.
+# nothing.  Every check gets its cop numbers from _cop_numbers, the one path
+# from a budget overrun to a row: it yields the transform's
+# error=state-budget row, whose outcome is the StateBudgetExceeded, and
+# returns None in place of the cop numbers.
 
 
-def _budget_error(transform, exc):
-    return transform, None, None, "error=state-budget", exc
+def _cop_numbers(transform, cfg, *games):
+    """The cop numbers of the (digraph, k_max) games, or None after yielding
+    transform's error row when one of them overruns the state budget."""
+    try:
+        return [cop_number(d, k_max, cfg.state_budget) for d, k_max in games]
+    except StateBudgetExceeded as exc:
+        yield transform, None, None, "error=state-budget", exc
+
+
+def _drained(gen):
+    """The rows a sub-generator yields, as a list, and its return value."""
+    value = []
+
+    def run():
+        value.append((yield from gen))
+
+    return list(run()), value[0]
 
 
 def _clique_sub_check(d, cfg):
     big = clique_substitute_all(d)
-    try:
-        c_before = cop_number(d, d.n, cfg.state_budget)
-        c_after = cop_number(big, big.n, cfg.state_budget)
-    except StateBudgetExceeded as exc:
-        yield _budget_error("clique-sub", exc)
-        return
-    yield "clique-sub", c_before, c_after, f"n_after={big.n}", c_after >= c_before
+    c = yield from _cop_numbers("clique-sub", cfg, (d, d.n), (big, big.n))
+    if c is not None:
+        c_before, c_after = c
+        yield "clique-sub", c_before, c_after, f"n_after={big.n}", c_after >= c_before
 
 
 def _subdivision_check(d, cfg, factors):
-    try:
-        c_before = cop_number(d, d.n, cfg.state_budget)
-    except StateBudgetExceeded as exc:
-        yield _budget_error("subdivide", exc)
+    before = yield from _cop_numbers("subdivide", cfg, (d, d.n))
+    if before is None:
         return
     for m in factors:
         sub = subdivide_arcs(d, m)
-        try:
-            c_after = cop_number(sub, sub.n, cfg.state_budget)
-        except StateBudgetExceeded as exc:
-            yield _budget_error(f"subdivide-m{m}", exc)
-            continue
-        ok = c_after >= c_before
-        yield f"subdivide-m{m}", c_before, c_after, f"n_after={sub.n}", ok
+        after = yield from _cop_numbers(f"subdivide-m{m}", cfg, (sub, sub.n))
+        if after is not None:
+            ok = after[0] >= before[0]
+            yield f"subdivide-m{m}", before[0], after[0], f"n_after={sub.n}", ok
 
 
 def _claw_check(d, cfg):
@@ -198,40 +210,36 @@ def _girth_check(d, cfg, l):
 
 def _source_bound_check(d, cfg):
     sources = count_sources(d)
-    try:
-        c = cop_number(d, d.n, cfg.state_budget)
-    except StateBudgetExceeded as exc:
-        yield _budget_error("", exc)
-        return
-    yield "", c, None, f"sources={sources}", c >= sources
+    c = yield from _cop_numbers("", cfg, (d, d.n))
+    if c is not None:
+        yield "", c[0], None, f"sources={sources}", c[0] >= sources
 
 
 def _plane_check(d, cfg):
     induced = find_induced(d, gen_directed_path(2))
-    try:
-        c = cop_number(d, 3, cfg.state_budget)
-    except StateBudgetExceeded as exc:
-        yield _budget_error("doubled-plane-q2", exc)
-        return
-    p2 = "absent" if induced is None else "present"
-    yield "doubled-plane-q2", c, None, f"p2_induced={p2}", induced is None and c == 3
+    c = yield from _cop_numbers("doubled-plane-q2", cfg, (d, 3))
+    if c is not None:
+        p2 = "absent" if induced is None else "present"
+        ok = induced is None and c[0] == 3
+        yield "doubled-plane-q2", c[0], None, f"p2_induced={p2}", ok
 
 
 def _path_star_check(d, cfg, transform):
-    c = None
+    # d is solved once, at its first free k; an overrun's row then stands
+    # for every free k.
+    solved = None
     for k in cfg.k_values:
         w = find_pk_star(d, k)
         if w is not None:
             witness = "-".join(map(str, w.vertices))
             yield transform, None, None, f"k={k};witness={witness}", None
             continue
-        if c is None:
-            try:
-                c = cop_number(d, d.n, cfg.state_budget)
-            except StateBudgetExceeded as exc:
-                yield _budget_error(transform, exc)
-                continue
-        yield transform, c, None, f"k={k};free", c <= k - 2
+        if solved is None:
+            solved = _drained(_cop_numbers(transform, cfg, (d, d.n)))
+        overrun, c = solved
+        yield from overrun
+        if c is not None:
+            yield transform, c[0], None, f"k={k};free", c[0] <= k - 2
 
 
 def _run_check(report, check, seed, d, cfg) -> None:
@@ -275,18 +283,23 @@ class _Drawn:
     predicate: object
 
     def instances(self, cfg: SuiteConfig):
-        for i in range(cfg.trials):
-            start = (cfg.seed + i) * 1000
-            yield self._first(start, start + RETRY_CAP, cfg)
+        for block in range(cfg.seed, cfg.seed + cfg.trials):
+            yield self._first(block, RETRY_CAP, cfg)
 
     def decode(self, seed: int, cfg: SuiteConfig):
-        """The digraph of an attempt seed, or None unless it is the first
-        of its block whose draw satisfies the predicate."""
-        found = self._first(seed - seed % 1000, seed + 1, cfg) if seed >= 0 else None
+        """The digraph of an attempt seed, or None unless its block is one
+        a run reads and it is the block's first draw that satisfies the
+        predicate."""
+        block, j = divmod(seed, 1000)
+        if block not in range(cfg.seed, cfg.seed + cfg.trials):
+            return None
+        found = self._first(block, j + 1, cfg)
         return found[1] if found is not None and found[0] == seed else None
 
-    def _first(self, start: int, stop: int, cfg: SuiteConfig):
-        for s in range(start, stop):
+    def _first(self, block: int, draws: int, cfg: SuiteConfig):
+        """(attempt seed, digraph) of the first of the block's first `draws`
+        attempts whose draw satisfies the predicate, or None."""
+        for s in range(block * 1000, block * 1000 + draws):
             d = _draw(s, cfg)
             if self.predicate(d):
                 return s, d

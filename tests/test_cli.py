@@ -302,11 +302,15 @@ class TestVerify:
 
     def test_k_values_checked_before_any_suite(self, capsys, tmp_path):
         out_dir = tmp_path / "r"
-        code, out, err = run(
-            capsys, "verify", "--k-values", "2", "--out-dir", str(out_dir)
-        )
-        assert code == 2 and out == "" and "k values must be within" in err
-        assert not out_dir.exists()
+        for k_values, message in (
+            ("2", "k values must be within"),
+            ("3,3", "k values must not repeat, got (3, 3)"),
+        ):
+            code, out, err = run(
+                capsys, "verify", "--k-values", k_values, "--out-dir", str(out_dir)
+            )
+            assert code == 2 and out == "" and message in err
+            assert not out_dir.exists()
 
     def test_budget_below_one_refused_before_any_suite(self, capsys, tmp_path, monkeypatch):
         def no_suite(*args, **kwargs):

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,7 @@ from copgame import (
     InputError,
     SuiteConfig,
     config_with_overrides,
+    cop_number,
     is_strongly_connected,
     iter_all_digraphs,
     replay_instance,
@@ -28,6 +30,18 @@ TINY = SuiteConfig(trials=2, n_max=4)
 FROZEN_ROWS = (
     3283,
     "a81774d4b2417209aff3af522a14abda19fc6540fe8e36b7eb393fac76570cca",
+)
+
+# Row count and sha256 of run_all(cfg=SuiteConfig(trials=3, n_max=6,
+# k_values=(3, 4, 5), state_budget=B)) for B = 1, 40 and 1000: per report,
+# every row (micros dropped, comma-joined), then every error string, then
+# the violating seeds space-joined, each line newline-terminated.  Small
+# budgets cut many facts short, so this pins the error=state-budget rows
+# that FROZEN_ROWS (no overrun) cannot.
+OVERRUN_BUDGETS = (1, 40, 1000)
+FROZEN_OVERRUN_ROWS = (
+    14732,
+    "3e93fe6d055aa1200b327467f6192b4c4015591cdd2b2c7820e2c33c18dcb7c5",
 )
 
 
@@ -54,6 +68,11 @@ class TestSuiteConfig:
             SuiteConfig(k_values=(3, 6))
         with pytest.raises(InputError, match="state budget must be >= 1, got 0"):
             SuiteConfig(state_budget=0)
+        # a repeated k would write every theorem3 fact of that k twice
+        with pytest.raises(InputError, match=r"k values must not repeat, got \(3, 3\)"):
+            SuiteConfig(k_values=(3, 3))
+        with pytest.raises(InputError, match="k values must not repeat"):
+            config_with_overrides("theorem3", k_values=(4, 3, 4))
 
     def test_negative_seed_rejected(self):
         # negative seeds are the fixed instances' (theorem1's plane is -1)
@@ -152,6 +171,18 @@ class TestDeterminism:
         digest = hashlib.sha256("".join(rows).encode()).hexdigest()
         assert (len(rows), digest) == FROZEN_ROWS
 
+    def test_frozen_overrun_rows(self):
+        count, lines = 0, []
+        for budget in OVERRUN_BUDGETS:
+            cfg = SuiteConfig(trials=3, n_max=6, k_values=(3, 4, 5), state_budget=budget)
+            for report in run_all(cfg=cfg):
+                count += len(report.records)
+                lines += [",".join(rec.row()[:-1]) for rec in report.records]
+                lines += report.errors
+                lines.append(" ".join(map(str, report.violations)))
+        digest = hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest()
+        assert (count, digest) == FROZEN_OVERRUN_ROWS
+
     def test_replay_every_exhaustive_seed(self):
         report = run_suite("theorem3", TINY)
         recorded = {}
@@ -210,13 +241,31 @@ class TestReplayRejects:
         with pytest.raises(InputError, match="no lemma1 run records seed 1002"):
             replay_instance("lemma1", 1002, TINY)
 
+    def test_random_seed_outside_the_run_blocks(self):
+        # lemma1's default run (seed 1, 200 trials) reads blocks 1 .. 200
+        # only, so no run of it records a seed of block 0, 201 or 10^6
+        for seed in (1, 201000, 10**9):
+            with pytest.raises(InputError, match=f"no lemma1 run records seed {seed}$"):
+                replay_instance("lemma1", seed)
+        # TINY reads blocks 1 and 2: each recorded seed replays under it, but
+        # not under a run that starts after or stops before its block
+        seeds = [rec.seed for rec in run_suite("lemma1", TINY).records]
+        assert [s // 1000 for s in seeds] == [1, 2]
+        for seed in seeds:
+            assert replay_instance("lemma1", seed, TINY)
+        with pytest.raises(InputError, match=f"no lemma1 run records seed {seeds[0]}"):
+            replay_instance("lemma1", seeds[0], SuiteConfig(trials=2, n_max=4, seed=2))
+        with pytest.raises(InputError, match=f"no lemma1 run records seed {seeds[1]}"):
+            replay_instance("lemma1", seeds[1], SuiteConfig(trials=1, n_max=4))
+
     def test_random_seed_failing_the_predicate(self):
-        # with p = 0 no draw is weakly connected
+        # with p = 0 no draw is weakly connected; 1000 opens block 1, the
+        # one block this config's run reads
         cfg = SuiteConfig(trials=1, n_max=3, p=0.0)
-        with pytest.raises(InputError, match="no lemma1 run records seed 5000"):
-            replay_instance("lemma1", 5000, cfg)
+        with pytest.raises(InputError, match="no lemma1 run records seed 1000"):
+            replay_instance("lemma1", 1000, cfg)
         # theorem1 takes any instance, so the first attempt of a block is it
-        assert replay_instance("theorem1", 5000, cfg)
+        assert replay_instance("theorem1", 1000, cfg)
 
 
 class TestErrorPaths:
@@ -237,6 +286,27 @@ class TestErrorPaths:
         assert report.passed
         assert report.errors
         assert any("error=state-budget" in rec.verdicts for rec in report.records)
+
+    def test_overrun_solved_once_for_every_free_k(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return cop_number(*args)
+
+        monkeypatch.setattr(harness, "cop_number", counted)
+        cfg = SuiteConfig(trials=1, n_max=3, k_values=(3, 4, 5), state_budget=1)
+        # the complete digraph on 3 vertices (code 63) has no P_k* tuple for
+        # any k, so its one overrun stands for all three rows
+        rows = [rec.row()[4:-1] for rec in replay_instance("theorem3", _sweep_seed(3, 63), cfg)]
+        assert rows == [["exhaustive", "", "", "error=state-budget"]] * 3
+        assert len(calls) == 1
+        # one solve per instance with a free k, however many of its k are free
+        calls.clear()
+        report = run_suite("theorem3", replace(cfg, n_max=4))
+        free = [rec.seed for rec in report.records if "witness" not in rec.verdicts]
+        assert len(free) == len(report.errors) > len(set(free))
+        assert len(calls) == len(set(free))
 
 
 class TestCsvOutput:
