@@ -1,11 +1,15 @@
 """Digraph generators and the two cop-monotone transformations.
 
 Clique substitution replaces a vertex v by one port per underlying
-neighbor w, the port of v facing w, and wires the ports of v into directed
-cliques by the direction of their arcs.  Both substitutions, of one vertex
-and of all of them, share one port layout (_substitute): kept vertices
-first, then the ports in (v, w) lexicographic order, each arc of the
-source joining the two ends that face each other.  Arc subdivision
+neighbor w, the port of v facing w, and wires the ports of v by one rule:
+every ordered pair of them is an arc except a plus port (w an out-only
+neighbor) to a minus port (w an in-only one).  Any two ports of v are
+therefore adjacent, and a port's only other neighbor is the end it faces,
+so after clique_substitute_all no vertex has three pairwise non-adjacent
+neighbors and no claw orientation is induced.  Both substitutions, of one
+vertex and of all of them, share one port layout (_substitute): kept
+vertices first, then the ports in (v, w) lexicographic order, each arc of
+the source joining the two ends that face each other.  Arc subdivision
 replaces every arc by a directed path.  Both transformations keep the rest
 of the graph untouched, are sized before they are built, and are the ones
 whose effect on the cop number the verification suites replay.
@@ -43,13 +47,13 @@ def _substitute(d: Digraph, subst) -> Digraph:
     The vertices outside subst come first, in their original order; the
     ports follow in (v, w) lexicographic order.  An arc (a, b) of d becomes
     one arc from a's port facing b (or a itself when a is kept) to b's port
-    facing a (or b).  The ports of one vertex fall into three classes:
-    minus when w only sends an arc to v, plus when w only receives one, pm
-    when arcs run both ways.  Each class forms a bidirected clique, pm
-    ports are joined both ways to every other port and every minus port
-    sends one arc to every plus port.
+    facing a (or b).  A port is plus when w is an out-only neighbor
+    (v -> w only), minus when w is an in-only one (w -> v only), and
+    neither when arcs run both ways.  The ports of v are wired by one
+    rule: every ordered pair of distinct ports is an arc except plus ->
+    minus, so s ports carry s(s - 1) - plus * minus arcs.
 
-    The result is sized in closed form and refused before any port or arc
+    The result is sized by that count and refused before any port or arc
     exists when it would pass MAX_VERTICES or MAX_ARCS.
     """
     is_sub = [False] * d.n
@@ -63,16 +67,13 @@ def _substitute(d: Digraph, subst) -> Digraph:
             n += 1
     m = d.arc_count
     for v in subst:
-        pm = len(set(d.out_adj[v]).intersection(d.in_adj[v]))
-        minus, plus = d.in_degree(v) - pm, d.out_degree(v) - pm
-        if not minus + plus + pm:
+        s = d.degree(v)
+        if not s:
             raise InputError(f"vertex {v} is isolated; substitution needs degree >= 1")
         first[v] = n
-        n += minus + plus + pm
-        m += (
-            minus * (minus - 1) + plus * (plus - 1) + pm * (pm - 1)
-            + 2 * pm * (minus + plus) + minus * plus
-        )
+        n += s
+        # s - in_degree ports are plus and s - out_degree are minus
+        m += s * (s - 1) - (s - d.in_degree(v)) * (s - d.out_degree(v))
     _check_vertex_cap(n)
     _check_arc_cap(m)
 
@@ -80,21 +81,12 @@ def _substitute(d: Digraph, subst) -> Digraph:
     arcs = []
     for v in subst:
         outs, ins = set(d.out_adj[v]), set(d.in_adj[v])
-        minus, plus, pm = [], [], []
+        sides = []  # (port, +1 plus, -1 minus, 0 both ways)
         for p, w in enumerate(sorted(outs | ins), first[v]):
             port[v, w] = p
-            if w not in outs:
-                minus.append(p)
-            elif w not in ins:
-                plus.append(p)
-            else:
-                pm.append(p)
-        for group in (minus, plus, pm):
-            arcs += [(x, y) for x in group for y in group if x != y]
-        for x in pm:
-            for y in minus + plus:
-                arcs += ((x, y), (y, x))
-        arcs += [(x, y) for x in minus for y in plus]
+            sides.append((p, (w in outs) - (w in ins)))
+        # a - b is 2 only for a plus port x and a minus port y
+        arcs += [(x, y) for x, a in sides for y, b in sides if x != y and a - b < 2]
     arcs += [(port.get((a, b), first[a]), port.get((b, a), first[b])) for a, b in d.arcs]
     return Digraph(n, arcs)
 

@@ -211,25 +211,34 @@ class SolveResult:
         )
 
     def _key(self, pos: GamePosition):
-        """The rank of pos, or inf when the robber wins it: the cops move to
-        the successor of least key, the robber to the one of greatest."""
+        """The rank of pos, or inf when the robber wins it."""
         rk = self.rank(pos)
         return inf if rk is None else rk
 
-    def best_move(self, pos: GamePosition):
-        """The successor a winning cop side should move to.
+    def _step(self, pos: GamePosition, key):
+        """The first successor of pos, in legal_moves order, whose key is
+        key - 1, where key is pos's own key (and inf - 1 = inf).
 
-        Among the successors one rank below, ties break to the
-        lexicographically smallest cop multiset.  None when the position is
-        not a cop-to-move win or is already a capture.
+        That is the move of least key for the cops and of greatest key for
+        the robber, ties broken to the first: a rank is one more than the
+        least (cops) or greatest (robber) rank among the successors, and a
+        robber win always has a robber-win successor.
+        """
+        for move in legal_moves(self._d, pos):
+            if self._key(move) == key - 1:
+                return move
+        raise RuntimeError(f"position has no successor of key {key - 1}")
+
+    def best_move(self, pos: GamePosition):
+        """The successor a winning cop side should move to: the first, in
+        legal_moves order, one rank below pos (see _step), so ties break to
+        the lexicographically smallest cop multiset.  None when the position
+        is not a cop-to-move win or is already a capture.
         """
         rk = self.rank(pos)
         if pos.to_move != COPS or not rk:
             return None
-        move = min(legal_moves(self._d, pos), key=self._key)
-        if self._key(move) != rk - 1:
-            raise RuntimeError("winning position has no rank-decreasing successor")
-        return move
+        return self._step(pos, rk)
 
     def placements(self):
         """All cop multisets in lexicographic order."""
@@ -237,13 +246,8 @@ class SolveResult:
 
     def placement_wins(self, cops) -> bool:
         """True when this placement beats every robber reply."""
-        cw = tuple(sorted(cops))
-        if len(cw) != self.k:
-            raise InputError(f"placement has {len(cw)} cops, expected {self.k}")
-        self._complete()
-        if cw not in self._index:
-            raise InputError(f"placement {cw} is not over vertices 0..{self._d.n - 1}")
-        return self._wins[0][self._index[cw]] == (1 << self._d.n) - 1
+        ci, _ = self._locate(GamePosition(cops, 0, COPS))
+        return self._wins[0][ci] == (1 << self._d.n) - 1
 
     def winning_placements(self):
         """Cop multisets that beat every robber reply, lexicographic order."""
@@ -632,9 +636,12 @@ def play_trace(
 
     Every choice follows one order on positions: by rank, with robber wins
     counted as infinite.  The cops place on the placement beating the most
-    robber replies and then move to the successor of least rank; the robber
-    places on, and then moves to, the one of greatest rank.  Ties break to
-    the lexicographically smallest placement, vertex or successor.
+    robber replies and the robber on the vertex of greatest rank, ties
+    broken to the lexicographically smallest placement or vertex.  Every
+    move then follows one rule, for both sides: go to the first successor,
+    in legal_moves order, whose key is one below the position's own (inf
+    stays inf).  That is the successor of least rank for the cops and of
+    greatest rank for the robber, ties broken to the smallest.
     max_rounds, when given, must be at least 1; a trace that reaches it
     raises StateBudgetExceeded.
     """
@@ -657,8 +664,7 @@ def play_trace(
             raise StateBudgetExceeded(
                 "trace exceeded the round limit without capture or repetition"
             )
-        pick = min if pos.to_move == COPS else max
-        pos = pick(legal_moves(d, pos), key=key)
+        pos = result._step(pos, key(pos))
         snapshots.append(pos)
         if pos in seen:
             repeat = (seen[pos], len(snapshots) - 1)

@@ -1,11 +1,21 @@
 """Command line behavior: formats, JSON payloads and exit codes."""
 
 import csv
+import hashlib
 import json
+import random
 
 import pytest
 
-from copgame import Digraph, gen_directed_cycle, format_arc_list, parse_arc_list
+from copgame import (
+    Digraph,
+    clique_substitute_all,
+    format_arc_list,
+    gen_directed_cycle,
+    gen_projective_plane_incidence_doubled,
+    gen_random_digraph,
+    parse_arc_list,
+)
 from copgame import cli
 from copgame.cli import main
 
@@ -193,6 +203,24 @@ class TestSolve:
         src = write(tmp_path, "c4.dg", C4_TEXT)
         code, out, err = run(capsys, "solve", src, "--k-max", k_max)
         assert code == 2 and out == "" and "k_max must be >= 1" in err
+
+    def test_frozen_json(self, capsys, tmp_path):
+        # The printed JSON of 300 seeded digraphs on at most 7 vertices (110
+        # of their placements are not all zeros), the order-2 plane and its
+        # full substitution.  Both of the last two are vertex-transitive, so
+        # no relabelling moves their placement off [0, 0, 0].
+        rng = random.Random(11)
+        hosts = [gen_random_digraph(rng.randint(1, 7), rng.random(), seed) for seed in range(300)]
+        plane = gen_projective_plane_incidence_doubled(2)
+        hosts += [plane, clique_substitute_all(plane)]
+        digest = hashlib.sha256()
+        for d in hosts:
+            code, out, _ = run(capsys, "solve", write(tmp_path, "d.dg", format_arc_list(d)))
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "ced5281dc8eb1fd2413035fdafde4f82ae674c451c09ed7697017428aa387269"
+        )
 
 
 class TestSimulate:

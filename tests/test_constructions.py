@@ -89,20 +89,25 @@ def port_ids(d):
     return {pair: i for i, pair in enumerate(pairs)}
 
 
-def substitution_outputs():
-    """Arc lists (or error messages) of both substitutions, at every vertex
-    and at -1 and n, over a fixed seeded set of hosts."""
+def substitution_calls():
+    """Both substitutions, at every vertex and at -1 and n, over a fixed
+    seeded set of hosts."""
     rng = random.Random(2024)
     hosts = [HUB, gen_directed_cycle(12), gen_projective_plane_incidence_doubled(2)]
     hosts += [gen_random_digraph(rng.randint(1, 8), rng.random(), seed) for seed in range(300)]
     for d in hosts:
-        calls = [lambda: clique_substitute_all(d)]
-        calls += [lambda v=v: clique_substitute_vertex(d, v) for v in range(-1, d.n + 1)]
-        for call in calls:
-            try:
-                yield format_arc_list(call())
-            except InputError as exc:
-                yield f"error: {exc}\n"
+        yield lambda d=d: clique_substitute_all(d)
+        for v in range(-1, d.n + 1):
+            yield lambda d=d, v=v: clique_substitute_vertex(d, v)
+
+
+def substitution_outputs():
+    """Arc lists (or error messages) of substitution_calls()."""
+    for call in substitution_calls():
+        try:
+            yield format_arc_list(call())
+        except InputError as exc:
+            yield f"error: {exc}\n"
 
 
 def bidirected_star(leaves):
@@ -419,6 +424,23 @@ class TestArcCap:
         for substitute in (clique_substitute_all, lambda d: clique_substitute_vertex(d, 2)):
             with pytest.raises(InputError, match="arc count 22 exceeds the limit of 21"):
                 substitute(HUB)
+        # The same on every host of substitution_calls(): the count taken
+        # before building must be the one built, so each call that builds
+        # c arcs passes at MAX_ARCS = c and is refused at c - 1.
+        monkeypatch.undo()
+        built = []
+        for call in substitution_calls():
+            try:
+                built.append((call, call().arc_count))
+            except InputError:
+                pass
+        assert len(built) == 1446  # 2,297 calls less their 851 errors
+        for call, c in built:
+            monkeypatch.setattr(copgame.constructions, "MAX_ARCS", c)
+            assert call().arc_count == c
+            monkeypatch.setattr(copgame.constructions, "MAX_ARCS", c - 1)
+            with pytest.raises(InputError, match=f"arc count {c} exceeds the limit of {c - 1}$"):
+                call()
 
 
 class CountingRandom(random.Random):

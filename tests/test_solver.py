@@ -165,6 +165,21 @@ class TestRanks:
         assert result.best_move(GamePosition((0, 0), 0, COPS)) is None  # capture
         assert result.best_move(GamePosition((0, 1), 2, ROBBER)) is None
 
+    def test_missing_step_raises(self, monkeypatch):
+        # With the robber-side rank planes cleared every robber-to-move win
+        # reads rank 0, so a cop-to-move position of rank 2 or more has no
+        # successor one rank below it.
+        result = solve(C4, 2)
+        pos = next(
+            p for p in result.positions() if p.to_move == COPS and (result.rank(p) or 0) >= 2
+        )
+        result._rank[1].clear()
+        with pytest.raises(RuntimeError, match="no successor of key"):
+            result.best_move(pos)
+        monkeypatch.setattr(solver, "solve", lambda *args: result)
+        with pytest.raises(RuntimeError, match="no successor of key"):
+            play_trace(C4, 2)
+
 
 def frozen_games():
     rng = random.Random(6)
@@ -438,6 +453,8 @@ class TestPlacements:
             result.placement_wins((0,))
         with pytest.raises(InputError):
             result.placement_wins((0, 9))
+        with pytest.raises(InputError):
+            result.placement_wins(())
 
     def test_position_cop_count_checked(self):
         result = solve(C4, 2)
