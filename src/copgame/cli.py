@@ -35,7 +35,11 @@ from .solver import DEFAULT_STATE_BUDGET, _first_winning_result, play_trace
 
 
 def _read_digraph(path):
-    return parse_arc_list(Path(path).read_text(), source=str(path))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (bad byte at offset {exc.start})") from None
+    return parse_arc_list(text, source=str(path))
 
 
 def _emit(text, out):
@@ -45,61 +49,67 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
+def _claw(index):
+    claws = gen_claw_orientations()
+    if not 0 <= index < len(claws):
+        raise InputError(f"--index must be in 0..{len(claws) - 1}")
+    return claws[index]
+
+
+# A gen family or transform op: the flags it reads and the call they feed.
+# Each call names its library function inside a lambda, so that it looks the
+# name up when it runs and sees the module's binding of that moment.
+_GEN = {
+    "path": (("k",), lambda k: gen_directed_path(k)),
+    "cycle": (("n",), lambda n: gen_directed_cycle(n)),
+    "claw": (("index",), _claw),
+    "plane": (("q",), lambda q: gen_projective_plane_incidence_doubled(q)),
+    "random": (("n", "p", "seed"), lambda n, p, seed: gen_random_digraph(n, p, seed)),
+}
+_TRANSFORM = {
+    "clique-sub-vertex": (("vertex",), lambda d, vertex: clique_substitute_vertex(d, vertex)),
+    "clique-sub-all": ((), lambda d: clique_substitute_all(d)),
+    "subdivide": (("m",), lambda d, m: subdivide_arcs(d, m)),
+}
+
+# A check flag: its search, the JSON "check" name and the JSON key of its value.
+_CHECK = {
+    "induced": (lambda d, path: find_induced(d, _read_digraph(path)), "induced", "pattern"),
+    "pk": (lambda d, k: find_pk_subgraph(d, k), "pk-subgraph", "k"),
+    "pk_star": (lambda d, k: find_pk_star(d, k), "pk-star", "k"),
+}
+
+
+def _call(entry, args, *lead):
+    """Call the entry on lead and then on the flags it reads, in order;
+    refuse the first flag that was left out."""
+    flags, call = entry
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise InputError(f"--{flag} is required for this family")
+    return call(*lead, *(getattr(args, flag) for flag in flags))
+
+
 def _cmd_gen(args):
-    if args.family == "path":
-        d = gen_directed_path(_require(args.k, "--k"))
-    elif args.family == "cycle":
-        d = gen_directed_cycle(_require(args.n, "--n"))
-    elif args.family == "claw":
-        index = _require(args.index, "--index")
-        claws = gen_claw_orientations()
-        if not 0 <= index < len(claws):
-            raise InputError(f"--index must be in 0..{len(claws) - 1}")
-        d = claws[index]
-    elif args.family == "plane":
-        d = gen_projective_plane_incidence_doubled(_require(args.q, "--q"))
-    else:
-        d = gen_random_digraph(
-            _require(args.n, "--n"), _require(args.p, "--p"), _require(args.seed, "--seed")
-        )
-    _emit(format_arc_list(d), args.output)
+    _emit(format_arc_list(_call(_GEN[args.family], args)), args.output)
     return 0
-
-
-def _require(value, flag):
-    if value is None:
-        raise InputError(f"{flag} is required for this family")
-    return value
 
 
 def _cmd_transform(args):
     d = _read_digraph(args.input)
-    if args.op == "clique-sub-vertex":
-        out = clique_substitute_vertex(d, _require(args.vertex, "--vertex"))
-    elif args.op == "clique-sub-all":
-        out = clique_substitute_all(d)
-    else:
-        out = subdivide_arcs(d, _require(args.m, "--m"))
-    _emit(format_arc_list(out), args.output)
+    _emit(format_arc_list(_call(_TRANSFORM[args.op], args, d)), args.output)
     return 0
 
 
 def _cmd_check(args):
     d = _read_digraph(args.input)
-    given = [x for x in (args.induced, args.pk, args.pk_star) if x is not None]
+    given = [(flag, getattr(args, flag)) for flag in _CHECK if getattr(args, flag) is not None]
     if len(given) != 1:
         raise InputError("give exactly one of --induced, --pk, --pk-star")
-    if args.induced is not None:
-        pattern = _read_digraph(args.induced)
-        witness = find_induced(d, pattern)
-        payload = {"check": "induced", "pattern": str(args.induced)}
-    elif args.pk is not None:
-        witness = find_pk_subgraph(d, args.pk)
-        payload = {"check": "pk-subgraph", "k": args.pk}
-    else:
-        witness = find_pk_star(d, args.pk_star)
-        payload = {"check": "pk-star", "k": args.pk_star}
-    payload["free"] = witness is None
+    [(flag, value)] = given
+    search, check, key = _CHECK[flag]
+    witness = search(d, value)
+    payload = {"check": check, key: value, "free": witness is None}
     payload["witness"] = None if witness is None else list(witness.vertices)
     payload["kind"] = None if witness is None else witness.kind
     print(json.dumps(payload, sort_keys=True))
@@ -187,7 +197,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a generated digraph as an arc list")
-    p.add_argument("family", choices=("path", "cycle", "claw", "plane", "random"))
+    p.add_argument("family", choices=tuple(_GEN))
     p.add_argument("--k", type=int, help="path vertex count")
     p.add_argument("--n", type=int, help="cycle or random vertex count")
     p.add_argument("--index", type=int, help="claw orientation 0..3")
@@ -199,11 +209,7 @@ def build_parser():
 
     p = sub.add_parser("transform", help="apply a transformation to an arc list")
     p.add_argument("input")
-    p.add_argument(
-        "--op",
-        required=True,
-        choices=("clique-sub-vertex", "clique-sub-all", "subdivide"),
-    )
+    p.add_argument("--op", required=True, choices=tuple(_TRANSFORM))
     p.add_argument("--vertex", type=int, help="vertex for clique-sub-vertex")
     p.add_argument("--m", type=int, help="subdivision factor")
     p.add_argument("-o", "--output", help="write here instead of stdout")

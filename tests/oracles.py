@@ -13,6 +13,8 @@ import itertools
 import math
 from collections import deque
 
+from copgame import Digraph
+
 
 def minimax_cop_win(d, k):
     """Winner of every position by depth-indexed minimax.
@@ -192,3 +194,51 @@ def naive_isomorphic(d1, d2):
         if all((perm[u], perm[v]) in d2.arcs for u, v in d1.arcs):
             return True
     return False
+
+
+def symmetric_digraph(n, edges):
+    """The digraph with both arcs of every edge: the undirected game, since
+    each piece moves along an arc or stays."""
+    return Digraph(n, [arc for u, v in edges for arc in ((u, v), (v, u))])
+
+
+def petersen_graph():
+    """Outer 5-cycle 0..4, inner pentagram 5..9, spokes i -- i + 5."""
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(i, i + 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return symmetric_digraph(10, edges)
+
+
+def hypercube(dim):
+    """Q_dim: vertices are dim-bit words, adjacent when one bit differs."""
+    n = 1 << dim
+    return symmetric_digraph(n, [(u, u ^ (1 << b)) for u in range(n) for b in range(dim)])
+
+
+def grid(rows, cols):
+    """The rows x cols grid, vertex r * cols + c."""
+    edges = [(v, v + 1) for v in range(rows * cols) if v % cols < cols - 1]
+    edges += [(v, v + cols) for v in range(rows * cols - cols)]
+    return symmetric_digraph(rows * cols, edges)
+
+
+def is_dismantlable(d):
+    """Whether a symmetric digraph is cop-win, by dismantling (Nowakowski
+    and Winkler 1983, Quilliot 1978): repeatedly delete a vertex whose
+    closed neighbourhood lies inside another vertex's; the graph is cop-win
+    exactly when one vertex is left.  Which corner goes first does not
+    matter, since deleting a corner neither makes nor breaks a cop-win
+    graph."""
+    closed = [set(d.out_adj[v]) | {v} for v in range(d.n)]
+    alive = set(range(d.n))
+    while len(alive) > 1:
+        corner = next(
+            (v for v in alive
+             if any(u != v and closed[v] & alive <= closed[u] for u in alive)),
+            None,
+        )
+        if corner is None:
+            return False
+        alive.remove(corner)
+    return True

@@ -394,6 +394,40 @@ class TestInputErrors:
         code, _, err = run(capsys, "solve", "/nonexistent/file.dg")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "command, choice, flags, flag",
+        [
+            pytest.param(command, choice, flags, flag, id=f"{command}-{choice}-{flag}")
+            for command, table in (("gen", cli._GEN), ("transform", cli._TRANSFORM))
+            for choice, (flags, _) in table.items()
+            for flag in flags
+        ],
+    )
+    def test_missing_flag_named(self, capsys, tmp_path, command, choice, flags, flag):
+        # Every flag a family or op reads, left out while the others are given.
+        values = {"k": "3", "n": "4", "index": "1", "q": "2", "p": "0.5", "seed": "1",
+                  "vertex": "0", "m": "2"}
+        given = [x for f in flags if f != flag for x in (f"--{f}", values[f])]
+        if command == "gen":
+            argv = ["gen", choice, *given]
+        else:
+            argv = ["transform", write(tmp_path, "c3.dg", C3_TEXT), "--op", choice, *given]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: --{flag} is required for this family\n"
+
+    @pytest.mark.parametrize("command", ["solve", "check --induced"])
+    def test_non_utf8_file(self, capsys, tmp_path, command):
+        bad = tmp_path / "bad.dg"
+        bad.write_bytes(b"\xff\xfe3 0\n")
+        if command == "solve":
+            argv = ["solve", str(bad)]
+        else:
+            argv = ["check", write(tmp_path, "c3.dg", C3_TEXT), "--induced", str(bad)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {bad}: not UTF-8 text (bad byte at offset 0)\n"
+
     def test_corrupted_file(self, capsys, tmp_path):
         src = write(tmp_path, "bad.dg", "3 2\n0 1\n")
         code, _, err = run(capsys, "check", src, "--pk", "3")

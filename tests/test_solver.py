@@ -439,6 +439,35 @@ class TestCopNumber:
             assert placements
 
 
+class TestKnownAnswers:
+    """Symmetric digraphs play the undirected game, so cop numbers from the
+    literature on graphs check the solver well beyond the minimax oracle's
+    n <= 7."""
+
+    @pytest.mark.parametrize(
+        "host, answer",
+        [
+            # The smallest graph that needs 3 cops (Baird et al. 2014).
+            (oracles.petersen_graph(), 3),
+            # Q_d needs ceil((d + 1) / 2) cops (Maamoun and Meyniel 1987).
+            (oracles.hypercube(3), 2),
+            (oracles.hypercube(4), 3),
+            (oracles.hypercube(5), 3),
+            # n = 100 > 64: lanes of several words.
+            (oracles.grid(10, 10), 2),
+        ],
+        ids=["petersen", "Q3", "Q4", "Q5", "grid10x10"],
+    )
+    def test_fixed_family(self, host, answer):
+        assert cop_number(host, answer) == answer
+
+    @settings(max_examples=100, deadline=None)
+    @given(digraphs(12))
+    def test_one_cop_wins_exactly_on_dismantlable_graphs(self, d):
+        host = oracles.symmetric_digraph(d.n, d.arcs)
+        assert (cop_number(host, 1) == 1) == oracles.is_dismantlable(host)
+
+
 class TestPlacements:
     def test_winning_placements_subset(self):
         result = solve(C4, 2)
