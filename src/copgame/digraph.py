@@ -141,6 +141,11 @@ def underlying_girth(d: Digraph):
         queue = deque([s])
         while queue:
             u = queue.popleft()
+            # A cycle first seen from u or later is at least 2 dist[u] + 1
+            # long: BFS takes u in order of dist, and a non-tree edge is
+            # first seen from its endpoint nearer to s.
+            if 2 * dist[u] + 1 >= best:
+                break
             for w in und[u]:
                 if dist[w] < 0:
                     dist[w] = dist[u] + 1

@@ -42,6 +42,14 @@ u of N-[v] fold into one multiply by the sum of 2^(W*u).  The push into
 stage k reads the nonzero lanes of each changed stage-(k-1) row from its
 bytes.
 
+The parent rows M' minus v of a changed child row come from the same
+identity, one size down.  i(M') lies in the block of its first vertex a,
+so M' = (a,) + R with i(R) read off that block: removing a leaves R, and
+removing any other v of R leaves (a,) + (R minus v), whose index is R's
+entry for v in the removal table of the size below, moved by the block's
+offset.  So the removal tables are built only up to size k - 1, and the
+largest one, a row per cop multiset, is never built.
+
 The backward attractor runs level by level, and the level at which a
 position is won is its rank.  Levels 0 and 1 have a closed form and are
 never pushed through the sub-move arcs: at level 0 the robber is caught on
@@ -84,6 +92,7 @@ cop move table).  A budget below 1 is refused with InputError.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, compress, count, product
 from math import comb, inf
@@ -331,34 +340,57 @@ def _prepend_lanes(n: int, t: int):
     return lanes
 
 
+def _first_blocks(n: int, t: int):
+    """(cut, put, offset) per vertex a, for the multisets M' of size t >= 1
+    whose first vertex is a, in combinations_with_replacement order.  They
+    are the block from index put on, and M' = (a,) + R with R at index
+    cut + i(M') - put in the list one size down (see _prepend_lanes).
+    Removing any v of R leaves (a,) + (R minus v), at index
+    offset + i(R minus v), by the same identity two sizes down."""
+    within = _prepend_lanes(n, t - 2) if t > 1 else [(0, 0)] * n
+    return [
+        (cut, put, w_put - w_cut)
+        for (cut, put), (w_cut, w_put) in zip(_prepend_lanes(n, t - 1), within)
+    ]
+
+
 def _removal_tables(n: int, k: int):
-    """tables[t][i(M')], for each multiset M' of size t <= k: the flat
+    """tables[t][i(M')], for each multiset M' of size t < k: the flat
     tuple v, i(M' minus one v), v, ... over the distinct v of M', ascending
     (flat to save memory: one tuple per M' rather than one per pair).
 
-    Built from size t - 1 without any lookup: M' = (a,) + R with R one of
-    the (t-1)-multisets with min >= a, in the order of the suffix-to-block
-    identity (see _prepend_lanes).  Removing a leaves R; removing any other
-    v of R leaves (a,) + (R minus v), whose index is that of R minus v
-    moved by the same identity one size down.
+    Built from size t - 1 without any lookup: M' = (a,) + R, and the rows
+    of the block of a are those of R in order (see _first_blocks).
+    Removing a leaves R; removing any other v of R leaves (a,) + (R
+    minus v).  The pushes derive the parents of each changed child row
+    the same way from the table one size down (see _split_rows), so the
+    largest table, that of size k, is never built.
     """
     tables = [[()]]
-    for t in range(1, k + 1):
+    for t in range(1, k):
         prev = tables[-1]
-        into = _prepend_lanes(n, t - 1)
-        within = _prepend_lanes(n, t - 2) if t > 1 else [(0, 0)] * n
         # Row numbers are shared int objects: one per row, not one per pair.
         rows = list(range(len(prev)))
         table = []
-        for a in range(n):
-            offset = within[a][1] - within[a][0]
-            for r in rows[into[a][0]:]:
+        for a, (cut, _, offset) in enumerate(_first_blocks(n, t)):
+            for r in rows[cut:]:
                 pairs = iter(prev[r])
                 table.append((a, r, *[
                     x for v, q in zip(pairs, pairs) if v != a for x in (v, rows[offset + q])
                 ]))
         tables.append(table)
     return tables
+
+
+def _split_rows(idx, delta, first_blocks):
+    """(x, a, r, offset) for each changed child row i(M') = m with delta x:
+    M' = (a,) + R with R at index r, found by the block of a (see
+    _first_blocks), whose start is the last at or below m."""
+    starts = [put for _, put, _ in first_blocks]
+    for m, x in zip(idx, delta):
+        a = bisect_right(starts, m) - 1
+        cut, put, offset = first_blocks[a]
+        yield x, a, cut + m - put, offset
 
 
 def _nonzero_lanes(x: int, width: int, lane_ids):
@@ -475,8 +507,11 @@ def _levels(d, k, bits, nbhd, copwin, robwin, rank):
     width = _lane_width(n)
     num_cw = len(copwin)
     closed_in = [sorted((v,) + d.in_adj[v]) for v in range(n)]
-    # removals[k - j + 1]: the parent rows of each stage-(j - 1) row, j < k.
+    # The push into stage j, 1 <= j < k, derives the parents of each
+    # changed stage-(j - 1) row from blocks[j], which splits the row by its
+    # first vertex, and from removals[k - j], the table one size down.
     removals = _removal_tables(n, k)
+    blocks = [None] + [_first_blocks(n, k - j + 1) for j in range(1, k)]
     # At j = 1 every cut is 0 and put is u, so while a lane fits one word
     # the shifts of v fold into one multiply by fold[v]: solve(plane_q3, 4)
     # takes 1.4 times as long with the shifts.  With wider lanes the
@@ -544,19 +579,29 @@ def _levels(d, k, bits, nbhd, copwin, robwin, rank):
                 break
             stage = rows[j]
             snap = stage[:]
-            parents = removals[k - j + 1]
+            # The parents of a changed child row M' = (a,) + R are R and
+            # (a,) + (R minus v) for each other v of R, read off R's row.
+            # When a is in R, R's entry for a is R again, so it is skipped.
+            tails = removals[k - j]
+            changed = _split_rows(idx, delta, blocks[j])
             if j == 1 and fold:
-                for m, x in zip(idx, delta):
-                    pairs = iter(parents[m])
-                    for v, p in zip(pairs, pairs):
-                        stage[p] |= x * fold[v]
+                for x, a, r, offset in changed:
+                    stage[r] |= x * fold[a]
+                    pairs = iter(tails[r])
+                    for v, q in zip(pairs, pairs):
+                        if v != a:
+                            stage[offset + q] |= x * fold[v]
             else:
                 shift = shifts[j]
-                for m, x in zip(idx, delta):
-                    pairs = iter(parents[m])
-                    for v, p in zip(pairs, pairs):
-                        for cut, put in shift[v]:
-                            stage[p] |= x >> cut << put
+                for x, a, r, offset in changed:
+                    for cut, put in shift[a]:
+                        stage[r] |= x >> cut << put
+                    pairs = iter(tails[r])
+                    for v, q in zip(pairs, pairs):
+                        if v != a:
+                            p = offset + q
+                            for cut, put in shift[v]:
+                                stage[p] |= x >> cut << put
             idx = list(compress(count(), map(ne, stage, snap)))
             delta = [stage[p] ^ snap[p] for p in idx]
         # Stage k: a changed row of stage k - 1 belongs to M' = (v,), and

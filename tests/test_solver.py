@@ -31,9 +31,12 @@ from copgame import (
 
 import copgame.solver as solver
 from copgame.solver import (
+    _first_blocks,
     _lane_width,
     _nonzero_lanes,
     _prepend_lanes,
+    _removal_tables,
+    _split_rows,
 )
 
 import oracles
@@ -340,6 +343,48 @@ class TestLanes:
         assert got == [(i, m) for i, m in enumerate(masks) if m]
 
 
+def removal_oracle(n, t):
+    """{M': [(v, i(M' minus one v)) for the distinct v of M', ascending]}
+    over the multisets M' of size t, indexed by list lookups."""
+    smaller = {m: i for i, m in enumerate(combinations_with_replacement(range(n), t - 1))}
+    return {
+        m: [(v, smaller[m[:m.index(v)] + m[m.index(v) + 1:]]) for v in sorted(set(m))]
+        for m in combinations_with_replacement(range(n), t)
+    }
+
+
+def pairs_of(row):
+    it = iter(row)
+    return list(zip(it, it))
+
+
+class TestRemovalTables:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rows_match_the_oracle(self, n):
+        # Sizes 0 to 4, every row: the distinct v of M' ascending, each with
+        # the index of M' minus v.
+        tables = _removal_tables(n, 5)
+        assert len(tables) == 5
+        assert tables[0] == [()]
+        for t in range(1, 5):
+            oracle = removal_oracle(n, t)
+            assert [pairs_of(row) for row in tables[t]] == list(oracle.values())
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("t", range(1, 5))
+    def test_derived_top_rows_match_the_oracle(self, n, t):
+        # The push derives the rows of the top size t from the table one
+        # size down: (a, r), then R's row without a, moved by offset.
+        tails = _removal_tables(n, t)[t - 1]
+        oracle = list(removal_oracle(n, t).values())
+        top = range(len(oracle))
+        derived = [
+            [(a, r)] + [(v, offset + q) for v, q in pairs_of(tails[r]) if v != a]
+            for _, a, r, offset in _split_rows(top, top, _first_blocks(n, t))
+        ]
+        assert derived == oracle
+
+
 def cop_number_games():
     rng = random.Random(9)
     for _ in range(2000):
@@ -411,9 +456,12 @@ class TestCopNumber:
         # must hold nothing that leads back to the result: with the cyclic
         # collector off, a dropped result goes at once, mid-attractor or
         # finished.
+        # gc.collect() finding nothing after each drop shows that no
+        # reference cycle was left behind in the generator's tables either.
         plane = gen_projective_plane_incidence_doubled(3)
         enabled = gc.isenabled()
         gc.disable()
+        gc.collect()
         try:
             for finish in (False, True):
                 result = solve(plane, 4)
@@ -426,6 +474,9 @@ class TestCopNumber:
                 ref = weakref.ref(result)
                 del result
                 assert ref() is None
+                assert gc.collect() == 0
+            assert cop_number(plane, 4) == 4
+            assert gc.collect() == 0
         finally:
             if enabled:
                 gc.enable()
