@@ -26,7 +26,10 @@ the ranks and SolveResult read.  Each middle stage j, 1 <= j < k, keeps
 one int per moved multiset M, its row: lane i(U) of the row, W bits wide,
 holds the mask of state (M, U), with i(U) the place of U in
 combinations_with_replacement order.  W is the smallest of 8, 16, 32 and
-64 that holds n, or else a multiple of 64.
+64 that holds n, or else a multiple of 64.  Stage k is also kept packed,
+as one block per first cop vertex u: lane i of block u holds copwin of
+the cop multiset at index put_u + i, (u,) + U' for the U' of the
+stage-(k-1) lane cut_u + i (see below).
 
 A row is pushed one sub-move back with shifts, not one state at a time.
 The sub-move arcs into a child (M', U') of stage j - 1 come from
@@ -39,8 +42,10 @@ put_u on.  So (x >> W*cut_u) << W*put_u moves every lane of a child row x
 to the lane of its parent in row M' - v, and drops the lanes whose min is
 below u.  At j = 1 every cut is 0, and while W is at most one word the
 u of N-[v] fold into one multiply by the sum of 2^(W*u).  The push into
-stage k reads the nonzero lanes of each changed stage-(k-1) row from its
-bytes.
+stage k, where M' = (v,) and M' - v is empty, needs no put: the changed
+rows of the v in the closed out-neighbourhood N+[u] are ORed into one
+row x, and block u takes x >> W*cut_u.  So each level pays one shift per
+block it touches, however sparse or dense the rows are.
 
 The parent rows M' minus v of a changed child row come from the same
 identity, one size down.  i(M') lies in the block of its first vertex a,
@@ -64,10 +69,13 @@ wins once every vertex of the closed out-neighbourhood of r is a cop win
 against C.  It then pushes the robber wins of level L-1 back through the
 k sub-move stages, so a cop-to-move position is won at 1 + the smallest
 rank among its winning successors, and a robber-to-move position at
-1 + the largest rank among its successors.  Each stage is copied before
-its push, its delta (the bits the push added) is read off by comparing
-it with the copy, and that delta is what the next stage pushes; the
-level stops at the first stage with an empty delta.  Sub-move stages
+1 + the largest rank among its successors.  Each middle stage is copied
+before its push, its delta (the bits the push added) is read off by
+comparing it with the copy, and that delta is what the next stage
+pushes; the level stops at the first stage with an empty delta.  Stage
+k's delta is read block by block, as the XOR of each changed block with
+its old value, whose nonzero lanes update copwin and, ascending, are the
+cop multisets the level changed.  Sub-move stages
 add nothing to the rank, which counts whole half-moves.  Ranks are kept
 bit-sliced: one mask per cop multiset and bit of the level.
 
@@ -133,8 +141,12 @@ def _check_position(d: Digraph, pos: GamePosition) -> None:
     if not pos.cops:
         raise InputError("at least one cop is required")
     for c in pos.cops:
+        if not isinstance(c, int):
+            raise InputError(f"cop vertex {c!r} is not an integer")
         if not (0 <= c < d.n):
             raise InputError(f"cop vertex {c} is out of range for n={d.n}")
+    if not isinstance(pos.robber, int):
+        raise InputError(f"robber vertex {pos.robber!r} is not an integer")
     if not (0 <= pos.robber < d.n):
         raise InputError(f"robber vertex {pos.robber} is out of range for n={d.n}")
 
@@ -394,8 +406,9 @@ def _split_rows(idx, delta, first_blocks):
 
 
 def _nonzero_lanes(x: int, width: int, lane_ids):
-    """(i, lane i of x) for each nonzero lane of the packed row x, whose
-    lanes are numbered by lane_ids, the list 0, 1, 2, ..."""
+    """(i, lane i of x) for each nonzero lane of the packed row x, in
+    ascending i.  x has len(lane_ids) lanes, and lane_ids numbers them 0,
+    1, 2, ...: a range, or any sequence holding the same numbers."""
     step = width // 8
     raw = x.to_bytes(len(lane_ids) * step, "little")
     if width <= 64 and _NATIVE_LITTLE:
@@ -497,7 +510,7 @@ def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> Solve
 def _levels(d, k, bits, nbhd, copwin, robwin, rank):
     """Build the sub-move tables, then run the attractor from level 2 to
     its fixpoint, updating copwin, robwin and the rank planes in place, and
-    yield the cop multisets each level changed on the cop side.
+    yield, ascending, the cop multisets each level changed on the cop side.
 
     It holds no reference to the SolveResult that drives it, so a result
     dropped mid-attractor is freed at once, not by the cyclic collector.
@@ -528,24 +541,30 @@ def _levels(d, k, bits, nbhd, copwin, robwin, rank):
             [(width * lanes[u][0], width * lanes[u][1]) for u in closed_in[v]]
             for v in range(n)
         ]
-    # Stage-k targets of a stage-(k - 1) row of v: per u in N-[v], the
-    # first lane u may be prepended to and the offset to its multiset.
-    lanes = _prepend_lanes(n, k - 1)
-    targets = [[(lanes[u][0], lanes[u][1] - lanes[u][0]) for u in closed_in[v]]
-               for v in range(n)]
-    child_lanes = list(range(_multisets(n, k - 1)))
     reach_tables = _reach_tables(d)
 
     # Row M of stage j after level 1 is bits(M) times the row with a 1 in
     # every lane, OR the row of the N+[U].
     step = width // 8
     # rows[j][i(M)]: stage j, 1 <= j < k, lane i(U) holding the robber
-    # vertices from which (M, U) reaches a robber-to-move cop win.
+    # vertices from which (M, U) reaches a robber-to-move cop win.  The
+    # loop ends on the ones and packed of stage k - 1 (one lane, holding 0,
+    # when k = 1), which the stage-k blocks reuse.
     rows = [None]
-    for j in range(1, k):
+    for j in range(k):
         ones = int.from_bytes((b"\x01" + bytes(step - 1)) * len(nbhd[j]), "little")
         packed = int.from_bytes(b"".join(m.to_bytes(step, "little") for m in nbhd[j]), "little")
-        rows.append([b * ones | packed for b in bits[k - j]])
+        if j:
+            rows.append([b * ones | packed for b in bits[k - j]])
+    # Stage k is kept in blocks, one per first cop vertex u: lane i of
+    # block[u] holds copwin[put_u + i], the cop multiset (u,) + U' for the
+    # U' at lane cut_u + i of a stage-(k - 1) row (see _prepend_lanes).
+    # After level 1 it is N+[u] | N+[U'], so a block is the row of (u,) built
+    # as above, with N+[u] for bits(u), from lane cut_u on.
+    top = _prepend_lanes(n, k - 1)
+    cuts = [width * cut for cut, _ in top]
+    block_lanes = [range(len(nbhd[k - 1]) - cut) for cut, _ in top]
+    block = [(m * ones | packed) >> cut for m, cut in zip(nbhd[1], cuts)]
     # The cop multisets that level 1 changed on the cop side; none changed
     # on the robber side.
     cop_idx = list(compress(count(), map(ne, copwin, robwin)))
@@ -605,19 +624,27 @@ def _levels(d, k, bits, nbhd, copwin, robwin, rank):
             idx = list(compress(count(), map(ne, stage, snap)))
             delta = [stage[p] ^ snap[p] for p in idx]
         # Stage k: a changed row of stage k - 1 belongs to M' = (v,), and
-        # each nonzero lane goes to the cop multisets (u,) + U'.
-        if idx:
-            snap = copwin[:]
-            for v, x in zip(idx, delta):
-                target = targets[v]
-                for i, mask in _nonzero_lanes(x, width, child_lanes):
-                    for cut, offset in target:
-                        if i < cut:
-                            break
-                        copwin[i + offset] |= mask
-            idx = list(compress(count(), map(ne, copwin, snap)))
-            delta = [copwin[ci] ^ snap[ci] for ci in idx]
-        cop_idx, cop_masks = idx, delta
+        # reaches block u for each u in N-[v].  So the changed rows of the
+        # v in N+[u] are ORed into one row and pushed into block u with one
+        # shift; the lanes of the block's delta are the cop multisets the
+        # level changed, ascending since the blocks are.
+        pushed = [0] * n
+        for v, x in zip(idx, delta):
+            for u in closed_in[v]:
+                pushed[u] |= x
+        cop_idx, cop_masks = [], []
+        for u, x in enumerate(pushed):
+            if x:
+                old = block[u]
+                new = old | x >> cuts[u]
+                if new != old:
+                    block[u] = new
+                    put = top[u][1]
+                    for i, mask in _nonzero_lanes(new ^ old, width, block_lanes[u]):
+                        ci = put + i
+                        copwin[ci] |= mask
+                        cop_idx.append(ci)
+                        cop_masks.append(mask)
         rob_idx, rob_masks = settled_idx, settled_masks
         _record_ranks(rank[0], cop_idx, cop_masks, level, num_cw)
         _record_ranks(rank[1], rob_idx, rob_masks, level, num_cw)

@@ -290,6 +290,68 @@ class TestFrozenTables:
                 assert (rank == 0) == (pos.robber in pos.cops)
 
 
+def level_yields(d, k):
+    """The finished SolveResult of (d, k) and the lists _levels yielded,
+    one per level from 2 on, whether solve or _complete ran the level."""
+    yields = []
+    levels = solver._levels
+
+    def recording(*args):
+        for changed in levels(*args):
+            yields.append(list(changed))
+            yield changed
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_levels", recording)
+        result = solve(d, k)
+        result._complete()
+    return result, yields
+
+
+def cop_side_levels(result, ci):
+    """The ranks of the cop-to-move wins of cop multiset ci, read off the
+    bit-sliced rank planes one plane at a time, from the top one down."""
+    masks = {0: result._wins[0][ci]}
+    for t in reversed(range(len(result._rank[0]))):
+        plane = result._rank[0][t][ci]
+        split = {}
+        for level, mask in masks.items():
+            for bit, part in ((0, mask & ~plane), (1, mask & plane)):
+                if part:
+                    split[level | bit << t] = part
+        masks = split
+    return set(masks)
+
+
+class TestLevelYields:
+    """cop_number's early stop reads _levels' yields: at each level L >= 2,
+    the cop multisets that gained a cop-to-move win at L, ascending."""
+
+    def check(self, d, k):
+        result, yields = level_yields(d, k)
+        expected = [[] for _ in yields]
+        for ci in range(len(result._cop_sets)):
+            for level in cop_side_levels(result, ci):
+                if level >= 2:
+                    assert level - 2 < len(yields)
+                    expected[level - 2].append(ci)
+        assert yields == expected
+
+    def test_every_lane_class(self):
+        for d, k, _ in lane_class_games():
+            self.check(d, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(digraphs(6), st.integers(1, 3))
+    def test_random_games(self, d, k):
+        self.check(d, k)
+
+    def test_order_3_plane(self):
+        # The early stop comes at level 3 of the k = 4 game, so solve and
+        # _complete each run some of the levels.
+        self.check(gen_projective_plane_incidence_doubled(3), 4)
+
+
 class TestLanes:
     def test_lane_width(self):
         widths = {1: 8, 8: 8, 9: 16, 16: 16, 17: 32, 32: 32, 33: 64, 64: 64,
@@ -325,22 +387,27 @@ class TestLanes:
 
     @pytest.mark.parametrize("native", [True, False])
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 200), st.data())
-    def test_nonzero_lanes(self, native, n, data):
+    @given(st.integers(1, 64), st.integers(65, 200), st.data())
+    def test_nonzero_lanes(self, native, narrow, wide, data):
         # native=False reads every lane with int.from_bytes, the path of a
-        # big-endian host; both must agree with plain shifts.
-        width = _lane_width(n)
-        masks = data.draw(st.lists(
-            st.one_of(st.just(0), st.integers(1, (1 << n) - 1)), min_size=1, max_size=40
-        ))
-        x = packed(masks, width)
+        # big-endian host; lanes wider than 64 bits (n > 64) always take
+        # that path.  Both must agree with plain shifts, with the lane ids
+        # given as a list or as the range the stage-k push passes.
         saved = solver._NATIVE_LITTLE
         solver._NATIVE_LITTLE = saved and native
         try:
-            got = list(_nonzero_lanes(x, width, list(range(len(masks)))))
+            for n in (narrow, wide):
+                width = _lane_width(n)
+                masks = data.draw(st.lists(
+                    st.one_of(st.just(0), st.integers(1, (1 << n) - 1)),
+                    min_size=1, max_size=40,
+                ))
+                x = packed(masks, width)
+                expected = [(i, m) for i, m in enumerate(masks) if m]
+                for lane_ids in (list(range(len(masks))), range(len(masks))):
+                    assert list(_nonzero_lanes(x, width, lane_ids)) == expected
         finally:
             solver._NATIVE_LITTLE = saved
-        assert got == [(i, m) for i, m in enumerate(masks) if m]
 
 
 def removal_oracle(n, t):
@@ -535,6 +602,14 @@ class TestPlacements:
             result.placement_wins((0, 9))
         with pytest.raises(InputError):
             result.placement_wins(())
+        with pytest.raises(InputError, match="cop vertex 1.5 is not an integer"):
+            result.placement_wins((0, 1.5))
+        with pytest.raises(InputError, match="cop vertex 1.5 is not an integer"):
+            result.win(GamePosition((1.5, 0), 0, COPS))
+        with pytest.raises(InputError, match="robber vertex 2.0 is not an integer"):
+            result.win(GamePosition((0, 1), 2.0, COPS))
+        with pytest.raises(InputError, match="robber vertex '1' is not an integer"):
+            legal_moves(C4, GamePosition((0,), "1", ROBBER))
 
     def test_position_cop_count_checked(self):
         result = solve(C4, 2)
