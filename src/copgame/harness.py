@@ -52,7 +52,7 @@ from .digraph import (
     is_weakly_connected,
     underlying_girth,
 )
-from .errors import InputError, StateBudgetExceeded
+from .errors import InputError, StateBudgetExceeded, _as_int
 from .patterns import find_induced, find_pk_star
 from .solver import DEFAULT_STATE_BUDGET, cop_number
 
@@ -74,6 +74,14 @@ class SuiteConfig:
     seed: int = 1
 
     def __post_init__(self):
+        # Counts are checked and made plain ints before any run: a float
+        # k would pass the membership test below and fail mid-suite.
+        for name, what in (("trials", "trials"), ("n_max", "n_max"),
+                           ("state_budget", "state budget"), ("seed", "seed")):
+            object.__setattr__(self, name, _as_int(getattr(self, name), what))
+        object.__setattr__(
+            self, "k_values", tuple(_as_int(k, "k value") for k in self.k_values)
+        )
         if self.trials < 1:
             raise InputError(f"trials must be >= 1, got {self.trials}")
         if self.n_max < 2:

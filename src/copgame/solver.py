@@ -9,7 +9,11 @@ placement.
 
 A position is (cop multiset, robber vertex, side to move).  Cop multisets
 are kept sorted, so positions are canonical.  rank counts optimal
-half-moves to capture: cops minimize it, the robber maximizes it.
+half-moves to capture: cops minimize it, the robber maximizes it.  Every
+table is indexed by a multiset's place i(C) in
+combinations_with_replacement order.  No list of multisets is kept: i(C)
+has a closed form (_multiset_index), and the placements are walked in
+that order as they are needed.
 
 The solver never tabulates whole cop moves.  A cop move is split into k
 single-cop sub-moves (Petr, Portier and Versteegen, "A faster algorithm
@@ -107,7 +111,7 @@ from math import comb, inf
 from operator import ne
 
 from .digraph import Digraph
-from .errors import InputError, StateBudgetExceeded
+from .errors import InputError, StateBudgetExceeded, _as_int
 
 DEFAULT_STATE_BUDGET = 50_000_000
 
@@ -171,34 +175,30 @@ class SolveResult:
     """Winner classification of every position of the (d, k) game.
 
     copwin[i] and robwin[i] are bit masks over robber vertices: bit r is
-    set when the cop side wins (cop_sets[i], r) with the cops, respectively
-    the robber, to move.  rank[side][t][i] is the mask of robber vertices
-    whose rank with that side to move has bit t set.
+    set when the cop side wins (C, r), for C the i-th cop multiset in
+    combinations_with_replacement order (see _multiset_index), with the
+    cops, respectively the robber, to move.  rank[side][t][i] is the mask
+    of robber vertices whose rank with that side to move has bit t set.
 
     solve may hand over the tables before the attractor's fixpoint, with
     levels, the suspended level generator, still to run; every query that
     reads the tables runs it to the end first.
     """
 
-    def __init__(self, d, k, cop_sets, copwin, robwin, rank, levels):
+    def __init__(self, d, k, copwin, robwin, rank, levels):
         self._d = d
         self.k = k
-        self._cop_sets = cop_sets
-        self._index = None
         self._wins = (copwin, robwin)
         self._rank = rank
         self._levels = levels
 
     def _complete(self) -> None:
         """Run the attractor's remaining levels, then drop the generator
-        and with it the sub-move tables it holds.  The multiset index is
-        built only now: cop_number never needs it, and built earlier it
-        would sit next to the sub-move tables at their peak."""
+        and with it the sub-move tables it holds."""
         if self._levels is not None:
             for _ in self._levels:
                 pass
             self._levels = None
-            self._index = {cw: i for i, cw in enumerate(self._cop_sets)}
 
     def _some_placement_won(self) -> bool:
         """True when some placement already beats every robber reply; masks
@@ -207,14 +207,14 @@ class SolveResult:
 
     @property
     def num_positions(self) -> int:
-        return len(self._cop_sets) * self._d.n * 2
+        return len(self._wins[0]) * self._d.n * 2
 
     def _locate(self, pos: GamePosition):
         _check_position(self._d, pos)
         if len(pos.cops) != self.k:
             raise InputError(f"position has {len(pos.cops)} cops, expected {self.k}")
         self._complete()
-        return self._index[pos.cops], 0 if pos.to_move == COPS else 1
+        return _multiset_index(self._d.n, pos.cops), 0 if pos.to_move == COPS else 1
 
     def win(self, pos: GamePosition) -> bool:
         """True when the cop side forces capture from this position."""
@@ -263,7 +263,7 @@ class SolveResult:
 
     def placements(self):
         """All cop multisets in lexicographic order."""
-        return iter(self._cop_sets)
+        return combinations_with_replacement(range(self._d.n), self.k)
 
     def placement_wins(self, cops) -> bool:
         """True when this placement beats every robber reply."""
@@ -274,13 +274,13 @@ class SolveResult:
         """Cop multisets that beat every robber reply, lexicographic order."""
         self._complete()
         full = (1 << self._d.n) - 1
-        for cw, mask in zip(self._cop_sets, self._wins[0]):
+        for cw, mask in zip(self.placements(), self._wins[0]):
             if mask == full:
                 yield cw
 
     def positions(self):
         """Every canonical position of the game."""
-        for cw in self._cop_sets:
+        for cw in self.placements():
             for r in range(self._d.n):
                 yield GamePosition(cw, r, COPS)
                 yield GamePosition(cw, r, ROBBER)
@@ -308,7 +308,7 @@ def _table_sizes(d: Digraph, k: int):
 
 
 def _check_budget(d: Digraph, k: int, state_budget: int) -> None:
-    if state_budget < 1:
+    if _as_int(state_budget, "state budget") < 1:
         raise InputError(f"state budget must be >= 1, got {state_budget}")
     positions, states, arcs = _table_sizes(d, k)
     if positions > state_budget:
@@ -350,6 +350,24 @@ def _prepend_lanes(n: int, t: int):
         lanes.append((total - size, put))
         put += size
     return lanes
+
+
+def _multiset_index(n: int, cops) -> int:
+    """The place of the sorted multiset cops = (c_1, ..., c_k) over n
+    vertices in combinations_with_replacement order: the _prepend_lanes
+    identity in closed form.  The multisets before cops that agree with it
+    on the first p - 1 vertices and have their p-th in [c_{p-1}, c_p),
+    with c_0 = 0, end in the t-multisets with smallest vertex in that
+    range, t = k - p + 1: multisets(n - c_{p-1}, t) - multisets(n - c_p, t)
+    of them.  Summed over p they are all the multisets before cops."""
+    i = 0
+    low = 0
+    t = len(cops)
+    for c in cops:
+        i += _multisets(n - low, t) - _multisets(n - c, t)
+        low = c
+        t -= 1
+    return i
 
 
 def _first_blocks(n: int, t: int):
@@ -405,15 +423,14 @@ def _split_rows(idx, delta, first_blocks):
         yield x, a, cut + m - put, offset
 
 
-def _nonzero_lanes(x: int, width: int, lane_ids):
-    """(i, lane i of x) for each nonzero lane of the packed row x, in
-    ascending i.  x has len(lane_ids) lanes, and lane_ids numbers them 0,
-    1, 2, ...: a range, or any sequence holding the same numbers."""
+def _nonzero_lanes(x: int, width: int, num_lanes: int):
+    """(i, lane i of x) for each nonzero lane of the packed row x, which
+    has num_lanes lanes, in ascending i."""
     step = width // 8
-    raw = x.to_bytes(len(lane_ids) * step, "little")
+    raw = x.to_bytes(num_lanes * step, "little")
     if width <= 64 and _NATIVE_LITTLE:
         view = memoryview(raw).cast(_LANE_FORMATS[width])
-        return [(i, view[i]) for i in compress(lane_ids, view)]
+        return [(i, view[i]) for i in compress(range(num_lanes), view)]
     # Otherwise find the first nonzero byte from each lane boundary on.
     flags = raw.translate(_NONZERO)
     lanes = []
@@ -481,12 +498,12 @@ def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> Solve
     placement beats every robber reply; the result runs the remaining
     levels under the first query that needs the whole table.
     """
+    k = _as_int(k, "cop count")
     if k < 1:
         raise InputError(f"cop count must be >= 1, got {k}")
     _check_budget(d, k, state_budget)
     n = d.n
     full = (1 << n) - 1
-    cop_sets = list(combinations_with_replacement(range(n), k))
     # Levels 0 and 1 in closed form: after level 1 the stage-j state
     # (M, U) holds bits(M) | N+[U], since the robber is caught where a cop
     # stands or where a cop still to move can step.
@@ -504,7 +521,7 @@ def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> Solve
         for changed in levels:
             if any(copwin[ci] == full for ci in changed):
                 break
-    return SolveResult(d, k, cop_sets, copwin, robwin, rank, levels)
+    return SolveResult(d, k, copwin, robwin, rank, levels)
 
 
 def _levels(d, k, bits, nbhd, copwin, robwin, rank):
@@ -563,7 +580,7 @@ def _levels(d, k, bits, nbhd, copwin, robwin, rank):
     # as above, with N+[u] for bits(u), from lane cut_u on.
     top = _prepend_lanes(n, k - 1)
     cuts = [width * cut for cut, _ in top]
-    block_lanes = [range(len(nbhd[k - 1]) - cut) for cut, _ in top]
+    block_sizes = [len(nbhd[k - 1]) - cut for cut, _ in top]
     block = [(m * ones | packed) >> cut for m, cut in zip(nbhd[1], cuts)]
     # The cop multisets that level 1 changed on the cop side; none changed
     # on the robber side.
@@ -640,7 +657,7 @@ def _levels(d, k, bits, nbhd, copwin, robwin, rank):
                 if new != old:
                     block[u] = new
                     put = top[u][1]
-                    for i, mask in _nonzero_lanes(new ^ old, width, block_lanes[u]):
+                    for i, mask in _nonzero_lanes(new ^ old, width, block_sizes[u]):
                         ci = put + i
                         copwin[ci] |= mask
                         cop_idx.append(ci)
@@ -655,7 +672,7 @@ def _first_winning_result(d: Digraph, k_max: int, state_budget: int):
     """The SolveResult of the smallest k <= k_max with a placement beating
     every robber reply, or None when k_max cops do not suffice.  Its table
     is left as solve returned it, possibly unfinished."""
-    if k_max < 1:
+    if _as_int(k_max, "k_max") < 1:
         raise InputError(f"k_max must be >= 1, got {k_max}")
     for k in range(1, k_max + 1):
         result = solve(d, k, state_budget)
@@ -717,7 +734,7 @@ def play_trace(
     max_rounds, when given, must be at least 1; a trace that reaches it
     raises StateBudgetExceeded.
     """
-    if max_rounds is not None and max_rounds < 1:
+    if max_rounds is not None and _as_int(max_rounds, "max_rounds") < 1:
         raise InputError(f"max_rounds must be >= 1, got {max_rounds}")
     result = solve(d, k, state_budget)
     result._complete()
@@ -743,4 +760,4 @@ def play_trace(
             break
         seen[pos] = len(snapshots) - 1
     outcome = "capture" if repeat is None else "robber-escape"
-    return GameTrace(k, cops_start, robber_start, tuple(snapshots), outcome, repeat)
+    return GameTrace(result.k, cops_start, robber_start, tuple(snapshots), outcome, repeat)

@@ -74,6 +74,23 @@ class TestSuiteConfig:
         with pytest.raises(InputError, match="k values must not repeat"):
             config_with_overrides("theorem3", k_values=(4, 3, 4))
 
+    def test_non_integer_counts_refused(self):
+        # 3.0 would pass the k-value range check and fail mid-suite
+        with pytest.raises(InputError, match="k value must be an integer, got 3.0"):
+            SuiteConfig(k_values=(3.0,))
+        with pytest.raises(InputError, match="n_max must be an integer, got 2.5"):
+            SuiteConfig(n_max=2.5)
+        with pytest.raises(InputError, match="seed must be an integer, got 1.5"):
+            SuiteConfig(seed=1.5)
+        with pytest.raises(InputError, match="trials must be an integer, got '2'"):
+            SuiteConfig(trials="2")
+        with pytest.raises(InputError, match="state budget must be an integer"):
+            config_with_overrides("theorem3", state_budget=1e6)
+        # whatever operator.index accepts is kept, as a plain int
+        cfg = SuiteConfig(trials=True, k_values=[4, 3])
+        assert cfg.trials == 1 and type(cfg.trials) is int
+        assert cfg.k_values == (4, 3)
+
     def test_negative_seed_rejected(self):
         # negative seeds are the fixed instances' (theorem1's plane is -1)
         with pytest.raises(InputError, match="seed must be >= 0"):

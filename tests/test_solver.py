@@ -33,6 +33,7 @@ import copgame.solver as solver
 from copgame.solver import (
     _first_blocks,
     _lane_width,
+    _multiset_index,
     _nonzero_lanes,
     _prepend_lanes,
     _removal_tables,
@@ -330,7 +331,7 @@ class TestLevelYields:
     def check(self, d, k):
         result, yields = level_yields(d, k)
         expected = [[] for _ in yields]
-        for ci in range(len(result._cop_sets)):
+        for ci in range(len(result._wins[0])):
             for level in cop_side_levels(result, ci):
                 if level >= 2:
                     assert level - 2 < len(yields)
@@ -391,8 +392,7 @@ class TestLanes:
     def test_nonzero_lanes(self, native, narrow, wide, data):
         # native=False reads every lane with int.from_bytes, the path of a
         # big-endian host; lanes wider than 64 bits (n > 64) always take
-        # that path.  Both must agree with plain shifts, with the lane ids
-        # given as a list or as the range the stage-k push passes.
+        # that path.  Both must agree with plain shifts.
         saved = solver._NATIVE_LITTLE
         solver._NATIVE_LITTLE = saved and native
         try:
@@ -404,10 +404,23 @@ class TestLanes:
                 ))
                 x = packed(masks, width)
                 expected = [(i, m) for i, m in enumerate(masks) if m]
-                for lane_ids in (list(range(len(masks))), range(len(masks))):
-                    assert list(_nonzero_lanes(x, width, lane_ids)) == expected
+                assert list(_nonzero_lanes(x, width, len(masks))) == expected
         finally:
             solver._NATIVE_LITTLE = saved
+
+
+class TestMultisetIndex:
+    def test_matches_enumeration(self):
+        for n in range(1, 9):
+            for t in range(5):
+                for i, cops in enumerate(combinations_with_replacement(range(n), t)):
+                    assert _multiset_index(n, cops) == i
+
+    def test_placements_repeat(self):
+        result = solve(C4, 3)
+        first = list(result.placements())
+        assert first == list(result.placements())
+        assert first == list(combinations_with_replacement(range(4), 3))
 
 
 def removal_oracle(n, t):
@@ -646,6 +659,18 @@ class TestBudget:
     def test_bad_k(self):
         with pytest.raises(InputError):
             solve(C4, 0)
+        # A budget of one position would fail the solve, so each InputError
+        # shows that the count is refused before any work.
+        for k in (2.0, 2.5, "2", None):
+            match = f"cop count must be an integer, got {k!r}"
+            with pytest.raises(InputError, match=match):
+                solve(C4, k, state_budget=1)
+            with pytest.raises(InputError, match=match):
+                play_trace(C4, k, state_budget=1)
+        with pytest.raises(InputError, match="k_max must be an integer, got 2.5"):
+            cop_number(C4, 2.5, state_budget=1)
+        with pytest.raises(InputError, match="state budget must be an integer, got 1.5"):
+            solve(C4, 1, state_budget=1.5)
 
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_one_refused(self, budget):
@@ -735,11 +760,15 @@ class TestTraces:
         with pytest.raises(RuntimeError, match="round limit"):
             play_trace(C4, 2, max_rounds=1)
 
-    @pytest.mark.parametrize("rounds", [0, -1])
+    @pytest.mark.parametrize("rounds", [0, -1, 1.5, 2.0, "2"])
     def test_round_limit_below_one_refused_before_solving(self, rounds):
         # a budget of one position would fail the solve, so the InputError
         # shows that the check comes first
-        with pytest.raises(InputError, match=f"max_rounds must be >= 1, got {rounds}"):
+        if isinstance(rounds, int):
+            match = f"max_rounds must be >= 1, got {rounds}"
+        else:
+            match = f"max_rounds must be an integer, got {rounds!r}"
+        with pytest.raises(InputError, match=match):
             play_trace(C4, 2, max_rounds=rounds, state_budget=1)
 
     @settings(max_examples=15, deadline=None)
