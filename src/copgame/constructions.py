@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 
 from .digraph import MAX_ARCS, MAX_VERTICES, Digraph
-from .errors import InputError
+from .errors import InputError, _as_int, _at_least
 
 # A random digraph costs one draw per ordered pair of vertices, so the
 # vertex cap alone would admit 10^10 draws (about 9 minutes).
@@ -38,6 +38,17 @@ def _check_arc_cap(m: int) -> None:
     """Refuse a graph of m arcs before any of them is built."""
     if m > MAX_ARCS:
         raise InputError(f"arc count {m} exceeds the limit of {MAX_ARCS}")
+
+
+def _check_probability(p) -> None:
+    """Refuse an arc probability outside [0, 1], or one that is not a
+    number at all."""
+    try:
+        ok = 0.0 <= p <= 1.0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise InputError(f"arc probability must be in [0, 1], got {p!r}")
 
 
 def _substitute(d: Digraph, subst) -> Digraph:
@@ -97,6 +108,7 @@ def clique_substitute_vertex(d: Digraph, v: int) -> Digraph:
     Ids above v shift down by one and the ports of v follow the kept
     vertices in ascending neighbor order; see _substitute.
     """
+    v = _as_int(v, "vertex")
     if not (0 <= v < d.n):
         raise InputError(f"vertex {v} is out of range for n={d.n}")
     return _substitute(d, [v])
@@ -115,8 +127,7 @@ def subdivide_arcs(d: Digraph, m: int) -> Digraph:
     Original ids are kept; inner vertices are appended following sorted arc
     order.  m = 1 returns an identical copy.
     """
-    if m < 1:
-        raise InputError(f"subdivision factor must be >= 1, got {m}")
+    m = _at_least(m, 1, "subdivision factor")
     _check_vertex_cap(d.n + d.arc_count * (m - 1))
     arcs = []
     next_id = d.n
@@ -132,16 +143,14 @@ def subdivide_arcs(d: Digraph, m: int) -> Digraph:
 
 def gen_directed_path(k: int) -> Digraph:
     """Directed path 0 -> 1 -> ... -> k-1."""
-    if k < 1:
-        raise InputError(f"path length must be >= 1, got {k}")
+    k = _at_least(k, 1, "path length")
     _check_vertex_cap(k)
     return Digraph(k, [(i, i + 1) for i in range(k - 1)])
 
 
 def gen_directed_cycle(n: int) -> Digraph:
     """Directed cycle on n vertices; n = 2 gives the bidirected pair."""
-    if n < 2:
-        raise InputError(f"cycle length must be >= 2, got {n}")
+    n = _at_least(n, 2, "cycle length")
     _check_vertex_cap(n)
     return Digraph(n, [(i, (i + 1) % n) for i in range(n)])
 
@@ -181,6 +190,7 @@ def gen_projective_plane_incidence_doubled(q: int) -> Digraph:
     Points take ids 0..N-1 and lines N..2N-1 where N = q*q + q + 1; every
     point lies on q + 1 lines, so there are 2N(q + 1) arcs.
     """
+    q = _as_int(q, "plane order")
     if q >= 2:
         # before the primality test, whose trial division is O(sqrt q),
         # and the N^2 incidence tests
@@ -226,9 +236,8 @@ def _random_digraph_from(rng: random.Random, n: int, p: float) -> Digraph:
 
 def gen_random_digraph(n: int, p: float, seed: int) -> Digraph:
     """Seeded Erdos-Renyi style digraph; identical arguments give identical
-    graphs on any platform."""
-    if n < 1:
-        raise InputError(f"vertex count must be >= 1, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise InputError(f"arc probability must be in [0, 1], got {p}")
-    return _random_digraph_from(random.Random(seed), n, p)
+    graphs on any platform.  The seed is required: None, which would seed
+    from the clock, is refused like any other non-integer."""
+    n = _at_least(n, 1, "vertex count")
+    _check_probability(p)
+    return _random_digraph_from(random.Random(_as_int(seed, "seed")), n, p)

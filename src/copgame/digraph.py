@@ -4,15 +4,18 @@ Vertices are dense integer ids 0..n-1.  Arcs are ordered (tail, head) pairs
 with no loops and no repeated pairs; two opposite arcs between the same pair
 of vertices are allowed and act as an undirected edge of the underlying
 graph.  The underlying graph is treated as a multigraph for girth purposes:
-an opposite arc pair counts as a cycle of length 2.
+an opposite arc pair counts as a cycle of length 2.  The vertex count and
+every arc end are taken through operator.index, so they are stored as
+plain ints; anything else is refused with InputError.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from operator import index
 
-from .errors import InputError
+from .errors import InputError, _at_least
 
 # Far above any graph the package builds (the largest has a few hundred
 # vertices), and small enough that the adjacency lists of a hostile
@@ -31,12 +34,16 @@ class Digraph:
     __slots__ = ("n", "arcs", "out_adj", "in_adj")
 
     def __init__(self, n: int, arcs=()):
-        if n < 1:
-            raise InputError(f"vertex count must be >= 1, got {n}")
+        n = _at_least(n, 1, "vertex count")
         if n > MAX_VERTICES:
             raise InputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
         arc_set = set()
-        for u, v in arcs:
+        for arc in arcs:
+            try:
+                u, v = arc
+                u, v = index(u), index(v)
+            except (TypeError, ValueError):
+                raise InputError(f"arc {arc!r} is not a pair of integers") from None
             if u == v:
                 raise InputError(f"loop ({u}, {u}) is not allowed")
             if not (0 <= u < n and 0 <= v < n):

@@ -38,6 +38,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .constructions import (
+    _check_probability,
     _random_digraph_from,
     clique_substitute_all,
     gen_claw_orientations,
@@ -52,7 +53,7 @@ from .digraph import (
     is_weakly_connected,
     underlying_girth,
 )
-from .errors import InputError, StateBudgetExceeded, _as_int
+from .errors import InputError, StateBudgetExceeded, _as_int, _at_least
 from .patterns import find_induced, find_pk_star
 from .solver import DEFAULT_STATE_BUDGET, cop_number
 
@@ -76,20 +77,16 @@ class SuiteConfig:
     def __post_init__(self):
         # Counts are checked and made plain ints before any run: a float
         # k would pass the membership test below and fail mid-suite.
-        for name, what in (("trials", "trials"), ("n_max", "n_max"),
-                           ("state_budget", "state budget"), ("seed", "seed")):
-            object.__setattr__(self, name, _as_int(getattr(self, name), what))
-        object.__setattr__(
-            self, "k_values", tuple(_as_int(k, "k value") for k in self.k_values)
-        )
-        if self.trials < 1:
-            raise InputError(f"trials must be >= 1, got {self.trials}")
-        if self.n_max < 2:
-            raise InputError(f"n_max must be >= 2, got {self.n_max}")
-        if self.state_budget < 1:
-            raise InputError(f"state budget must be >= 1, got {self.state_budget}")
-        if not 0.0 <= self.p <= 1.0:
-            raise InputError(f"arc probability must be in [0, 1], got {self.p}")
+        # Negative seeds are the fixed instances'.
+        for name, low, what in (("trials", 1, "trials"), ("n_max", 2, "n_max"),
+                                ("state_budget", 1, "state budget"), ("seed", 0, "seed")):
+            object.__setattr__(self, name, _at_least(getattr(self, name), low, what))
+        try:
+            k_values = iter(self.k_values)
+        except TypeError:
+            raise InputError(f"k values must be iterable, got {self.k_values!r}") from None
+        object.__setattr__(self, "k_values", tuple(_as_int(k, "k value") for k in k_values))
+        _check_probability(self.p)
         if not self.k_values:
             raise InputError("k values must not be empty")
         for k in self.k_values:
@@ -97,9 +94,6 @@ class SuiteConfig:
                 raise InputError(f"k values must be within {{3, 4, 5}}, got {k}")
         if len(set(self.k_values)) < len(self.k_values):
             raise InputError(f"k values must not repeat, got {self.k_values}")
-        # Negative seeds are the fixed instances'.
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

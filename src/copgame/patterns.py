@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 from .constructions import gen_directed_path
 from .digraph import Digraph
-from .errors import InputError
+from .errors import InputError, _at_least
 
 INDUCED_ISO = "induced-iso"
 PK_SUBGRAPH = "pk-subgraph"
@@ -177,8 +177,7 @@ def find_induced(host: Digraph, pattern: Digraph):
 def _find_path(host: Digraph, k: int, kind: str):
     """The P_k subgraph or P_k* search.  Only out-masks are built, as no
     path spec forbids an arc out of a position."""
-    if k < 2:
-        raise InputError(f"path pattern length must be >= 2, got {k}")
+    k = _at_least(k, 2, "path pattern length")
     if host.n < k:
         return None
     out_m, in_m = _masks(host, k, False)

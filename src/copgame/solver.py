@@ -13,7 +13,9 @@ half-moves to capture: cops minimize it, the robber maximizes it.  Every
 table is indexed by a multiset's place i(C) in
 combinations_with_replacement order.  No list of multisets is kept: i(C)
 has a closed form (_multiset_index), and the placements are walked in
-that order as they are needed.
+that order as they are needed.  Every offset into that order, i(C) and
+the lanes and blocks below, is read from one count (_first_of): the
+index of the first t-multiset whose smallest vertex is u.
 
 The solver never tabulates whole cop moves.  A cop move is split into k
 single-cop sub-moves (Petr, Portier and Versteegen, "A faster algorithm
@@ -111,7 +113,7 @@ from math import comb, inf
 from operator import ne
 
 from .digraph import Digraph
-from .errors import InputError, StateBudgetExceeded, _as_int
+from .errors import InputError, StateBudgetExceeded, _at_least
 
 DEFAULT_STATE_BUDGET = 50_000_000
 
@@ -308,22 +310,14 @@ def _table_sizes(d: Digraph, k: int):
 
 
 def _check_budget(d: Digraph, k: int, state_budget: int) -> None:
-    if _as_int(state_budget, "state budget") < 1:
-        raise InputError(f"state budget must be >= 1, got {state_budget}")
-    positions, states, arcs = _table_sizes(d, k)
-    if positions > state_budget:
-        raise StateBudgetExceeded(
-            f"{positions} positions exceed the state budget of {state_budget}"
-        )
-    if states > state_budget:
-        raise StateBudgetExceeded(
-            f"{states} sub-move states exceed the state budget of {state_budget}"
-        )
-    if arcs > state_budget:
-        raise StateBudgetExceeded(
-            f"cop move table of {arcs} sub-move arcs exceeds the state budget "
-            f"of {state_budget}"
-        )
+    state_budget = _at_least(state_budget, 1, "state budget")
+    stems = ("{} positions exceed", "{} sub-move states exceed",
+             "cop move table of {} sub-move arcs exceeds")
+    for size, stem in zip(_table_sizes(d, k), stems):
+        if size > state_budget:
+            raise StateBudgetExceeded(
+                f"{stem.format(size)} the state budget of {state_budget}"
+            )
 
 
 def _lane_width(n: int) -> int:
@@ -335,6 +329,13 @@ def _lane_width(n: int) -> int:
     return -(-n // 64) * 64
 
 
+def _first_of(n: int, t: int, u: int) -> int:
+    """The index of the first t-multiset over n vertices whose smallest
+    vertex is u, in combinations_with_replacement order: the number of
+    those whose smallest vertex is below u."""
+    return _multisets(n, t) - _multisets(n - u, t)
+
+
 def _prepend_lanes(n: int, t: int):
     """(cut, put) per vertex u, in lanes, for prepending u to a row whose
     lanes are the multisets of size t in combinations_with_replacement
@@ -342,14 +343,7 @@ def _prepend_lanes(n: int, t: int):
     multisets(n - u, t), from lane cut on; prefixing u to each gives, in
     the same order, the block of (t + 1)-multisets that start with u, from
     lane put on."""
-    total = _multisets(n, t)
-    lanes = []
-    put = 0
-    for u in range(n):
-        size = _multisets(n - u, t)
-        lanes.append((total - size, put))
-        put += size
-    return lanes
+    return [(_first_of(n, t, u), _first_of(n, t + 1, u)) for u in range(n)]
 
 
 def _multiset_index(n: int, cops) -> int:
@@ -357,16 +351,13 @@ def _multiset_index(n: int, cops) -> int:
     vertices in combinations_with_replacement order: the _prepend_lanes
     identity in closed form.  The multisets before cops that agree with it
     on the first p - 1 vertices and have their p-th in [c_{p-1}, c_p),
-    with c_0 = 0, end in the t-multisets with smallest vertex in that
-    range, t = k - p + 1: multisets(n - c_{p-1}, t) - multisets(n - c_p, t)
-    of them.  Summed over p they are all the multisets before cops."""
-    i = 0
-    low = 0
-    t = len(cops)
-    for c in cops:
-        i += _multisets(n - low, t) - _multisets(n - c, t)
+    with c_0 = 0, end in the t-multisets over the vertices from c_{p-1} on
+    whose smallest vertex is below c_p, t = k - p + 1.  Summed over p they
+    are all the multisets before cops."""
+    i = low = 0
+    for t, c in zip(range(len(cops), 0, -1), cops):
+        i += _first_of(n - low, t, c - low)
         low = c
-        t -= 1
     return i
 
 
@@ -377,11 +368,12 @@ def _first_blocks(n: int, t: int):
     cut + i(M') - put in the list one size down (see _prepend_lanes).
     Removing any v of R leaves (a,) + (R minus v), at index
     offset + i(R minus v), by the same identity two sizes down."""
-    within = _prepend_lanes(n, t - 2) if t > 1 else [(0, 0)] * n
-    return [
-        (cut, put, w_put - w_cut)
-        for (cut, put), (w_cut, w_put) in zip(_prepend_lanes(n, t - 1), within)
-    ]
+    blocks = []
+    for a in range(n):
+        # At t = 1, cut is 0 and there is no size two down: the offset is 0.
+        cut = _first_of(n, t - 1, a)
+        blocks.append((cut, _first_of(n, t, a), cut - _first_of(n, max(t - 2, 0), a)))
+    return blocks
 
 
 def _removal_tables(n: int, k: int):
@@ -498,9 +490,7 @@ def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> Solve
     placement beats every robber reply; the result runs the remaining
     levels under the first query that needs the whole table.
     """
-    k = _as_int(k, "cop count")
-    if k < 1:
-        raise InputError(f"cop count must be >= 1, got {k}")
+    k = _at_least(k, 1, "cop count")
     _check_budget(d, k, state_budget)
     n = d.n
     full = (1 << n) - 1
@@ -582,6 +572,8 @@ def _levels(d, k, bits, nbhd, copwin, robwin, rank):
     cuts = [width * cut for cut, _ in top]
     block_sizes = [len(nbhd[k - 1]) - cut for cut, _ in top]
     block = [(m * ones | packed) >> cut for m, cut in zip(nbhd[1], cuts)]
+    # Nothing below reads the set-up lists: free them for the whole run.
+    del bits, nbhd, ones, packed
     # The cop multisets that level 1 changed on the cop side; none changed
     # on the robber side.
     cop_idx = list(compress(count(), map(ne, copwin, robwin)))
@@ -672,8 +664,7 @@ def _first_winning_result(d: Digraph, k_max: int, state_budget: int):
     """The SolveResult of the smallest k <= k_max with a placement beating
     every robber reply, or None when k_max cops do not suffice.  Its table
     is left as solve returned it, possibly unfinished."""
-    if _as_int(k_max, "k_max") < 1:
-        raise InputError(f"k_max must be >= 1, got {k_max}")
+    k_max = _at_least(k_max, 1, "k_max")
     for k in range(1, k_max + 1):
         result = solve(d, k, state_budget)
         if result._some_placement_won():
@@ -734,8 +725,8 @@ def play_trace(
     max_rounds, when given, must be at least 1; a trace that reaches it
     raises StateBudgetExceeded.
     """
-    if max_rounds is not None and _as_int(max_rounds, "max_rounds") < 1:
-        raise InputError(f"max_rounds must be >= 1, got {max_rounds}")
+    if max_rounds is not None:
+        max_rounds = _at_least(max_rounds, 1, "max_rounds")
     result = solve(d, k, state_budget)
     result._complete()
     key = result._key

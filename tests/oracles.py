@@ -162,6 +162,22 @@ def naive_pk_star(host, k):
     return None
 
 
+def first_induced_path(d, k):
+    """First k-tuple in itertools.permutations order that is an induced path
+    of the underlying graph: two of its vertices are adjacent exactly when
+    they are consecutive.  On a symmetric host this is the P_k* condition,
+    so P_k*-free symmetric hosts are the induced-P_k-free graphs of Joret,
+    Kaminski and Theis (Contrib. Discrete Math. 5, 2010)."""
+    adjacent = {frozenset(arc) for arc in d.arcs}
+    for tup in itertools.permutations(range(d.n), k):
+        if all(
+            (frozenset((tup[i], tup[j])) in adjacent) == (j == i + 1)
+            for i, j in itertools.combinations(range(k), 2)
+        ):
+            return tup
+    return None
+
+
 def is_bipartite(d):
     """Two-colorability of the underlying graph."""
     und = [set(d.out_adj[v]) | set(d.in_adj[v]) for v in range(d.n)]
@@ -194,6 +210,16 @@ def naive_isomorphic(d1, d2):
         if all((perm[u], perm[v]) in d2.arcs for u, v in d1.arcs):
             return True
     return False
+
+
+class Index:
+    """An integer-like value that is not an int: it has only __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
 
 
 def symmetric_digraph(n, edges):

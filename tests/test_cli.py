@@ -428,6 +428,29 @@ class TestInputErrors:
         assert code == 2 and out == ""
         assert err == f"error: {bad}: not UTF-8 text (bad byte at offset 0)\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("gen cycle --n 1", "cycle length must be >= 2, got 1"),
+            ("gen path --k 0", "path length must be >= 1, got 0"),
+            ("gen random --n 0 --p 0.3 --seed 1", "vertex count must be >= 1, got 0"),
+            ("gen random --n 5 --p 1.5 --seed 1", "arc probability must be in [0, 1], got 1.5"),
+            ("transform C4 --op subdivide --m 0", "subdivision factor must be >= 1, got 0"),
+            ("check C4 --pk 1", "path pattern length must be >= 2, got 1"),
+            ("check C4 --pk-star 1", "path pattern length must be >= 2, got 1"),
+            ("simulate C4 --k 0", "cop count must be >= 1, got 0"),
+            ("verify --trials 0 --out-dir OUT", "trials must be >= 1, got 0"),
+            ("verify --n-max 1 --out-dir OUT", "n_max must be >= 2, got 1"),
+            ("verify --p 2 --out-dir OUT", "arc probability must be in [0, 1], got 2.0"),
+        ],
+    )
+    def test_bound_refusals(self, capsys, tmp_path, argv, message):
+        paths = {"C4": write(tmp_path, "c4.dg", C4_TEXT), "OUT": str(tmp_path / "out")}
+        code, out, err = run(capsys, *(paths.get(arg, arg) for arg in argv.split()))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        # refused before any work: verify creates no report directory
+        assert not (tmp_path / "out").exists()
+
     def test_corrupted_file(self, capsys, tmp_path):
         src = write(tmp_path, "bad.dg", "3 2\n0 1\n")
         code, _, err = run(capsys, "check", src, "--pk", "3")

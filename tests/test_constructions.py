@@ -333,6 +333,48 @@ class TestFamilies:
             gen_random_digraph(3, 1.5, 1)
 
 
+class TestIntegerArguments:
+    """Counts, ids and the random seed go through operator.index; a float,
+    a string or None is refused with InputError before any work."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: gen_directed_cycle(4.0), "cycle length must be an integer, got 4.0"),
+            (lambda: gen_directed_path(3.5), "path length must be an integer, got 3.5"),
+            (lambda: subdivide_arcs(HUB, 2.0), "subdivision factor must be an integer, got 2.0"),
+            (
+                lambda: gen_projective_plane_incidence_doubled(2.0),
+                "plane order must be an integer, got 2.0",
+            ),
+            (lambda: gen_random_digraph(5.0, 0.3, 1), "vertex count must be an integer, got 5.0"),
+            (lambda: gen_random_digraph(5, 0.3, 1.5), "seed must be an integer, got 1.5"),
+            # None would seed from the clock: a new graph on every run
+            (lambda: gen_random_digraph(6, 0.5, None), "seed must be an integer, got None"),
+            (
+                lambda: gen_random_digraph(5, "0.3", 1),
+                r"arc probability must be in \[0, 1\], got '0.3'",
+            ),
+            (lambda: clique_substitute_vertex(HUB, 1.0), "vertex must be an integer, got 1.0"),
+        ],
+        ids=["cycle", "path", "subdivide", "plane", "random-n", "random-seed",
+             "random-no-seed", "random-p", "substitute"],
+    )
+    def test_non_integers_refused(self, call, message):
+        with pytest.raises(InputError, match=message):
+            call()
+
+    def test_index_counts_accepted(self):
+        two, three = oracles.Index(2), oracles.Index(3)
+        assert gen_directed_cycle(oracles.Index(4)) == gen_directed_cycle(4)
+        assert gen_directed_path(three) == gen_directed_path(3)
+        assert subdivide_arcs(HUB, two) == subdivide_arcs(HUB, 2)
+        plane = gen_projective_plane_incidence_doubled(2)
+        assert gen_projective_plane_incidence_doubled(two) == plane
+        assert gen_random_digraph(oracles.Index(6), 0.5, three) == gen_random_digraph(6, 0.5, 3)
+        assert clique_substitute_vertex(HUB, two) == clique_substitute_vertex(HUB, 2)
+
+
 class TestVertexCap:
     # The first six calls would produce exactly MAX_VERTICES + 1 vertices
     # (227 is the smallest prime plane above the cap), the rest far more;

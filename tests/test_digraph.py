@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from copgame import (
     Digraph,
     InputError,
+    cop_number,
     count_sources,
+    find_pk_star,
     format_arc_list,
+    gen_directed_cycle,
     gen_random_digraph,
     is_strongly_connected,
     is_weakly_connected,
@@ -50,6 +53,31 @@ class TestConstruction:
     def test_zero_vertices_rejected(self):
         with pytest.raises(InputError):
             Digraph(0)
+
+    def test_non_integer_vertex_count_refused(self):
+        with pytest.raises(InputError, match="vertex count must be an integer, got 2.0"):
+            Digraph(2.0)
+
+    @pytest.mark.parametrize(
+        "arc, shown",
+        [((0, 1.0), r"\(0, 1.0\)"), ((0, 1, 2), r"\(0, 1, 2\)"), (0, "0"),
+         ("01", "'01'"), ((None, 1), r"\(None, 1\)")],
+    )
+    def test_arc_not_a_pair_of_integers_refused(self, arc, shown):
+        with pytest.raises(InputError, match=f"arc {shown} is not a pair of integers"):
+            Digraph(3, [arc])
+
+    def test_index_ids_stored_as_ints(self):
+        # whatever operator.index accepts is taken as that int, so the
+        # solver and the searches see plain ints
+        n = 40
+        ids = [oracles.Index(i) for i in range(n)]
+        d = Digraph(oracles.Index(n), [(ids[i], ids[(i + 1) % n]) for i in range(n)])
+        assert d == gen_directed_cycle(n)
+        assert all(type(u) is int and type(v) is int for u, v in d.arcs)
+        assert type(d.n) is int
+        assert cop_number(d, 3) == 2
+        assert find_pk_star(d, 3).vertices == (0, 1, 2)
 
     def test_vertex_count_capped_before_allocation(self):
         # A billion vertices would need two billion adjacency lists; the

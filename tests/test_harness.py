@@ -91,6 +91,20 @@ class TestSuiteConfig:
         assert cfg.trials == 1 and type(cfg.trials) is int
         assert cfg.k_values == (4, 3)
 
+    def test_k_values_not_iterable_refused(self):
+        with pytest.raises(InputError, match="k values must be iterable, got 3"):
+            SuiteConfig(k_values=3)
+        # every iterable of integers is taken, as a tuple
+        for k_values, kept in (([3, 5], (3, 5)), (range(3, 5), (3, 4)),
+                               ((k for k in (4, 3)), (4, 3)), ({5: None}, (5,))):
+            assert SuiteConfig(k_values=k_values).k_values == kept
+
+    def test_arc_probability_not_a_number_refused(self):
+        with pytest.raises(InputError, match=r"arc probability must be in \[0, 1\], got '0.3'"):
+            SuiteConfig(p="0.3")
+        with pytest.raises(InputError, match="arc probability"):
+            SuiteConfig(p=None)
+
     def test_negative_seed_rejected(self):
         # negative seeds are the fixed instances' (theorem1's plane is -1)
         with pytest.raises(InputError, match="seed must be >= 0"):

@@ -157,6 +157,15 @@ class TestSmallCases:
         with pytest.raises(InputError):
             containment_chain_check(C3, 0)
 
+    def test_non_integer_k_refused(self):
+        for fn in (find_pk_subgraph, find_pk_star):
+            with pytest.raises(InputError, match="pattern length must be an integer, got 3.0"):
+                fn(C3, 3.0)
+
+    def test_index_k_accepted(self):
+        for fn in (find_pk_subgraph, find_pk_star):
+            assert fn(C3, oracles.Index(3)) == fn(C3, 3)
+
     def test_single_arc(self):
         d = Digraph(2, [(0, 1)])
         assert find_pk_subgraph(d, 2).vertices == (0, 1)
@@ -247,6 +256,15 @@ class TestAgainstOracles:
         got = find_induced(d, pattern)
         expected = oracles.naive_induced(d, pattern)
         assert (got.vertices if got else None) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(digraphs(), st.integers(3, 6))
+    def test_pk_star_on_symmetric_hosts_is_induced_path(self, d, k):
+        # Every pair of a symmetric host that is adjacent has a forward arc,
+        # so a P_k* tuple is exactly an induced path of the underlying graph.
+        host = oracles.symmetric_digraph(d.n, d.arcs)
+        got = find_pk_star(host, k)
+        assert (got.vertices if got else None) == oracles.first_induced_path(host, k)
 
 
 class TestChainInvariants:
