@@ -72,18 +72,24 @@ robwin[C] = bits(C): the robber side gains nothing at level 1, since the
 robber may stay put.  From level 2 on, level L first settles the robber
 side from the cop wins of level L-1: a robber-to-move position (C, r)
 wins once every vertex of the closed out-neighbourhood of r is a cop win
-against C.  It then pushes the robber wins of level L-1 back through the
-k sub-move stages, so a cop-to-move position is won at 1 + the smallest
-rank among its winning successors, and a robber-to-move position at
-1 + the largest rank among its successors.  Each middle stage is copied
-before its push, its delta (the bits the push added) is read off by
-comparing it with the copy, and that delta is what the next stage
-pushes; the level stops at the first stage with an empty delta.  Stage
-k's delta is read block by block, as the XOR of each changed block with
-its old value, whose nonzero lanes update copwin and, ascending, are the
-cop multisets the level changed.  Sub-move stages
-add nothing to the rank, which counts whole half-moves.  Ranks are kept
-bit-sliced: one mask per cop multiset and bit of the level.
+against C.  At level 2 that reads (C, r) won exactly when r is not in C
+and N+[r] lies inside N+[C], and there is nothing to push, since level 1
+won no robber-to-move position.  While W is at most one word, level 2 is
+therefore one packed pass over the whole stage-k table, its blocks laid
+end to end (_level_two); wider lanes, and every later level, settle the
+robber side one changed cop multiset at a time.  Level L then pushes the
+robber wins of level L-1 back through the k sub-move stages, so a
+cop-to-move position is won at 1 + the smallest rank among its winning
+successors, and a robber-to-move position at 1 + the largest rank among
+its successors.  Each middle stage is copied before its push, its delta
+(the bits the push added) is read off by comparing it with the copy, and
+that delta is what the next stage pushes; the level stops at the first
+stage with an empty delta.  Stage k's delta is read block by block, as
+the XOR of each changed block with its old value, whose nonzero lanes
+update copwin and, ascending, are the cop multisets the level changed.
+Sub-move stages add nothing to the rank, which counts whole half-moves.
+Ranks are kept bit-sliced: one mask per cop multiset and bit of the
+level.
 
 solve works eagerly only up to the first proof that k cops win.  It
 checks the budget and sets levels 0 and 1 in closed form; then, unless a
@@ -108,9 +114,9 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, compress, count, product
+from itertools import combinations_with_replacement, compress, count, product, repeat
 from math import comb, inf
-from operator import ne
+from operator import index, ne
 
 from .digraph import Digraph
 from .errors import InputError, StateBudgetExceeded, _at_least
@@ -129,16 +135,28 @@ COPS = "cops"
 ROBBER = "robber"
 
 
+def _vertex_id(value, piece: str) -> int:
+    """value as an int, for whatever operator.index accepts, as every
+    vertex id is taken (see errors); anything else raises InputError."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InputError(f"{piece} vertex {value!r} is not an integer") from None
+
+
 @dataclass(frozen=True, order=True)
 class GamePosition:
-    """One game state; cops is always stored sorted."""
+    """One game state.  Each vertex id is stored as a plain int, and cops
+    always sorted."""
 
     cops: tuple
     robber: int
     to_move: str
 
     def __post_init__(self):
-        object.__setattr__(self, "cops", tuple(sorted(self.cops)))
+        cops = sorted(_vertex_id(c, "cop") for c in self.cops)
+        object.__setattr__(self, "cops", tuple(cops))
+        object.__setattr__(self, "robber", _vertex_id(self.robber, "robber"))
         if self.to_move not in (COPS, ROBBER):
             raise InputError(f"to_move must be '{COPS}' or '{ROBBER}'")
 
@@ -147,12 +165,8 @@ def _check_position(d: Digraph, pos: GamePosition) -> None:
     if not pos.cops:
         raise InputError("at least one cop is required")
     for c in pos.cops:
-        if not isinstance(c, int):
-            raise InputError(f"cop vertex {c!r} is not an integer")
         if not (0 <= c < d.n):
             raise InputError(f"cop vertex {c} is out of range for n={d.n}")
-    if not isinstance(pos.robber, int):
-        raise InputError(f"robber vertex {pos.robber!r} is not an integer")
     if not (0 <= pos.robber < d.n):
         raise InputError(f"robber vertex {pos.robber} is out of range for n={d.n}")
 
@@ -434,13 +448,13 @@ def _nonzero_lanes(x: int, width: int, num_lanes: int):
     return lanes
 
 
-def _reach_tables(d: Digraph):
+def _reach_tables(closed_in):
     """(shift, table) pairs covering the vertices eight at a time: for a
     mask m, the union of table[m >> shift & 255] over the pairs is the set
-    of vertices with an arc into m or in m."""
-    closed_in = [sum(1 << u for u in (v,) + d.in_adj[v]) for v in range(d.n)]
+    of vertices with an arc into m or in m.  closed_in[v] is the mask of
+    N-[v]."""
     tables = []
-    for shift in range(0, d.n, 8):
+    for shift in range(0, len(closed_in), 8):
         part = closed_in[shift:shift + 8]
         table = [0] * (1 << len(part))
         for b in range(1, len(table)):
@@ -450,20 +464,48 @@ def _reach_tables(d: Digraph):
     return tables
 
 
-def _union_masks(vertex_masks, k: int):
+def _union_masks(vertex_masks, lanes):
     """Per size t = 0..k, the OR of vertex_masks over each multiset of t
     vertices, in combinations_with_replacement order: the size-t multisets
-    that start with v are v prefixed to a suffix of the size-(t - 1) list
-    (see _prepend_lanes)."""
-    n = len(vertex_masks)
+    that start with v are v prefixed to a suffix of the size-(t - 1) list,
+    from lane lanes[t - 1][v][0] on (see _prepend_lanes)."""
     unions = [[0]]
-    for t in range(1, k + 1):
+    for offsets in lanes:
         prev = unions[-1]
-        lanes = _prepend_lanes(n, t - 1)
         unions.append([
-            vm | p for vm, (cut, _) in zip(vertex_masks, lanes) for p in prev[cut:]
+            vm | p for vm, (cut, _) in zip(vertex_masks, offsets) for p in prev[cut:]
         ])
     return unions
+
+
+def _join(rows, sizes, step: int) -> int:
+    """The packed rows laid end to end, row i taking sizes[i] lanes of step
+    bytes."""
+    return int.from_bytes(
+        b"".join(x.to_bytes(size * step, "little") for x, size in zip(rows, sizes)), "little"
+    )
+
+
+def _lane_ones(num_lanes: int, step: int) -> int:
+    """The packed row with 1 in each of num_lanes lanes of step bytes."""
+    return int.from_bytes((b"\x01" + bytes(step - 1)) * num_lanes, "little")
+
+
+def _level_two(won: int, caught: int, closed_in, width: int, num_cw: int) -> int:
+    """The robber-to-move wins of level 2, packed as won and caught are:
+    lane i(C) of won holds copwin[C] after level 1, N+[C], and of caught
+    bits(C).  (C, r) is won when r is not in C and N+[r] lies inside N+[C],
+    that is when r is in the closed in-neighbourhood of no escape w outside
+    N+[C].  Lane by lane, bit w of the escapes times the mask of N-[w]
+    (closed_in[w]) is that neighbourhood or 0; the product carries nothing
+    into the next lane, since the mask has at most width bits."""
+    ones = _lane_ones(num_cw, width // 8)
+    fulls = ((1 << len(closed_in)) - 1) * ones
+    escapes = fulls & ~won
+    reach = 0
+    for w, into in enumerate(closed_in):
+        reach |= (escapes >> w & ones) * into
+    return fulls & ~reach & ~caught
 
 
 def _record_ranks(planes, idx, masks, level: int, num_cw: int) -> None:
@@ -494,18 +536,21 @@ def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> Solve
     _check_budget(d, k, state_budget)
     n = d.n
     full = (1 << n) - 1
+    # The lane offsets of prepending a vertex to the t-multisets, t < k,
+    # built once: the unions below and the pushes of _levels read them.
+    lanes = [_prepend_lanes(n, t) for t in range(k)]
     # Levels 0 and 1 in closed form: after level 1 the stage-j state
     # (M, U) holds bits(M) | N+[U], since the robber is caught where a cop
     # stands or where a cop still to move can step.
-    bits = _union_masks([1 << v for v in range(n)], k)
-    nbhd = _union_masks([1 << v | sum(1 << w for w in d.out_adj[v]) for v in range(n)], k)
+    bits = _union_masks([1 << v for v in range(n)], lanes)
+    nbhd = _union_masks([1 << v | sum(1 << w for w in d.out_adj[v]) for v in range(n)], lanes)
     # Stage 0 and stage k stay one mask per cop multiset.
     robwin, copwin = bits[k], nbhd[k]
     # No robber-to-move position is won at level 1: the robber may stay
     # on r, which is a level-0 cop win only when r is in C.  The cop
     # side's level-1 wins are N+[C] minus bits(C), its first rank plane.
     rank = ([[c ^ r for c, r in zip(copwin, robwin)]], [])
-    levels = _levels(d, k, bits, nbhd, copwin, robwin, rank)
+    levels = _levels(d, k, lanes, bits, nbhd, copwin, robwin, rank)
     # Masks only grow, so the first full one proves that k cops win.
     if full not in copwin:
         for changed in levels:
@@ -514,7 +559,7 @@ def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> Solve
     return SolveResult(d, k, copwin, robwin, rank, levels)
 
 
-def _levels(d, k, bits, nbhd, copwin, robwin, rank):
+def _levels(d, k, lanes, bits, nbhd, copwin, robwin, rank):
     """Build the sub-move tables, then run the attractor from level 2 to
     its fixpoint, updating copwin, robwin and the rank planes in place, and
     yield, ascending, the cop multisets each level changed on the cop side.
@@ -522,33 +567,41 @@ def _levels(d, k, bits, nbhd, copwin, robwin, rank):
     It holds no reference to the SolveResult that drives it, so a result
     dropped mid-attractor is freed at once, not by the cyclic collector.
     """
+    if copwin == robwin:
+        # Level 1 changed nothing (d has no arc): the fixpoint is reached.
+        return
     n = d.n
     full = (1 << n) - 1
     width = _lane_width(n)
+    # With lanes of one word, a multiply over a whole row beats the
+    # per-lane shifts or lookups it replaces (the j = 1 fold and level 2,
+    # timed below); with wider lanes it loses.
+    one_word = width <= 64
     num_cw = len(copwin)
     closed_in = [sorted((v,) + d.in_adj[v]) for v in range(n)]
+    closed_in_masks = [sum(1 << u for u in into) for into in closed_in]
     # The push into stage j, 1 <= j < k, derives the parents of each
     # changed stage-(j - 1) row from blocks[j], which splits the row by its
     # first vertex, and from removals[k - j], the table one size down.
     removals = _removal_tables(n, k)
     blocks = [None] + [_first_blocks(n, k - j + 1) for j in range(1, k)]
-    # At j = 1 every cut is 0 and put is u, so while a lane fits one word
-    # the shifts of v fold into one multiply by fold[v]: solve(plane_q3, 4)
+    # At j = 1 every cut is 0 and put is u, so with lanes of one word the
+    # shifts of v fold into one multiply by fold[v]: solve(plane_q3, 4)
     # takes 1.4 times as long with the shifts.  With wider lanes the
     # multiply is the slower one (1.3 times on C_200 at k = 2).
     fold = None
-    if k > 1 and width <= 64:
+    if k > 1 and one_word:
         fold = [sum(1 << width * u for u in closed_in[v]) for v in range(n)]
     # shifts[j][v]: per u in N-[v], the bit shifts that prepend u to the
     # lanes of a stage-(j - 1) row; none for j = 1 when it folds.
     shifts = [None] * k
     for j in range(2 if fold else 1, k):
-        lanes = _prepend_lanes(n, j - 1)
+        offsets = lanes[j - 1]
         shifts[j] = [
-            [(width * lanes[u][0], width * lanes[u][1]) for u in closed_in[v]]
+            [(width * offsets[u][0], width * offsets[u][1]) for u in closed_in[v]]
             for v in range(n)
         ]
-    reach_tables = _reach_tables(d)
+    reach_tables = _reach_tables(closed_in_masks)
 
     # Row M of stage j after level 1 is bits(M) times the row with a 1 in
     # every lane, OR the row of the N+[U].
@@ -559,8 +612,8 @@ def _levels(d, k, bits, nbhd, copwin, robwin, rank):
     # when k = 1), which the stage-k blocks reuse.
     rows = [None]
     for j in range(k):
-        ones = int.from_bytes((b"\x01" + bytes(step - 1)) * len(nbhd[j]), "little")
-        packed = int.from_bytes(b"".join(m.to_bytes(step, "little") for m in nbhd[j]), "little")
+        ones = _lane_ones(len(nbhd[j]), step)
+        packed = _join(nbhd[j], repeat(1), step)
         if j:
             rows.append([b * ones | packed for b in bits[k - j]])
     # Stage k is kept in blocks, one per first cop vertex u: lane i of
@@ -568,18 +621,44 @@ def _levels(d, k, bits, nbhd, copwin, robwin, rank):
     # U' at lane cut_u + i of a stage-(k - 1) row (see _prepend_lanes).
     # After level 1 it is N+[u] | N+[U'], so a block is the row of (u,) built
     # as above, with N+[u] for bits(u), from lane cut_u on.
-    top = _prepend_lanes(n, k - 1)
+    top = lanes[k - 1]
     cuts = [width * cut for cut, _ in top]
     block_sizes = [len(nbhd[k - 1]) - cut for cut, _ in top]
     block = [(m * ones | packed) >> cut for m, cut in zip(nbhd[1], cuts)]
+    if one_word:
+        # bits(C) laid out as the blocks are, for level 2 below: the blocks
+        # built as above from bits, laid end to end.
+        packed = _join(bits[k - 1], repeat(1), step)
+        caught = _join([(b * ones | packed) >> cut for b, cut in zip(bits[1], cuts)],
+                       block_sizes, step)
     # Nothing below reads the set-up lists: free them for the whole run.
     del bits, nbhd, ones, packed
-    # The cop multisets that level 1 changed on the cop side; none changed
-    # on the robber side.
-    cop_idx = list(compress(count(), map(ne, copwin, robwin)))
-    rob_idx, rob_masks = [], []
 
-    level = 1
+    # Level 2 settles the robber side alone: level 1 won no robber-to-move
+    # position, so the cop side has nothing to push.  With lanes of one
+    # word it is one packed pass over the whole table.  Its cost grows as
+    # n * W per cop multiset, so wider lanes stay on the per-multiset loop
+    # below (solve(C_200, 2) took 1.5 times as long packed).
+    rob_idx, rob_masks = [], []
+    if one_word:
+        gained = _level_two(_join(block, block_sizes, step), caught, closed_in_masks,
+                            width, num_cw)
+        for ci, mask in _nonzero_lanes(gained, width, num_cw):
+            robwin[ci] |= mask
+            rob_idx.append(ci)
+            rob_masks.append(mask)
+        del caught, gained
+        # The cop side's planes grow at level 2 as they would on a push
+        # that changed nothing.
+        _record_ranks(rank[0], (), (), 2, num_cw)
+        _record_ranks(rank[1], rob_idx, rob_masks, 2, num_cw)
+        yield []
+        level, cop_idx = 2, []
+    else:
+        # The cop multisets that level 1 changed on the cop side; none
+        # changed on the robber side.
+        level, cop_idx = 1, list(compress(count(), map(ne, copwin, robwin)))
+
     while cop_idx or rob_idx:
         level += 1
         # Robber to move: (C, r) wins when no successor of r is outside

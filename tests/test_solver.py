@@ -70,6 +70,26 @@ class TestGamePosition:
         b = GamePosition((0, 2), 0, COPS)
         assert a < b
 
+    def test_integer_like_ids_stored_as_ints(self):
+        pos = GamePosition((oracles.Index(2), 0), oracles.Index(1), COPS)
+        assert pos == GamePosition((0, 2), 1, COPS)
+        assert all(type(v) is int for v in (*pos.cops, pos.robber))
+        result = solve(C4, 2)
+        assert result.win(GamePosition((0, 1), oracles.Index(2), COPS))
+        assert result.placement_wins((oracles.Index(0), oracles.Index(2)))
+        assert legal_moves(C4, GamePosition((oracles.Index(0),), 1, ROBBER)) == \
+            legal_moves(C4, GamePosition((0,), 1, ROBBER))
+
+    def test_non_integer_ids_refused_before_sorting(self):
+        # A mix of ints and other values used to fail in the sort with
+        # TypeError before any check could name the bad id.
+        with pytest.raises(InputError, match="cop vertex 'a' is not an integer"):
+            GamePosition((0, "a"), 1, COPS)
+        with pytest.raises(InputError, match="cop vertex 'a' is not an integer"):
+            solve(C4, 2).placement_wins((0, "a"))
+        with pytest.raises(InputError, match="robber vertex None is not an integer"):
+            GamePosition((0,), None, ROBBER)
+
 
 class TestLegalMoves:
     def test_two_cops_collapse_to_multisets(self):
@@ -289,6 +309,31 @@ class TestFrozenTables:
                 assert (rank is not None and rank <= 1) == (pos.robber in reach)
             else:
                 assert (rank == 0) == (pos.robber in pos.cops)
+
+    @staticmethod
+    def check_level_two(d, k, robbers=None):
+        # The robber to move is lost within two half-moves exactly when
+        # already caught (rank 0) or when every robber move, staying put
+        # included, lands in N+[C] (rank 2; no robber-to-move rank is odd).
+        result = solve(d, k)
+        closed_out = [{v, *d.out_adj[v]} for v in range(d.n)]
+        for cops in result.placements():
+            reach = set().union(*(closed_out[c] for c in cops))
+            for r in range(d.n) if robbers is None else robbers:
+                rank = result.rank(GamePosition(cops, r, ROBBER))
+                expected = 0 if r in cops else 2 if closed_out[r] <= reach else None
+                assert (rank if rank is not None and rank <= 2 else None) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(digraphs(6), st.integers(1, 3))
+    def test_level_two_closed_form(self, d, k):
+        self.check_level_two(d, k)
+
+    def test_level_two_in_every_lane_class(self):
+        # Lanes of one word settle level 2 in one packed pass, wider ones
+        # one cop multiset at a time: both must meet the closed form.
+        for d, k, robbers in lane_class_games():
+            self.check_level_two(d, k, robbers)
 
 
 def level_yields(d, k):
