@@ -46,12 +46,16 @@ suffix of their list, from lane cut_u on, and prefixing u to each gives,
 in the same order, the block of j-multisets that start with u, from lane
 put_u on.  So (x >> W*cut_u) << W*put_u moves every lane of a child row x
 to the lane of its parent in row M' - v, and drops the lanes whose min is
-below u.  At j = 1 every cut is 0, and while W is at most one word the
-u of N-[v] fold into one multiply by the sum of 2^(W*u).  The push into
-stage k, where M' = (v,) and M' - v is empty, needs no put: the changed
-rows of the v in the closed out-neighbourhood N+[u] are ORed into one
-row x, and block u takes x >> W*cut_u.  So each level pays one shift per
-block it touches, however sparse or dense the rows are.
+below u.  One rule makes every push (_grouped_pushes): the changed child
+rows are first grouped by parent row, then each parent ORs its children
+per u, over the v with u in N-[v], while they are still as narrow as a
+child row, and pays one shift per u that occurs.  Stage k is the same
+push with one parent, M = (), kept as the blocks above: M' = (v,), so
+block u takes the OR of the changed rows of the v in the closed
+out-neighbourhood N+[u], shifted by W*cut_u, with no put.  The one
+exception is stage 1 while W is at most one word: every cut is 0 there,
+so the u of N-[v] fold into one multiply per child and parent by the sum
+of 2^(W*u), which beats grouping.
 
 The parent rows M' minus v of a changed child row come from the same
 identity, one size down.  i(M') lies in the block of its first vertex a,
@@ -84,9 +88,14 @@ successors, and a robber-to-move position at 1 + the largest rank among
 its successors.  Each middle stage is copied before its push, its delta
 (the bits the push added) is read off by comparing it with the copy, and
 that delta is what the next stage pushes; the level stops at the first
-stage with an empty delta.  Stage k's delta is read block by block, as
-the XOR of each changed block with its old value, whose nonzero lanes
-update copwin and, ascending, are the cop multisets the level changed.
+stage with an empty delta.  Stage k's delta is read a block at a time
+(_settle_lanes): the lanes of a changed block replace its slice of
+copwin, and the nonzero lanes of its XOR with the old block are,
+ascending, the cop multisets the level changed.  While W is at most one
+word on a little-endian host, each is one memoryview cast of the block;
+wider lanes, and big-endian hosts, read only the changed lanes
+(_nonzero_lanes).  Level 2's packed robber-side gains are read the same
+way, as one block over the whole table.
 Sub-move stages add nothing to the rank, which counts whole half-moves.
 Ranks are kept bit-sliced: one mask per cop multiset and bit of the
 level.
@@ -375,25 +384,23 @@ def _multiset_index(n: int, cops) -> int:
     return i
 
 
-def _first_blocks(n: int, t: int):
+def _first_blocks(lanes, t: int):
     """(cut, put, offset) per vertex a, for the multisets M' of size t >= 1
-    whose first vertex is a, in combinations_with_replacement order.  They
-    are the block from index put on, and M' = (a,) + R with R at index
-    cut + i(M') - put in the list one size down (see _prepend_lanes).
-    Removing any v of R leaves (a,) + (R minus v), at index
-    offset + i(R minus v), by the same identity two sizes down."""
-    blocks = []
-    for a in range(n):
-        # At t = 1, cut is 0 and there is no size two down: the offset is 0.
-        cut = _first_of(n, t - 1, a)
-        blocks.append((cut, _first_of(n, t, a), cut - _first_of(n, max(t - 2, 0), a)))
-    return blocks
+    whose first vertex is a, in combinations_with_replacement order, read
+    off lanes[s] = _prepend_lanes(n, s) for s < t.  They are the block from
+    index put on, and M' = (a,) + R with R at index cut + i(M') - put in
+    the list one size down.  Removing any v of R leaves (a,) + (R minus v),
+    at index offset + i(R minus v), by the same identity two sizes down."""
+    # At t = 1 there is no size two down: the offset is 0.
+    below = lanes[t - 2] if t > 1 else repeat((0, 0))
+    return [(cut, put, cut - low) for (cut, put), (low, _) in zip(lanes[t - 1], below)]
 
 
-def _removal_tables(n: int, k: int):
-    """tables[t][i(M')], for each multiset M' of size t < k: the flat
-    tuple v, i(M' minus one v), v, ... over the distinct v of M', ascending
-    (flat to save memory: one tuple per M' rather than one per pair).
+def _removal_tables(lanes):
+    """tables[t][i(M')], for each multiset M' of size t < k = len(lanes):
+    the flat tuple v, i(M' minus one v), v, ... over the distinct v of M',
+    ascending (flat to save memory: one tuple per M' rather than one per
+    pair).  lanes[s] is _prepend_lanes(n, s).
 
     Built from size t - 1 without any lookup: M' = (a,) + R, and the rows
     of the block of a are those of R in order (see _first_blocks).
@@ -403,12 +410,12 @@ def _removal_tables(n: int, k: int):
     largest table, that of size k, is never built.
     """
     tables = [[()]]
-    for t in range(1, k):
+    for t in range(1, len(lanes)):
         prev = tables[-1]
         # Row numbers are shared int objects: one per row, not one per pair.
         rows = list(range(len(prev)))
         table = []
-        for a, (cut, _, offset) in enumerate(_first_blocks(n, t)):
+        for a, (cut, _, offset) in enumerate(_first_blocks(lanes, t)):
             for r in rows[cut:]:
                 pairs = iter(prev[r])
                 table.append((a, r, *[
@@ -429,23 +436,91 @@ def _split_rows(idx, delta, first_blocks):
         yield x, a, cut + m - put, offset
 
 
-def _nonzero_lanes(x: int, width: int, num_lanes: int):
-    """(i, lane i of x) for each nonzero lane of the packed row x, which
-    has num_lanes lanes, in ascending i."""
-    step = width // 8
-    raw = x.to_bytes(num_lanes * step, "little")
-    if width <= 64 and _NATIVE_LITTLE:
-        view = memoryview(raw).cast(_LANE_FORMATS[width])
-        return [(i, view[i]) for i in compress(range(num_lanes), view)]
-    # Otherwise find the first nonzero byte from each lane boundary on.
-    flags = raw.translate(_NONZERO)
+def _nonzero_lanes(x: int, width: int):
+    """(i, lane i of x) for each nonzero lane of the packed row x, in
+    ascending i.  The top two are read off x's top bit, one shift each: a
+    block that a push changed often gained no more lanes than that (each of
+    the 14,553 on C_200 at k = 2 did), and a byte scan converts the whole
+    row.  Below them, the first nonzero byte from each lane boundary on
+    marks the next one."""
+    top = []
+    while x and len(top) < 2:
+        i = (x.bit_length() - 1) // width
+        lane = x >> width * i
+        top.append((i, lane))
+        x ^= lane << width * i
     lanes = []
-    pos = flags.find(1)
-    while pos >= 0:
-        start = pos - pos % step
-        lanes.append((start // step, int.from_bytes(raw[start:start + step], "little")))
-        pos = flags.find(1, start + step)
-    return lanes
+    if x:
+        step = width // 8
+        raw = x.to_bytes(top[-1][0] * step, "little")
+        flags = raw.translate(_NONZERO)
+        pos = flags.find(1)
+        while pos >= 0:
+            start = pos - pos % step
+            lanes.append((start // step, int.from_bytes(raw[start:start + step], "little")))
+            pos = flags.find(1, start + step)
+    return lanes + top[::-1]
+
+
+def _settle_lanes(wins, idx, masks, put: int, old: int, new: int, width: int, num_lanes: int):
+    """Write the packed row new, num_lanes lanes, into wins[put:], where
+    the lanes of old stood, new holding old's bits and more, and append
+    to idx and masks the indexes put + i and the masks of the lanes i that
+    gained bits, ascending.  While lanes fit one word on a little-endian
+    host, one memoryview cast reads a whole row; otherwise only the
+    changed lanes are read, by _nonzero_lanes."""
+    if width <= 64 and _NATIVE_LITTLE:
+        size = num_lanes * width // 8
+        fmt = _LANE_FORMATS[width]
+        wins[put:put + num_lanes] = memoryview(new.to_bytes(size, "little")).cast(fmt).tolist()
+        gained = memoryview((new ^ old).to_bytes(size, "little")).cast(fmt)
+        idx += compress(range(put, put + num_lanes), gained)
+        masks += filter(None, gained)
+        return
+    for i, mask in _nonzero_lanes(new ^ old, width):
+        wins[put + i] |= mask
+        idx.append(put + i)
+        masks.append(mask)
+
+
+def _grouped_pushes(changed, tails, closed_in):
+    """(p, pushed) per parent row p of the changed child rows, pushed
+    mapping each u that occurs to the OR of the child rows x of p whose
+    removed vertex v has u in N-[v].  changed holds (x, a, r, offset) per
+    child M' = (a,) + R (see _split_rows): its parents are R, by removing
+    a, and (a,) + (R minus v) for each other v of R, read off R's entry in
+    tails, the removal table one size down.  When a is in R, R's entry for
+    a is R again, so it is skipped.
+
+    The children are first grouped by parent, each group a flat
+    [v, x, v, x, ...] list, and the groups are popped one parent at a
+    time, so that a parent's rows are ORed while still narrow and each
+    (parent, u) pays one shift, not one per child."""
+    groups = {}
+    for x, a, r, offset in changed:
+        group = groups.get(r)
+        if group is None:
+            groups[r] = [a, x]
+        else:
+            group += a, x
+        pairs = iter(tails[r])
+        for v, q in zip(pairs, pairs):
+            if v != a:
+                p = offset + q
+                group = groups.get(p)
+                if group is None:
+                    groups[p] = [v, x]
+                else:
+                    group += v, x
+    while groups:
+        p, group = groups.popitem()
+        pushed = {}
+        get = pushed.get
+        items = iter(group)
+        for v, x in zip(items, items):
+            for u in closed_in[v]:
+                pushed[u] = get(u, 0) | x
+        yield p, pushed
 
 
 def _reach_tables(closed_in):
@@ -455,11 +530,11 @@ def _reach_tables(closed_in):
     N-[v]."""
     tables = []
     for shift in range(0, len(closed_in), 8):
-        part = closed_in[shift:shift + 8]
-        table = [0] * (1 << len(part))
-        for b in range(1, len(table)):
-            low = b & -b
-            table[b] = table[b ^ low] | part[low.bit_length() - 1]
+        # Doubling: the entries with bit i set are those without it, OR
+        # the mask of vertex shift + i.
+        table = [0]
+        for into in closed_in[shift:shift + 8]:
+            table += [t | into for t in table]
         tables.append((shift, table))
     return tables
 
@@ -580,27 +655,25 @@ def _levels(d, k, lanes, bits, nbhd, copwin, robwin, rank):
     num_cw = len(copwin)
     closed_in = [sorted((v,) + d.in_adj[v]) for v in range(n)]
     closed_in_masks = [sum(1 << u for u in into) for into in closed_in]
-    # The push into stage j, 1 <= j < k, derives the parents of each
+    # The push into stage j, 1 <= j <= k, derives the parents of each
     # changed stage-(j - 1) row from blocks[j], which splits the row by its
-    # first vertex, and from removals[k - j], the table one size down.
-    removals = _removal_tables(n, k)
-    blocks = [None] + [_first_blocks(n, k - j + 1) for j in range(1, k)]
+    # first vertex, and from removals[k - j], the table one size down.  At
+    # j = k that is the one parent M = () of every row.
+    removals = _removal_tables(lanes)
+    blocks = [None] + [_first_blocks(lanes, k - j + 1) for j in range(1, k + 1)]
     # At j = 1 every cut is 0 and put is u, so with lanes of one word the
     # shifts of v fold into one multiply by fold[v]: solve(plane_q3, 4)
-    # takes 1.4 times as long with the shifts.  With wider lanes the
-    # multiply is the slower one (1.3 times on C_200 at k = 2).
+    # takes 1.4 times as long with the grouped push instead.  With wider
+    # lanes the multiply is the slower one (1.3 times on C_200 at k = 2).
     fold = None
     if k > 1 and one_word:
         fold = [sum(1 << width * u for u in closed_in[v]) for v in range(n)]
-    # shifts[j][v]: per u in N-[v], the bit shifts that prepend u to the
-    # lanes of a stage-(j - 1) row; none for j = 1 when it folds.
-    shifts = [None] * k
-    for j in range(2 if fold else 1, k):
-        offsets = lanes[j - 1]
-        shifts[j] = [
-            [(width * offsets[u][0], width * offsets[u][1]) for u in closed_in[v]]
-            for v in range(n)
-        ]
+    # shifts[j][u]: the bit shifts that prepend u to the lanes of a
+    # stage-(j - 1) row; stage k reads only the cut, since each of its
+    # blocks starts at lane 0.
+    shifts = [None] + [
+        [(width * cut, width * put) for cut, put in lanes[j - 1]] for j in range(1, k + 1)
+    ]
     reach_tables = _reach_tables(closed_in_masks)
 
     # Row M of stage j after level 1 is bits(M) times the row with a 1 in
@@ -622,14 +695,13 @@ def _levels(d, k, lanes, bits, nbhd, copwin, robwin, rank):
     # After level 1 it is N+[u] | N+[U'], so a block is the row of (u,) built
     # as above, with N+[u] for bits(u), from lane cut_u on.
     top = lanes[k - 1]
-    cuts = [width * cut for cut, _ in top]
     block_sizes = [len(nbhd[k - 1]) - cut for cut, _ in top]
-    block = [(m * ones | packed) >> cut for m, cut in zip(nbhd[1], cuts)]
+    block = [(m * ones | packed) >> cut for m, (cut, _) in zip(nbhd[1], shifts[k])]
     if one_word:
         # bits(C) laid out as the blocks are, for level 2 below: the blocks
         # built as above from bits, laid end to end.
         packed = _join(bits[k - 1], repeat(1), step)
-        caught = _join([(b * ones | packed) >> cut for b, cut in zip(bits[1], cuts)],
+        caught = _join([(b * ones | packed) >> cut for b, (cut, _) in zip(bits[1], shifts[k])],
                        block_sizes, step)
     # Nothing below reads the set-up lists: free them for the whole run.
     del bits, nbhd, ones, packed
@@ -641,12 +713,10 @@ def _levels(d, k, lanes, bits, nbhd, copwin, robwin, rank):
     # below (solve(C_200, 2) took 1.5 times as long packed).
     rob_idx, rob_masks = [], []
     if one_word:
+        # robwin holds bits(C) after level 1, the lanes of caught.
         gained = _level_two(_join(block, block_sizes, step), caught, closed_in_masks,
                             width, num_cw)
-        for ci, mask in _nonzero_lanes(gained, width, num_cw):
-            robwin[ci] |= mask
-            rob_idx.append(ci)
-            rob_masks.append(mask)
+        _settle_lanes(robwin, rob_idx, rob_masks, 0, caught, caught | gained, width, num_cw)
         del caught, gained
         # The cop side's planes grow at level 2 as they would on a push
         # that changed nothing.
@@ -686,9 +756,6 @@ def _levels(d, k, lanes, bits, nbhd, copwin, robwin, rank):
                 break
             stage = rows[j]
             snap = stage[:]
-            # The parents of a changed child row M' = (a,) + R are R and
-            # (a,) + (R minus v) for each other v of R, read off R's row.
-            # When a is in R, R's entry for a is R again, so it is skipped.
             tails = removals[k - j]
             changed = _split_rows(idx, delta, blocks[j])
             if j == 1 and fold:
@@ -700,39 +767,30 @@ def _levels(d, k, lanes, bits, nbhd, copwin, robwin, rank):
                             stage[offset + q] |= x * fold[v]
             else:
                 shift = shifts[j]
-                for x, a, r, offset in changed:
-                    for cut, put in shift[a]:
-                        stage[r] |= x >> cut << put
-                    pairs = iter(tails[r])
-                    for v, q in zip(pairs, pairs):
-                        if v != a:
-                            p = offset + q
-                            for cut, put in shift[v]:
-                                stage[p] |= x >> cut << put
+                for p, pushed in _grouped_pushes(changed, tails, closed_in):
+                    row = stage[p]
+                    for u, x in pushed.items():
+                        cut, put = shift[u]
+                        row |= x >> cut << put
+                    stage[p] = row
             idx = list(compress(count(), map(ne, stage, snap)))
             delta = [stage[p] ^ snap[p] for p in idx]
-        # Stage k: a changed row of stage k - 1 belongs to M' = (v,), and
-        # reaches block u for each u in N-[v].  So the changed rows of the
-        # v in N+[u] are ORed into one row and pushed into block u with one
-        # shift; the lanes of the block's delta are the cop multisets the
-        # level changed, ascending since the blocks are.
-        pushed = [0] * n
-        for v, x in zip(idx, delta):
-            for u in closed_in[v]:
-                pushed[u] |= x
+        # Stage k is the same push with one parent, M = (): its children
+        # are the changed rows of the (v,), and block u takes the OR of
+        # those of the v in N+[u] with one shift.  The lanes the blocks
+        # gained are the cop multisets the level changed, ascending since
+        # the blocks are.
         cop_idx, cop_masks = [], []
-        for u, x in enumerate(pushed):
-            if x:
+        if idx:
+            changed = _split_rows(idx, delta, blocks[k])
+            (_, pushed), = _grouped_pushes(changed, removals[0], closed_in)
+            for u in sorted(pushed):
                 old = block[u]
-                new = old | x >> cuts[u]
+                new = old | pushed[u] >> shifts[k][u][0]
                 if new != old:
                     block[u] = new
-                    put = top[u][1]
-                    for i, mask in _nonzero_lanes(new ^ old, width, block_sizes[u]):
-                        ci = put + i
-                        copwin[ci] |= mask
-                        cop_idx.append(ci)
-                        cop_masks.append(mask)
+                    _settle_lanes(copwin, cop_idx, cop_masks, top[u][1], old, new, width,
+                                  block_sizes[u])
         rob_idx, rob_masks = settled_idx, settled_masks
         _record_ranks(rank[0], cop_idx, cop_masks, level, num_cw)
         _record_ranks(rank[1], rob_idx, rob_masks, level, num_cw)

@@ -18,6 +18,7 @@ from copgame import (
     GamePosition,
     InputError,
     StateBudgetExceeded,
+    clique_substitute_all,
     cop_number,
     gen_directed_cycle,
     gen_directed_path,
@@ -32,11 +33,13 @@ from copgame import (
 import copgame.solver as solver
 from copgame.solver import (
     _first_blocks,
+    _grouped_pushes,
     _lane_width,
     _multiset_index,
     _nonzero_lanes,
     _prepend_lanes,
     _removal_tables,
+    _settle_lanes,
     _split_rows,
 )
 
@@ -269,6 +272,12 @@ def packed(lanes, width):
     return sum(mask << width * i for i, mask in enumerate(lanes))
 
 
+def lanes_below(n, t):
+    """The lane offsets of prepending a vertex to the multisets of each
+    size below t, as solve builds them."""
+    return [_prepend_lanes(n, s) for s in range(t)]
+
+
 class TestFrozenTables:
     def test_win_rank_best_move(self):
         # 49,000 positions: 300 seeded games with n <= 6 and k <= 3, then
@@ -335,6 +344,36 @@ class TestFrozenTables:
         for d, k, robbers in lane_class_games():
             self.check_level_two(d, k, robbers)
 
+    @pytest.mark.parametrize("host, k, expected", [
+        # 1,235,052 positions: the pushes into stages 2 and 3 on a dense
+        # host, with lanes of 32 bits.
+        pytest.param(
+            lambda: gen_projective_plane_incidence_doubled(3), 4,
+            "006b55b408f88bf5c91b4813debeab6ebb0aa98c8b95badba453c9b8b4d8a90f",
+            id="plane-q3-k4",
+        ),
+        # 1,112,496 positions, n = 42: lanes of 64 bits.
+        pytest.param(
+            lambda: clique_substitute_all(gen_projective_plane_incidence_doubled(2)), 3,
+            "9fec3b7d4cb0d113de8d2dfc3d4930b847b5c532b775ccf883f2c54f9606c40e",
+            id="substituted-plane-q2-k3",
+        ),
+    ])
+    def test_full_tables_of_dense_hosts(self, host, k, expected):
+        # The win masks and rank planes of the finished table, as lists.
+        # The digests were taken from the solver that pushed every child
+        # row into its parents one shift per (child, u).
+        assert table_digest(solve(host(), k)) == expected
+
+
+def table_digest(result):
+    """sha256 of a finished table: its win masks, then its rank planes."""
+    result._complete()
+    digest = hashlib.sha256()
+    digest.update(repr(result._wins).encode())
+    digest.update(repr(result._rank).encode())
+    return digest.hexdigest()
+
 
 def level_yields(d, k):
     """The finished SolveResult of (d, k) and the lists _levels yielded,
@@ -397,6 +436,19 @@ class TestLevelYields:
         # _complete each run some of the levels.
         self.check(gen_projective_plane_incidence_doubled(3), 4)
 
+    def test_byte_scan_matches_the_native_read(self, monkeypatch):
+        # A big-endian host reads lanes of one word by the byte scan of
+        # _nonzero_lanes, not by a memoryview cast: tables and yields must
+        # not depend on which.
+        games = [(d, k) for d, k, _ in lane_class_games() if d.n <= 64]
+        native = [level_yields(d, k) for d, k in games]
+        monkeypatch.setattr(solver, "_NATIVE_LITTLE", False)
+        for (d, k), (result, yields) in zip(games, native):
+            scanned, scanned_yields = level_yields(d, k)
+            assert scanned._wins == result._wins
+            assert scanned._rank == result._rank
+            assert scanned_yields == yields
+
 
 class TestLanes:
     def test_lane_width(self):
@@ -435,23 +487,79 @@ class TestLanes:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 64), st.integers(65, 200), st.data())
     def test_nonzero_lanes(self, native, narrow, wide, data):
-        # native=False reads every lane with int.from_bytes, the path of a
-        # big-endian host; lanes wider than 64 bits (n > 64) always take
-        # that path.  Both must agree with plain shifts.
+        # native=False settles lanes of one word by the byte scan of
+        # _nonzero_lanes, the path of a big-endian host, rather than a
+        # memoryview cast; lanes wider than 64 bits (n > 64) always take
+        # it.  Both must agree with plain shifts, whether a row has no
+        # nonzero lane, the one or two that _nonzero_lanes reads off the
+        # top bit, or more.
         saved = solver._NATIVE_LITTLE
         solver._NATIVE_LITTLE = saved and native
         try:
             for n in (narrow, wide):
                 width = _lane_width(n)
-                masks = data.draw(st.lists(
-                    st.one_of(st.just(0), st.integers(1, (1 << n) - 1)),
-                    min_size=1, max_size=40,
+                lane = st.integers(1, (1 << n) - 1)
+                old = data.draw(st.lists(st.one_of(st.just(0), lane), min_size=1, max_size=40))
+                gains = data.draw(st.lists(
+                    st.one_of(st.just(0), lane), min_size=len(old), max_size=len(old)
                 ))
-                x = packed(masks, width)
-                expected = [(i, m) for i, m in enumerate(masks) if m]
-                assert list(_nonzero_lanes(x, width, len(masks))) == expected
+                new = [o | g for o, g in zip(old, gains)]
+                expected = [(i, n ^ o) for i, (o, n) in enumerate(zip(old, new)) if n != o]
+                x = packed(new, width) ^ packed(old, width)
+                assert _nonzero_lanes(x, width) == expected
+                put = data.draw(st.integers(0, 3))
+                wins = [-1] * put + old + [-2]
+                idx, masks = [-3], [-4]
+                _settle_lanes(wins, idx, masks, put, packed(old, width), packed(new, width),
+                              width, len(old))
+                assert wins == [-1] * put + new + [-2]
+                assert list(zip(idx, masks)) == [(-3, -4)] + [(put + i, m) for i, m in expected]
         finally:
             solver._NATIVE_LITTLE = saved
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 3), st.integers(0, 2),
+           st.sampled_from([8, 64, 128]), st.data())
+    def test_grouped_pushes(self, n, t, s, width, data):
+        # Child rows of the multisets M' of size t, lanes over the
+        # s-multisets, pushed into their parents M' minus one v with each
+        # u of N-[v] prepended: grouped by parent, ORed per u, then one
+        # shift per (parent, u), against one shift per (child, v, u).  At
+        # t = 1 every child has the one parent M = (), as at stage k.
+        d = gen_random_digraph(n, data.draw(st.floats(0, 1)), data.draw(st.integers(0, 10**6)))
+        closed_in = [sorted((v,) + d.in_adj[v]) for v in range(n)]
+        children = list(combinations_with_replacement(range(n), t))
+        parents = list(combinations_with_replacement(range(n), t - 1))
+        num_lanes = len(list(combinations_with_replacement(range(n), s)))
+        idx = sorted(data.draw(st.sets(st.integers(0, len(children) - 1), min_size=1)))
+        rows = [
+            packed(data.draw(st.lists(
+                st.integers(0, (1 << n) - 1), min_size=num_lanes, max_size=num_lanes
+            )), width)
+            for _ in idx
+        ]
+        shifts = [(width * cut, width * put) for cut, put in _prepend_lanes(n, s)]
+        expected = [0] * len(parents)
+        for m, x in zip(idx, rows):
+            child = children[m]
+            for v in sorted(set(child)):
+                rest = list(child)
+                rest.remove(v)
+                p = parents.index(tuple(rest))
+                for u in closed_in[v]:
+                    cut, put = shifts[u]
+                    expected[p] |= x >> cut << put
+        lanes = lanes_below(n, t)
+        changed = _split_rows(idx, rows, _first_blocks(lanes, t))
+        groups = list(_grouped_pushes(changed, _removal_tables(lanes)[t - 1], closed_in))
+        assert len({p for p, _ in groups}) == len(groups)
+        assert t > 1 or len(groups) == 1
+        got = [0] * len(parents)
+        for p, pushed in groups:
+            for u, x in pushed.items():
+                cut, put = shifts[u]
+                got[p] |= x >> cut << put
+        assert got == expected
 
 
 class TestMultisetIndex:
@@ -488,7 +596,7 @@ class TestRemovalTables:
     def test_rows_match_the_oracle(self, n):
         # Sizes 0 to 4, every row: the distinct v of M' ascending, each with
         # the index of M' minus v.
-        tables = _removal_tables(n, 5)
+        tables = _removal_tables(lanes_below(n, 5))
         assert len(tables) == 5
         assert tables[0] == [()]
         for t in range(1, 5):
@@ -500,12 +608,13 @@ class TestRemovalTables:
     def test_derived_top_rows_match_the_oracle(self, n, t):
         # The push derives the rows of the top size t from the table one
         # size down: (a, r), then R's row without a, moved by offset.
-        tails = _removal_tables(n, t)[t - 1]
+        lanes = lanes_below(n, t)
+        tails = _removal_tables(lanes)[t - 1]
         oracle = list(removal_oracle(n, t).values())
         top = range(len(oracle))
         derived = [
             [(a, r)] + [(v, offset + q) for v, q in pairs_of(tails[r]) if v != a]
-            for _, a, r, offset in _split_rows(top, top, _first_blocks(n, t))
+            for _, a, r, offset in _split_rows(top, top, _first_blocks(lanes, t))
         ]
         assert derived == oracle
 
