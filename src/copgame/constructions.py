@@ -19,19 +19,12 @@ from __future__ import annotations
 
 import random
 
-from .digraph import MAX_ARCS, MAX_VERTICES, Digraph
+from .digraph import MAX_ARCS, Digraph, _check_vertex_cap
 from .errors import InputError, _as_int, _at_least
 
 # A random digraph costs one draw per ordered pair of vertices, so the
 # vertex cap alone would admit 10^10 draws (about 9 minutes).
 MAX_RANDOM_DRAWS = 10 * MAX_ARCS
-
-
-def _check_vertex_cap(n: int) -> None:
-    """Refuse a graph of n vertices before any of it is built; Digraph
-    applies the same cap, but only to arc lists already in memory."""
-    if n > MAX_VERTICES:
-        raise InputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
 
 
 def _check_arc_cap(m: int) -> None:

@@ -28,6 +28,12 @@ MAX_VERTICES = 100_000
 MAX_ARCS = 5_000_000
 
 
+def _check_vertex_cap(n: int) -> None:
+    """Refuse a graph of n vertices before any of it is built."""
+    if n > MAX_VERTICES:
+        raise InputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+
+
 class Digraph:
     """Immutable digraph with sorted adjacency precomputed in both directions."""
 
@@ -35,8 +41,7 @@ class Digraph:
 
     def __init__(self, n: int, arcs=()):
         n = _at_least(n, 1, "vertex count")
-        if n > MAX_VERTICES:
-            raise InputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+        _check_vertex_cap(n)
         arc_set = set()
         for arc in arcs:
             try:
@@ -168,8 +173,10 @@ def underlying_girth(d: Digraph):
 def parse_arc_list(text: str, source: str = "<string>") -> Digraph:
     """Parse the plain arc-list format.
 
-    First non-empty line is "n m"; the next m lines are "tail head" pairs,
-    0-indexed.  Duplicate arcs and loops are rejected.
+    First non-empty line is "n m", with 1 <= n <= MAX_VERTICES and m >= 0;
+    the next m lines are "tail head" pairs, 0-indexed.  Duplicate arcs and
+    loops are rejected.  Every refusal names source, and the line when
+    there is one.
     """
     lines = [
         (i + 1, line.strip())
@@ -186,6 +193,11 @@ def parse_arc_list(text: str, source: str = "<string>") -> Digraph:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise InputError(f"{source}: line {lineno}: header must be two integers") from None
+    try:
+        _check_vertex_cap(_at_least(n, 1, "vertex count"))
+        _at_least(m, 0, "arc count")
+    except InputError as err:
+        raise InputError(f"{source}: line {lineno}: {err}") from None
     body = lines[1:]
     if len(body) != m:
         raise InputError(

@@ -11,8 +11,9 @@ loosest host condition:
 * an induced copy requires the adjacency inside the tuple to match the path
   exactly in both directions.
 
-Hence subgraph-free implies P_k*-free implies induced-free, the containment
-chain replayed by the verification suites.
+Hence subgraph-free implies P_k*-free implies induced-free: the
+containment chain that containment_chain_check asserts on one host.  No
+verification suite calls it; the tests replay it on seeded digraphs.
 
 All three are ordered patterns: positions 0 .. p - 1, and for each ordered
 pair of positions an arc that is required, forbidden or free.  A P_k

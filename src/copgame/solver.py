@@ -73,15 +73,13 @@ state (M, U) holds bits(M) | N+[U], where N+[U] is the union of the closed
 out-neighbourhoods of U's vertices; a row is bits(M) times the row with 1
 in every lane, OR the row of the N+[U].  So copwin[C] = N+[C] and
 robwin[C] = bits(C): the robber side gains nothing at level 1, since the
-robber may stay put.  From level 2 on, level L first settles the robber
-side from the cop wins of level L-1: a robber-to-move position (C, r)
-wins once every vertex of the closed out-neighbourhood of r is a cop win
-against C.  At level 2 that reads (C, r) won exactly when r is not in C
-and N+[r] lies inside N+[C], and there is nothing to push, since level 1
-won no robber-to-move position.  While W is at most one word, level 2 is
-therefore one packed pass over the whole stage-k table, its blocks laid
-end to end (_level_two); wider lanes, and every later level, settle the
-robber side one changed cop multiset at a time.  Level L then pushes the
+robber may stay put.
+
+From level 2 on, one loop runs a level per pass, in two steps.  Level L
+first settles the robber side from the cop wins of level L-1: a
+robber-to-move position (C, r) wins once every vertex of the closed
+out-neighbourhood of r is a cop win against C, and only the cop
+multisets that level L-1 changed can gain.  Level L then pushes the
 robber wins of level L-1 back through the k sub-move stages, so a
 cop-to-move position is won at 1 + the smallest rank among its winning
 successors, and a robber-to-move position at 1 + the largest rank among
@@ -94,11 +92,18 @@ copwin, and the nonzero lanes of its XOR with the old block are,
 ascending, the cop multisets the level changed.  While W is at most one
 word on a little-endian host, each is one memoryview cast of the block;
 wider lanes, and big-endian hosts, read only the changed lanes
-(_nonzero_lanes).  Level 2's packed robber-side gains are read the same
-way, as one block over the whole table.
-Sub-move stages add nothing to the rank, which counts whole half-moves.
-Ranks are kept bit-sliced: one mask per cop multiset and bit of the
-level.
+(_nonzero_lanes).  Sub-move stages add nothing to the rank, which counts
+whole half-moves.  Ranks are kept bit-sliced: one mask per cop multiset
+and bit of the level.
+
+The first pass, level 2, starts from the closed form: every cop
+multiset may have changed, and there is nothing to push, since level 1
+won no robber-to-move position.  Its robber side reads (C, r) won
+exactly when r is not in C and N+[r] lies inside N+[C].  While W is at
+most one word that is one packed pass over the whole stage-k table, its
+blocks laid end to end (_level_two), whose gains are read as one block;
+wider lanes, like every later level, settle the robber side one cop
+multiset at a time.
 
 solve works eagerly only up to the first proof that k cops win.  It
 checks the budget and sets levels 0 and 1 in closed form; then, unless a
@@ -698,53 +703,45 @@ def _levels(d, k, lanes, bits, nbhd, copwin, robwin, rank):
     block_sizes = [len(nbhd[k - 1]) - cut for cut, _ in top]
     block = [(m * ones | packed) >> cut for m, (cut, _) in zip(nbhd[1], shifts[k])]
     if one_word:
-        # bits(C) laid out as the blocks are, for level 2 below: the blocks
-        # built as above from bits, laid end to end.
+        # bits(C) laid out as the blocks are, for level 2's packed pass:
+        # the blocks built as above from bits, laid end to end.
         packed = _join(bits[k - 1], repeat(1), step)
         caught = _join([(b * ones | packed) >> cut for b, (cut, _) in zip(bits[1], shifts[k])],
                        block_sizes, step)
     # Nothing below reads the set-up lists: free them for the whole run.
     del bits, nbhd, ones, packed
 
-    # Level 2 settles the robber side alone: level 1 won no robber-to-move
-    # position, so the cop side has nothing to push.  With lanes of one
-    # word it is one packed pass over the whole table.  Its cost grows as
-    # n * W per cop multiset, so wider lanes stay on the per-multiset loop
-    # below (solve(C_200, 2) took 1.5 times as long packed).
-    rob_idx, rob_masks = [], []
-    if one_word:
-        # robwin holds bits(C) after level 1, the lanes of caught.
-        gained = _level_two(_join(block, block_sizes, step), caught, closed_in_masks,
-                            width, num_cw)
-        _settle_lanes(robwin, rob_idx, rob_masks, 0, caught, caught | gained, width, num_cw)
-        del caught, gained
-        # The cop side's planes grow at level 2 as they would on a push
-        # that changed nothing.
-        _record_ranks(rank[0], (), (), 2, num_cw)
-        _record_ranks(rank[1], rob_idx, rob_masks, 2, num_cw)
-        yield []
-        level, cop_idx = 2, []
-    else:
-        # The cop multisets that level 1 changed on the cop side; none
-        # changed on the robber side.
-        level, cop_idx = 1, list(compress(count(), map(ne, copwin, robwin)))
-
+    # Level 1 may have changed every cop multiset on the cop side, and won
+    # no robber-to-move position, so level 2 settles the robber side of
+    # every multiset and has nothing to push.
+    level, cop_idx, rob_idx, rob_masks = 1, range(num_cw), [], []
     while cop_idx or rob_idx:
         level += 1
         # Robber to move: (C, r) wins when no successor of r is outside
         # copwin[C], i.e. r is outside the closed in-neighbourhood of every
         # cop-side escape.  Only cop sets with new cop wins can change.
         settled_idx, settled_masks = [], []
-        for ci in cop_idx:
-            escapes = full & ~copwin[ci]
-            reach = 0
-            for shift, table in reach_tables:
-                reach |= table[escapes >> shift & 255]
-            gained = full & ~reach & ~robwin[ci]
-            if gained:
-                robwin[ci] |= gained
-                settled_idx.append(ci)
-                settled_masks.append(gained)
+        if level == 2 and one_word:
+            # The whole table in one packed pass; robwin holds bits(C), the
+            # lanes of caught.  Its cost grows as n * W per cop multiset,
+            # so wider lanes take the per-multiset loop (solve(C_200, 2)
+            # took 1.5 times as long packed).
+            gained = _level_two(_join(block, block_sizes, step), caught, closed_in_masks,
+                                width, num_cw)
+            _settle_lanes(robwin, settled_idx, settled_masks, 0, caught, caught | gained,
+                          width, num_cw)
+            del caught, gained
+        else:
+            for ci in cop_idx:
+                escapes = full & ~copwin[ci]
+                reach = 0
+                for shift, table in reach_tables:
+                    reach |= table[escapes >> shift & 255]
+                gained = full & ~reach & ~robwin[ci]
+                if gained:
+                    robwin[ci] |= gained
+                    settled_idx.append(ci)
+                    settled_masks.append(gained)
         # Cops to move: push last level's robber-side wins back one
         # sub-move stage at a time.  A changed row of stage j - 1 reaches
         # row M' - v of stage j, for each distinct v in M', with u in

@@ -203,6 +203,19 @@ class TestArcListFormat:
         with pytest.raises(InputError, match="exceeds the limit"):
             parse_arc_list("1000000000 0\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("0 0\n", "bad.dg: line 1: vertex count must be >= 1, got 0"),
+        (
+            "\n200000 0\n",
+            f"bad.dg: line 2: vertex count 200000 exceeds the limit of {MAX_VERTICES}",
+        ),
+        ("3 -1\n", "bad.dg: line 1: arc count must be >= 0, got -1"),
+    ], ids=["zero", "over-cap", "negative-arcs"])
+    def test_header_counts_name_file_and_line(self, text, message):
+        with pytest.raises(InputError) as info:
+            parse_arc_list(text, source="bad.dg")
+        assert str(info.value) == message
+
     def test_source_name_in_message(self):
         with pytest.raises(InputError, match="bad.dg"):
             parse_arc_list("", source="bad.dg")

@@ -166,6 +166,29 @@ class TestRanks:
                 assert None not in ranks
                 assert result.rank(pos) == 1 + max(ranks)
 
+    @staticmethod
+    def check_rank_parity(d, k, robbers=None):
+        # A robber-to-move rank is even and a cop-to-move rank is 0 or odd.
+        # A robber not yet caught may stay put, on a cop-to-move position
+        # that is no capture, so its rank is 1 + the largest, odd, rank of
+        # such successors; a cop move leads to a robber-to-move position.
+        result = solve(d, k)
+        for cops in result.placements():
+            for r in range(d.n) if robbers is None else robbers:
+                cop = result.rank(GamePosition(cops, r, COPS))
+                rob = result.rank(GamePosition(cops, r, ROBBER))
+                assert cop is None or cop == 0 or cop % 2 == 1
+                assert rob is None or rob % 2 == 0
+
+    def test_rank_parity_in_every_lane_class(self):
+        for d, k, robbers in lane_class_games():
+            self.check_rank_parity(d, k, robbers)
+
+    @settings(max_examples=40, deadline=None)
+    @given(digraphs(6), st.integers(1, 3))
+    def test_rank_parity(self, d, k):
+        self.check_rank_parity(d, k)
+
     def test_best_move_decreases_rank(self):
         result = solve(C4, 2)
         for pos in result.positions():
