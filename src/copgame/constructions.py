@@ -19,18 +19,12 @@ from __future__ import annotations
 
 import random
 
-from .digraph import MAX_ARCS, Digraph, _check_vertex_cap
+from .digraph import MAX_ARCS, Digraph, _check_arc_cap, _check_vertex_cap
 from .errors import InputError, _as_int, _at_least
 
 # A random digraph costs one draw per ordered pair of vertices, so the
 # vertex cap alone would admit 10^10 draws (about 9 minutes).
 MAX_RANDOM_DRAWS = 10 * MAX_ARCS
-
-
-def _check_arc_cap(m: int) -> None:
-    """Refuse a graph of m arcs before any of them is built."""
-    if m > MAX_ARCS:
-        raise InputError(f"arc count {m} exceeds the limit of {MAX_ARCS}")
 
 
 def _check_probability(p) -> None:

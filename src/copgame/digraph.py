@@ -22,9 +22,9 @@ from .errors import InputError, _at_least
 # header such as "1000000000 0" are refused before they are allocated.
 MAX_VERTICES = 100_000
 
-# The clique substitutions size their result before building it and refuse
-# more arcs than this: building one costs about 250 B at the peak, so the
-# cap is about 1.2 GiB.
+# The arc-list header and the clique substitutions size their result
+# before building it and refuse more arcs than this: building one costs
+# about 250 B at the peak, so the cap is about 1.2 GiB.
 MAX_ARCS = 5_000_000
 
 
@@ -32,6 +32,12 @@ def _check_vertex_cap(n: int) -> None:
     """Refuse a graph of n vertices before any of it is built."""
     if n > MAX_VERTICES:
         raise InputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+
+
+def _check_arc_cap(m: int) -> None:
+    """Refuse a graph of m arcs before any of them is built."""
+    if m > MAX_ARCS:
+        raise InputError(f"arc count {m} exceeds the limit of {MAX_ARCS}")
 
 
 class Digraph:
@@ -173,10 +179,10 @@ def underlying_girth(d: Digraph):
 def parse_arc_list(text: str, source: str = "<string>") -> Digraph:
     """Parse the plain arc-list format.
 
-    First non-empty line is "n m", with 1 <= n <= MAX_VERTICES and m >= 0;
-    the next m lines are "tail head" pairs, 0-indexed.  Duplicate arcs and
-    loops are rejected.  Every refusal names source, and the line when
-    there is one.
+    First non-empty line is "n m", with 1 <= n <= MAX_VERTICES and
+    0 <= m <= MAX_ARCS; the next m lines are "tail head" pairs, 0-indexed.
+    Duplicate arcs and loops are rejected.  Every refusal names source, and
+    the line when there is one.
     """
     lines = [
         (i + 1, line.strip())
@@ -195,7 +201,7 @@ def parse_arc_list(text: str, source: str = "<string>") -> Digraph:
         raise InputError(f"{source}: line {lineno}: header must be two integers") from None
     try:
         _check_vertex_cap(_at_least(n, 1, "vertex count"))
-        _at_least(m, 0, "arc count")
+        _check_arc_cap(_at_least(m, 0, "arc count"))
     except InputError as err:
         raise InputError(f"{source}: line {lineno}: {err}") from None
     body = lines[1:]

@@ -424,8 +424,10 @@ def run_suite(token: str, cfg: SuiteConfig | None = None) -> ExperimentReport:
 
 
 def replay_instance(token: str, seed: int, cfg: SuiteConfig | None = None):
-    """Recompute the records a recorded (suite, seed) pair denotes.  A seed
-    that no run of the suite under cfg records raises InputError."""
+    """Recompute the records a recorded (suite, seed) pair denotes.  The
+    seed is taken as every count is (see errors); one that no run of the
+    suite under cfg records raises InputError."""
+    seed = _as_int(seed, "seed")
     passes, cfg = _lookup(token, cfg)
     report = ExperimentReport(token, [], [], [])
     for source, check in passes:

@@ -89,19 +89,21 @@ that delta is what the next stage pushes; the level stops at the first
 stage with an empty delta.  Stage k's delta is read a block at a time
 (_settle_lanes): the lanes of a changed block replace its slice of
 copwin, and the nonzero lanes of its XOR with the old block are,
-ascending, the cop multisets the level changed.  While W is at most one
-word on a little-endian host, each is one memoryview cast of the block;
-wider lanes, and big-endian hosts, read only the changed lanes
-(_nonzero_lanes).  Sub-move stages add nothing to the rank, which counts
-whole half-moves.  Ranks are kept bit-sliced: one mask per cop multiset
-and bit of the level.
+ascending, the cop multisets the level changed.  Masks become lanes, and
+lanes masks, in one byte order on every host, little-endian: _pack lays
+a list of masks into a row, and while W is at most one word
+_settle_lanes reads every lane of a block back with the same struct
+format; wider lanes are joined from each mask's bytes, and only the
+changed ones are read back (_nonzero_lanes).  Sub-move stages add
+nothing to the rank, which counts whole half-moves.  Ranks are kept
+bit-sliced: one mask per cop multiset and bit of the level.
 
 The first pass, level 2, starts from the closed form: every cop
 multiset may have changed, and there is nothing to push, since level 1
 won no robber-to-move position.  Its robber side reads (C, r) won
 exactly when r is not in C and N+[r] lies inside N+[C].  While W is at
-most one word that is one packed pass over the whole stage-k table, its
-blocks laid end to end (_level_two), whose gains are read as one block;
+most one word that is one packed pass over copwin and robwin, each
+packed into one row (_level_two), whose gains are read as one block;
 wider lanes, like every later level, settle the robber side one cop
 multiset at a time.
 
@@ -119,13 +121,15 @@ those levels first and then drop the generator; cop_number only asks
 whether some placement's mask is full, which never needs them.
 
 The state budget bounds three counts, each computed in closed form before
-anything is allocated: positions, sub-move states, and sub-move arcs (the
-cop move table).  A budget below 1 is refused with InputError.
+anything is allocated: positions, sub-move states, and the sub-move arcs
+the pushes can follow.  No table of arcs is built: the pushes follow them
+as shifts, so nothing of the third count's size is allocated.  A budget
+below 1 is refused with InputError.
 """
 
 from __future__ import annotations
 
-import sys
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, compress, count, product, repeat
@@ -137,11 +141,9 @@ from .errors import InputError, StateBudgetExceeded, _at_least
 
 DEFAULT_STATE_BUDGET = 50_000_000
 
-# memoryview formats of the lane widths up to one word.  A cast reads
-# native byte order, so only a little-endian host takes lanes from it; it
-# reads them in less than half the time of the byte scan.
+# struct codes of the lane widths up to one word, read and written with
+# the explicit little-endian prefix, so no host's byte order shows.
 _LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
-_NATIVE_LITTLE = sys.byteorder == "little"
 # bytes.translate table mapping each nonzero byte to 1.
 _NONZERO = bytes([0] + [1] * 255)
 
@@ -467,18 +469,27 @@ def _nonzero_lanes(x: int, width: int):
     return lanes + top[::-1]
 
 
+def _pack(masks, width: int) -> int:
+    """The packed row whose lane i, width bits wide, holds masks[i]."""
+    if width <= 64:
+        raw = struct.pack(f"<{len(masks)}{_LANE_FORMATS[width]}", *masks)
+    else:
+        raw = b"".join(mask.to_bytes(width // 8, "little") for mask in masks)
+    return int.from_bytes(raw, "little")
+
+
 def _settle_lanes(wins, idx, masks, put: int, old: int, new: int, width: int, num_lanes: int):
     """Write the packed row new, num_lanes lanes, into wins[put:], where
     the lanes of old stood, new holding old's bits and more, and append
     to idx and masks the indexes put + i and the masks of the lanes i that
-    gained bits, ascending.  While lanes fit one word on a little-endian
-    host, one memoryview cast reads a whole row; otherwise only the
-    changed lanes are read, by _nonzero_lanes."""
-    if width <= 64 and _NATIVE_LITTLE:
+    gained bits, ascending.  While lanes fit one word, struct reads every
+    lane of both rows in the little-endian format _pack writes; wider
+    lanes read only the changed ones, by _nonzero_lanes."""
+    if width <= 64:
+        fmt = f"<{num_lanes}{_LANE_FORMATS[width]}"
         size = num_lanes * width // 8
-        fmt = _LANE_FORMATS[width]
-        wins[put:put + num_lanes] = memoryview(new.to_bytes(size, "little")).cast(fmt).tolist()
-        gained = memoryview((new ^ old).to_bytes(size, "little")).cast(fmt)
+        wins[put:put + num_lanes] = struct.unpack(fmt, new.to_bytes(size, "little"))
+        gained = struct.unpack(fmt, (new ^ old).to_bytes(size, "little"))
         idx += compress(range(put, put + num_lanes), gained)
         masks += filter(None, gained)
         return
@@ -558,19 +569,6 @@ def _union_masks(vertex_masks, lanes):
     return unions
 
 
-def _join(rows, sizes, step: int) -> int:
-    """The packed rows laid end to end, row i taking sizes[i] lanes of step
-    bytes."""
-    return int.from_bytes(
-        b"".join(x.to_bytes(size * step, "little") for x, size in zip(rows, sizes)), "little"
-    )
-
-
-def _lane_ones(num_lanes: int, step: int) -> int:
-    """The packed row with 1 in each of num_lanes lanes of step bytes."""
-    return int.from_bytes((b"\x01" + bytes(step - 1)) * num_lanes, "little")
-
-
 def _level_two(won: int, caught: int, closed_in, width: int, num_cw: int) -> int:
     """The robber-to-move wins of level 2, packed as won and caught are:
     lane i(C) of won holds copwin[C] after level 1, N+[C], and of caught
@@ -579,7 +577,7 @@ def _level_two(won: int, caught: int, closed_in, width: int, num_cw: int) -> int
     N+[C].  Lane by lane, bit w of the escapes times the mask of N-[w]
     (closed_in[w]) is that neighbourhood or 0; the product carries nothing
     into the next lane, since the mask has at most width bits."""
-    ones = _lane_ones(num_cw, width // 8)
+    ones = _pack([1] * num_cw, width)
     fulls = ((1 << len(closed_in)) - 1) * ones
     escapes = fulls & ~won
     reach = 0
@@ -681,35 +679,23 @@ def _levels(d, k, lanes, bits, nbhd, copwin, robwin, rank):
     ]
     reach_tables = _reach_tables(closed_in_masks)
 
-    # Row M of stage j after level 1 is bits(M) times the row with a 1 in
-    # every lane, OR the row of the N+[U].
-    step = width // 8
     # rows[j][i(M)]: stage j, 1 <= j < k, lane i(U) holding the robber
-    # vertices from which (M, U) reaches a robber-to-move cop win.  The
-    # loop ends on the ones and packed of stage k - 1 (one lane, holding 0,
-    # when k = 1), which the stage-k blocks reuse.
+    # vertices from which (M, U) reaches a robber-to-move cop win.  After
+    # level 1 row M is bits(M) times the row with a 1 in every lane, OR the
+    # row of the N+[U].
     rows = [None]
-    for j in range(k):
-        ones = _lane_ones(len(nbhd[j]), step)
-        packed = _join(nbhd[j], repeat(1), step)
-        if j:
-            rows.append([b * ones | packed for b in bits[k - j]])
+    for j in range(1, k):
+        ones = _pack([1] * len(nbhd[j]), width)
+        packed = _pack(nbhd[j], width)
+        rows.append([b * ones | packed for b in bits[k - j]])
     # Stage k is kept in blocks, one per first cop vertex u: lane i of
     # block[u] holds copwin[put_u + i], the cop multiset (u,) + U' for the
     # U' at lane cut_u + i of a stage-(k - 1) row (see _prepend_lanes).
-    # After level 1 it is N+[u] | N+[U'], so a block is the row of (u,) built
-    # as above, with N+[u] for bits(u), from lane cut_u on.
     top = lanes[k - 1]
     block_sizes = [len(nbhd[k - 1]) - cut for cut, _ in top]
-    block = [(m * ones | packed) >> cut for m, (cut, _) in zip(nbhd[1], shifts[k])]
-    if one_word:
-        # bits(C) laid out as the blocks are, for level 2's packed pass:
-        # the blocks built as above from bits, laid end to end.
-        packed = _join(bits[k - 1], repeat(1), step)
-        caught = _join([(b * ones | packed) >> cut for b, (cut, _) in zip(bits[1], shifts[k])],
-                       block_sizes, step)
+    block = [_pack(copwin[put:put + size], width) for (_, put), size in zip(top, block_sizes)]
     # Nothing below reads the set-up lists: free them for the whole run.
-    del bits, nbhd, ones, packed
+    del bits, nbhd
 
     # Level 1 may have changed every cop multiset on the cop side, and won
     # no robber-to-move position, so level 2 settles the robber side of
@@ -722,12 +708,12 @@ def _levels(d, k, lanes, bits, nbhd, copwin, robwin, rank):
         # cop-side escape.  Only cop sets with new cop wins can change.
         settled_idx, settled_masks = [], []
         if level == 2 and one_word:
-            # The whole table in one packed pass; robwin holds bits(C), the
-            # lanes of caught.  Its cost grows as n * W per cop multiset,
-            # so wider lanes take the per-multiset loop (solve(C_200, 2)
-            # took 1.5 times as long packed).
-            gained = _level_two(_join(block, block_sizes, step), caught, closed_in_masks,
-                                width, num_cw)
+            # The whole table in one packed pass over copwin and robwin,
+            # which still holds bits(C).  Its cost grows as n * W per cop
+            # multiset, so wider lanes take the per-multiset loop
+            # (solve(C_200, 2) took 1.5 times as long packed).
+            caught = _pack(robwin, width)
+            gained = _level_two(_pack(copwin, width), caught, closed_in_masks, width, num_cw)
             _settle_lanes(robwin, settled_idx, settled_masks, 0, caught, caught | gained,
                           width, num_cw)
             del caught, gained

@@ -26,6 +26,7 @@ from copgame import (
     underlying_girth,
 )
 import copgame.constructions
+import copgame.digraph
 from copgame.constructions import MAX_RANDOM_DRAWS, _random_digraph_from
 from copgame.digraph import MAX_ARCS, MAX_VERTICES
 
@@ -452,17 +453,17 @@ class TestArcCap:
         assert peak < 100_000
 
     def test_plane_at_the_cap(self, monkeypatch):
-        monkeypatch.setattr(copgame.constructions, "MAX_ARCS", 104)
+        monkeypatch.setattr(copgame.digraph, "MAX_ARCS", 104)
         assert gen_projective_plane_incidence_doubled(3).arc_count == 104
-        monkeypatch.setattr(copgame.constructions, "MAX_ARCS", 103)
+        monkeypatch.setattr(copgame.digraph, "MAX_ARCS", 103)
         with pytest.raises(InputError, match="arc count 104 exceeds the limit of 103"):
             gen_projective_plane_incidence_doubled(3)
 
     def test_at_the_cap(self, monkeypatch):
-        monkeypatch.setattr(copgame.constructions, "MAX_ARCS", 22)
+        monkeypatch.setattr(copgame.digraph, "MAX_ARCS", 22)
         assert clique_substitute_all(HUB).arc_count == 22
         assert clique_substitute_vertex(HUB, 2).arc_count == 22
-        monkeypatch.setattr(copgame.constructions, "MAX_ARCS", 21)
+        monkeypatch.setattr(copgame.digraph, "MAX_ARCS", 21)
         for substitute in (clique_substitute_all, lambda d: clique_substitute_vertex(d, 2)):
             with pytest.raises(InputError, match="arc count 22 exceeds the limit of 21"):
                 substitute(HUB)
@@ -478,9 +479,9 @@ class TestArcCap:
                 pass
         assert len(built) == 1446  # 2,297 calls less their 851 errors
         for call, c in built:
-            monkeypatch.setattr(copgame.constructions, "MAX_ARCS", c)
+            monkeypatch.setattr(copgame.digraph, "MAX_ARCS", c)
             assert call().arc_count == c
-            monkeypatch.setattr(copgame.constructions, "MAX_ARCS", c - 1)
+            monkeypatch.setattr(copgame.digraph, "MAX_ARCS", c - 1)
             with pytest.raises(InputError, match=f"arc count {c} exceeds the limit of {c - 1}$"):
                 call()
 
@@ -525,12 +526,12 @@ class TestRandomDrawCap:
     def test_arcs_refused_mid_draw(self, monkeypatch):
         # p = 1 makes every draw an arc: the first row of 9 passes a cap
         # of 5 and the generator stops there, 81 draws short of the end.
-        monkeypatch.setattr(copgame.constructions, "MAX_ARCS", 5)
+        monkeypatch.setattr(copgame.digraph, "MAX_ARCS", 5)
         rng = CountingRandom(1)
         with pytest.raises(InputError, match="arc count 9 exceeds the limit of 5"):
             _random_digraph_from(rng, 10, 1.0)
         assert rng.draws == 9
 
     def test_arc_cap_admits_exactly_the_cap(self, monkeypatch):
-        monkeypatch.setattr(copgame.constructions, "MAX_ARCS", 90)
+        monkeypatch.setattr(copgame.digraph, "MAX_ARCS", 90)
         assert gen_random_digraph(10, 1.0, 1).arc_count == 90

@@ -21,6 +21,7 @@ from copgame import (
     to_dot,
     underlying_girth,
 )
+import copgame.digraph
 from copgame.digraph import MAX_VERTICES
 
 import oracles
@@ -210,11 +211,23 @@ class TestArcListFormat:
             f"bad.dg: line 2: vertex count 200000 exceeds the limit of {MAX_VERTICES}",
         ),
         ("3 -1\n", "bad.dg: line 1: arc count must be >= 0, got -1"),
-    ], ids=["zero", "over-cap", "negative-arcs"])
+        ("10 5000001\n0 1\n", "bad.dg: line 1: arc count 5000001 exceeds the limit of 5000000"),
+    ], ids=["zero", "over-cap", "negative-arcs", "arcs-over-cap"])
     def test_header_counts_name_file_and_line(self, text, message):
         with pytest.raises(InputError) as info:
             parse_arc_list(text, source="bad.dg")
         assert str(info.value) == message
+
+    def test_arc_cap_read_off_the_header(self, monkeypatch):
+        # The header's m is checked against the cap before the arc lines
+        # are parsed, so a file that holds all m arcs is refused too.
+        text = "4 4\n0 1\n1 2\n2 3\n3 0\n"
+        monkeypatch.setattr(copgame.digraph, "MAX_ARCS", 4)
+        assert parse_arc_list(text).arc_count == 4
+        monkeypatch.setattr(copgame.digraph, "MAX_ARCS", 3)
+        with pytest.raises(InputError) as info:
+            parse_arc_list(text, source="bad.dg")
+        assert str(info.value) == "bad.dg: line 1: arc count 4 exceeds the limit of 3"
 
     def test_source_name_in_message(self):
         with pytest.raises(InputError, match="bad.dg"):

@@ -22,6 +22,8 @@ from copgame import (
 from copgame import harness
 from copgame.harness import CSV_HEADER, GIRTH_TARGETS
 
+import oracles
+
 TINY = SuiteConfig(trials=2, n_max=4)
 
 # Row count and sha256 of every row of run_all(cfg=SuiteConfig(trials=3,
@@ -263,6 +265,19 @@ class TestReplayRejects:
                 replay_instance(token, -1, TINY)
         with pytest.raises(InputError, match="no theorem1 run records"):
             replay_instance("theorem1", -2, TINY)
+
+    def test_replay_seed_follows_the_integer_rule(self):
+        # A string, None or a float is refused before any replay work, as
+        # every count is; an integer-like seed replays as its int.
+        for seed in ("5", None, 1001.0):
+            with pytest.raises(InputError, match="seed must be an integer"):
+                replay_instance("lemma1", seed, TINY)
+        with pytest.raises(InputError, match=r"seed must be an integer, got -1\.0"):
+            replay_instance("theorem1", -1.0)
+        rows = replay_instance("theorem1", oracles.Index(-1))
+        assert [rec.row()[:-1] for rec in rows] == \
+            [rec.row()[:-1] for rec in replay_instance("theorem1", -1)]
+        assert all(type(rec.seed) is int for rec in rows)
 
     def test_random_seed_not_first_in_its_block(self):
         # trial 0 of TINY reads block 1000..1999; 1001 is its first weakly

@@ -37,6 +37,7 @@ from copgame.solver import (
     _lane_width,
     _multiset_index,
     _nonzero_lanes,
+    _pack,
     _prepend_lanes,
     _removal_tables,
     _settle_lanes,
@@ -459,18 +460,20 @@ class TestLevelYields:
         # _complete each run some of the levels.
         self.check(gen_projective_plane_incidence_doubled(3), 4)
 
-    def test_byte_scan_matches_the_native_read(self, monkeypatch):
-        # A big-endian host reads lanes of one word by the byte scan of
-        # _nonzero_lanes, not by a memoryview cast: tables and yields must
-        # not depend on which.
+    def test_wide_lanes_match_one_word_lanes(self, monkeypatch):
+        # Lanes wider than one word run their own kernels: the grouped
+        # j = 1 push, level 2 one cop multiset at a time, _nonzero_lanes
+        # and the joined _pack.  Forced on the games whose own lanes fit
+        # one word, they must give the same tables and yields.
         games = [(d, k) for d, k, _ in lane_class_games() if d.n <= 64]
-        native = [level_yields(d, k) for d, k in games]
-        monkeypatch.setattr(solver, "_NATIVE_LITTLE", False)
-        for (d, k), (result, yields) in zip(games, native):
-            scanned, scanned_yields = level_yields(d, k)
-            assert scanned._wins == result._wins
-            assert scanned._rank == result._rank
-            assert scanned_yields == yields
+        own = [level_yields(d, k) for d, k in games]
+        for width in (128, 192):
+            monkeypatch.setattr(solver, "_lane_width", lambda n: width)
+            for (d, k), (result, yields) in zip(games, own):
+                wide, wide_yields = level_yields(d, k)
+                assert wide._wins == result._wins
+                assert wide._rank == result._rank
+                assert wide_yields == yields
 
 
 class TestLanes:
@@ -506,39 +509,47 @@ class TestLanes:
                     expected[larger.index((u,) + s)] = masks[i]
             assert x >> width * cut << width * put == packed(expected, width)
 
-    @pytest.mark.parametrize("native", [True, False])
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 64), st.integers(65, 200), st.data())
-    def test_nonzero_lanes(self, native, narrow, wide, data):
-        # native=False settles lanes of one word by the byte scan of
-        # _nonzero_lanes, the path of a big-endian host, rather than a
-        # memoryview cast; lanes wider than 64 bits (n > 64) always take
-        # it.  Both must agree with plain shifts, whether a row has no
-        # nonzero lane, the one or two that _nonzero_lanes reads off the
-        # top bit, or more.
-        saved = solver._NATIVE_LITTLE
-        solver._NATIVE_LITTLE = saved and native
-        try:
-            for n in (narrow, wide):
-                width = _lane_width(n)
-                lane = st.integers(1, (1 << n) - 1)
-                old = data.draw(st.lists(st.one_of(st.just(0), lane), min_size=1, max_size=40))
-                gains = data.draw(st.lists(
-                    st.one_of(st.just(0), lane), min_size=len(old), max_size=len(old)
-                ))
-                new = [o | g for o, g in zip(old, gains)]
-                expected = [(i, n ^ o) for i, (o, n) in enumerate(zip(old, new)) if n != o]
-                x = packed(new, width) ^ packed(old, width)
-                assert _nonzero_lanes(x, width) == expected
-                put = data.draw(st.integers(0, 3))
-                wins = [-1] * put + old + [-2]
-                idx, masks = [-3], [-4]
-                _settle_lanes(wins, idx, masks, put, packed(old, width), packed(new, width),
-                              width, len(old))
-                assert wins == [-1] * put + new + [-2]
-                assert list(zip(idx, masks)) == [(-3, -4)] + [(put + i, m) for i, m in expected]
-        finally:
-            solver._NATIVE_LITTLE = saved
+    def test_nonzero_lanes(self, narrow, wide, data):
+        # Lanes of one word (n <= 64) are settled by a struct read of every
+        # lane, wider ones by _nonzero_lanes.  Both must agree with plain
+        # shifts, whether a row has no nonzero lane, the one or two that
+        # _nonzero_lanes reads off the top bit, or more.
+        for n in (narrow, wide):
+            width = _lane_width(n)
+            lane = st.integers(1, (1 << n) - 1)
+            old = data.draw(st.lists(st.one_of(st.just(0), lane), min_size=1, max_size=40))
+            gains = data.draw(st.lists(
+                st.one_of(st.just(0), lane), min_size=len(old), max_size=len(old)
+            ))
+            new = [o | g for o, g in zip(old, gains)]
+            expected = [(i, n ^ o) for i, (o, n) in enumerate(zip(old, new)) if n != o]
+            x = packed(new, width) ^ packed(old, width)
+            assert _nonzero_lanes(x, width) == expected
+            put = data.draw(st.integers(0, 3))
+            wins = [-1] * put + old + [-2]
+            idx, masks = [-3], [-4]
+            _settle_lanes(wins, idx, masks, put, packed(old, width), packed(new, width),
+                          width, len(old))
+            assert wins == [-1] * put + new + [-2]
+            assert list(zip(idx, masks)) == [(-3, -4)] + [(put + i, m) for i, m in expected]
+
+    @pytest.mark.parametrize("width", [8, 16, 32, 64, 128, 256])
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_pack_round_trip(self, width, data):
+        # _pack lays lane i at bits width * i and up, on any host, and
+        # _settle_lanes reads the same lanes back, a zero old row gaining
+        # exactly the nonzero ones, full masks and top bits included.
+        lane = st.one_of(st.just(0), st.just((1 << width) - 1), st.integers(1, (1 << width) - 1))
+        masks = data.draw(st.lists(lane, min_size=1, max_size=40))
+        row = _pack(masks, width)
+        assert row == packed(masks, width)
+        wins, idx, gained = [0] * (len(masks) + 1), [], []
+        _settle_lanes(wins, idx, gained, 1, 0, row, width, len(masks))
+        assert wins == [0] + masks
+        assert list(zip(idx, gained)) == [(1 + i, m) for i, m in enumerate(masks) if m]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 3), st.integers(0, 2),
@@ -819,7 +830,7 @@ class TestBudget:
 
     def test_move_table_checked(self):
         k4 = Digraph(4, [(u, v) for u in range(4) for v in range(4) if u != v])
-        # 80 positions fit exactly, but the cop move table has 100 entries
+        # 80 positions fit exactly, but the 104 sub-move arcs do not
         with pytest.raises(StateBudgetExceeded, match="move table"):
             solve(k4, 2, state_budget=80)
 
