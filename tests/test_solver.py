@@ -509,15 +509,18 @@ class TestLanes:
                     expected[larger.index((u,) + s)] = masks[i]
             assert x >> width * cut << width * put == packed(expected, width)
 
+    @pytest.mark.parametrize("one_word", [True, False])
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 64), st.integers(65, 200), st.data())
-    def test_nonzero_lanes(self, narrow, wide, data):
+    def test_nonzero_lanes(self, one_word, narrow, wide, data):
         # Lanes of one word (n <= 64) are settled by a struct read of every
-        # lane, wider ones by _nonzero_lanes.  Both must agree with plain
-        # shifts, whether a row has no nonzero lane, the one or two that
+        # lane, wider ones by _nonzero_lanes.  one_word=False packs the
+        # narrow row in 128-bit lanes too, so _nonzero_lanes also reads
+        # masks that fit one word.  Both must agree with plain shifts,
+        # whether a row has no nonzero lane, the one or two that
         # _nonzero_lanes reads off the top bit, or more.
         for n in (narrow, wide):
-            width = _lane_width(n)
+            width = _lane_width(n) if one_word else max(_lane_width(n), 128)
             lane = st.integers(1, (1 << n) - 1)
             old = data.draw(st.lists(st.one_of(st.just(0), lane), min_size=1, max_size=40))
             gains = data.draw(st.lists(
