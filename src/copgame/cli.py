@@ -124,7 +124,7 @@ def _cmd_solve(args):
         "n": d.n,
         "k_max": k_max,
         "cop_number": None if result is None else result.k,
-        "placement": None if result is None else list(next(result.winning_placements())),
+        "placement": None if result is None else list(result._first_winning_placement()),
     }
     print(json.dumps(payload, sort_keys=True))
     return 0
@@ -222,7 +222,14 @@ def build_parser():
     p.add_argument("--pk-star", type=int, help="forward-exact path tuple length")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("solve", help="compute the cop number, emit JSON")
+    p = sub.add_parser(
+        "solve",
+        help="compute the cop number and the first winning placement, emit JSON",
+        description="Print the cop number and the lexicographically first winning "
+        "placement as JSON.  That placement is all zeros whenever vertex 0 reaches "
+        "every vertex, which needs no further solving; otherwise the solver "
+        "finishes the table to find it.",
+    )
     p.add_argument("input")
     p.add_argument("--k-max", type=int, help="largest cop count to try (default n)")
     p.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET)

@@ -12,6 +12,7 @@ plain ints; anything else is refused with InputError.
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 from operator import index
 
@@ -176,6 +177,25 @@ def underlying_girth(d: Digraph):
     return best
 
 
+# The line boundaries of str.splitlines, "\r\n" first so that it counts as one.
+_LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _first_line(text: str):
+    """(line number, stripped line, offset just past its line break) of the
+    first non-blank line of text, numbered as str.splitlines numbers them,
+    or None when every line is blank.  Only the lines up to it are read, so
+    a header is checked before the rest of a large text is split."""
+    lineno = start = 0
+    for lineno, brk in enumerate(_LINE_BREAK.finditer(text), 1):
+        line = text[start:brk.start()].strip()
+        if line:
+            return lineno, line, brk.end()
+        start = brk.end()
+    line = text[start:].strip()
+    return (lineno + 1, line, len(text)) if line else None
+
+
 def parse_arc_list(text: str, source: str = "<string>") -> Digraph:
     """Parse the plain arc-list format.
 
@@ -184,14 +204,10 @@ def parse_arc_list(text: str, source: str = "<string>") -> Digraph:
     Duplicate arcs and loops are rejected.  Every refusal names source, and
     the line when there is one.
     """
-    lines = [
-        (i + 1, line.strip())
-        for i, line in enumerate(text.splitlines())
-        if line.strip()
-    ]
-    if not lines:
+    first = _first_line(text)
+    if first is None:
         raise InputError(f"{source}: empty input")
-    lineno, header = lines[0]
+    lineno, header, end = first
     parts = header.split()
     if len(parts) != 2:
         raise InputError(f"{source}: line {lineno}: header must be 'n m'")
@@ -204,7 +220,11 @@ def parse_arc_list(text: str, source: str = "<string>") -> Digraph:
         _check_arc_cap(_at_least(m, 0, "arc count"))
     except InputError as err:
         raise InputError(f"{source}: line {lineno}: {err}") from None
-    body = lines[1:]
+    body = [
+        (i, line.strip())
+        for i, line in enumerate(text[end:].splitlines(), lineno + 1)
+        if line.strip()
+    ]
     if len(body) != m:
         raise InputError(
             f"{source}: expected {m} arc lines after the header, found {len(body)}"

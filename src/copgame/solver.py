@@ -117,8 +117,10 @@ suspended generator, which holds the tables and the sub-move stages but
 no reference to the SolveResult, so a dropped result is freed at once.
 The queries that need the whole table (win, rank, best_move,
 placement_wins, winning_placements and play_trace's placement scan) run
-those levels first and then drop the generator; cop_number only asks
-whether some placement's mask is full, which never needs them.
+those levels first and then drop the generator.  cop_number only asks
+whether some placement's mask is full, which never needs them, and the
+first winning placement (_first_winning_placement, which copgame solve
+prints) needs them only when vertex 0 does not reach every vertex.
 
 The state budget bounds three counts, each computed in closed form before
 anything is allocated: positions, sub-move states, and the sub-move arcs
@@ -136,7 +138,7 @@ from itertools import combinations_with_replacement, compress, count, product, r
 from math import comb, inf
 from operator import index, ne
 
-from .digraph import Digraph
+from .digraph import Digraph, _reachable
 from .errors import InputError, StateBudgetExceeded, _at_least
 
 DEFAULT_STATE_BUDGET = 50_000_000
@@ -170,7 +172,12 @@ class GamePosition:
     to_move: str
 
     def __post_init__(self):
-        cops = sorted(_vertex_id(c, "cop") for c in self.cops)
+        try:
+            # The generator takes iter(self.cops) as it is made.
+            ids = (_vertex_id(c, "cop") for c in self.cops)
+        except TypeError:
+            raise InputError(f"cops must be iterable, got {self.cops!r}") from None
+        cops = sorted(ids)
         object.__setattr__(self, "cops", tuple(cops))
         object.__setattr__(self, "robber", _vertex_id(self.robber, "robber"))
         if self.to_move not in (COPS, ROBBER):
@@ -309,6 +316,25 @@ class SolveResult:
         for cw, mask in zip(self.placements(), self._wins[0]):
             if mask == full:
                 yield cw
+
+    def _first_winning_placement(self):
+        """The lexicographically first winning placement, or None when no
+        placement wins.
+
+        When some placement wins and vertex 0 reaches every vertex, that is
+        (0, ..., 0), and no further level runs.  If a placement P wins,
+        cops that start on 0 walk to P along shortest paths, each staying
+        put once it arrives.  Unless the robber is caught on the way, they
+        arrive with the robber to move, and every robber move leads to a
+        cop-to-move position against P, which P's full mask wins.  If some
+        vertex w is out of 0's reach, a robber on w stays put forever and
+        no cop from 0 ever reaches it, so (0, ..., 0) loses and the first
+        winner lies elsewhere: the table is finished to find it.
+        """
+        d = self._d
+        if self._some_placement_won() and _reachable(d.out_adj, 0) == d.n:
+            return (0,) * self.k
+        return next(self.winning_placements(), None)
 
     def positions(self):
         """Every canonical position of the game."""

@@ -18,6 +18,7 @@ from copgame import (
 )
 from copgame import cli
 from copgame.cli import main
+from copgame.solver import SolveResult
 
 C3_TEXT = format_arc_list(gen_directed_cycle(3))
 C4_TEXT = format_arc_list(gen_directed_cycle(4))
@@ -221,6 +222,27 @@ class TestSolve:
         assert digest.hexdigest() == (
             "ced5281dc8eb1fd2413035fdafde4f82ae674c451c09ed7697017428aa387269"
         )
+
+    def test_vertex_0_reaching_every_vertex_skips_the_remaining_levels(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def no_completion(self):
+            raise AssertionError("the table was finished")
+
+        monkeypatch.setattr(SolveResult, "_complete", no_completion)
+        plane = gen_projective_plane_incidence_doubled(2)
+        src = write(tmp_path, "plane.dg", format_arc_list(plane))
+        code, out, _ = run(capsys, "solve", src)
+        assert code == 0
+        assert '"cop_number": 3' in out and '"placement": [0, 0, 0]' in out
+
+    def test_vertex_0_reaching_nothing_finishes_the_table(self, capsys, tmp_path):
+        # The reversed path 3 -> 2 -> 1 -> 0: a robber on 3 beats a cop on
+        # 0, 1 or 2, and only a cop on 3 wins.
+        src = write(tmp_path, "rpath.dg", "4 3\n1 0\n2 1\n3 2\n")
+        code, out, _ = run(capsys, "solve", src)
+        assert code == 0
+        assert '"cop_number": 1' in out and '"placement": [3]' in out
 
 
 class TestSimulate:

@@ -1,6 +1,7 @@
 """Digraph construction, queries and the text formats."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -228,6 +229,40 @@ class TestArcListFormat:
         with pytest.raises(InputError) as info:
             parse_arc_list(text, source="bad.dg")
         assert str(info.value) == "bad.dg: line 1: arc count 4 exceeds the limit of 3"
+
+    def test_header_over_the_cap_refused_before_the_body_is_read(self):
+        # A million arc lines after a header over the arc cap: the header is
+        # read and refused first, so none of the body is split or copied.
+        text = "10 5000001\n" + "0 1\n" * 1_000_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError) as info:
+                parse_arc_list(text, source="bad.dg")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == "bad.dg: line 1: arc count 5000001 exceeds the limit of 5000000"
+        assert peak < 10 * 2**20, peak
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from(["", " ", "\t"]), max_size=4),
+        st.lists(st.sampled_from(["", " "]), max_size=4),
+        st.lists(st.sampled_from(["\n", "\r", "\r\n", "\x0c", "\x85", "\x1d", "\u2028"]),
+                 min_size=10, max_size=10),
+    )
+    def test_lines_numbered_as_splitlines_numbers_them(self, before, between, breaks):
+        # Blank lines before the header and between the arc lines, joined by
+        # every kind of line break: each refusal names the line that
+        # str.splitlines gives it.
+        for header, bad, message in (("x", "x", "header must be 'n m'"),
+                                     ("2 1", "0 x", "expected two integers")):
+            lines = before + [header] + between + [bad]
+            text = "".join(line + brk for line, brk in zip(lines, breaks))
+            lineno = text.splitlines().index(bad) + 1
+            with pytest.raises(InputError) as info:
+                parse_arc_list(text, source="bad.dg")
+            assert str(info.value) == f"bad.dg: line {lineno}: {message}"
 
     def test_source_name_in_message(self):
         with pytest.raises(InputError, match="bad.dg"):

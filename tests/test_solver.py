@@ -94,6 +94,12 @@ class TestGamePosition:
         with pytest.raises(InputError, match="robber vertex None is not an integer"):
             GamePosition((0,), None, ROBBER)
 
+    def test_non_iterable_cops_refused(self):
+        with pytest.raises(InputError, match="cops must be iterable, got 5"):
+            GamePosition(5, 0, COPS)
+        with pytest.raises(InputError, match="cops must be iterable, got 0"):
+            solve(C4, 1).placement_wins(0)
+
 
 class TestLegalMoves:
     def test_two_cops_collapse_to_multisets(self):
@@ -824,6 +830,37 @@ class TestPlacements:
         result = solve(C3, 2)
         assert result.num_positions == 6 * 3 * 2
         assert sum(1 for _ in result.positions()) == result.num_positions
+
+
+def reaches_every_vertex(d):
+    """Whether vertex 0 reaches every vertex of d, by a BFS of its own."""
+    seen, frontier = {0}, [0]
+    while frontier:
+        frontier = [w for v in frontier for w in d.out_adj[v] if w not in seen]
+        seen.update(frontier)
+    return len(seen) == d.n
+
+
+class TestFirstWinningPlacement:
+    @settings(max_examples=200, deadline=None)
+    @given(digraphs(5), st.integers(1, 3))
+    def test_all_zeros_wins_exactly_when_vertex_0_reaches_every_vertex(self, d, k):
+        # The rule itself, with no solver code: the minimax oracle's table
+        # and a BFS.
+        table = oracles.minimax_cop_win(d, k)
+        zeros_win = all(table[((0,) * k, r, "cops")] for r in range(d.n))
+        some_win = oracles.minimax_some_placement_wins(table, d, k)
+        assert zeros_win == (some_win and reaches_every_vertex(d))
+
+    @settings(max_examples=100, deadline=None)
+    @given(digraphs(7), st.integers(1, 3))
+    def test_matches_the_finished_table(self, d, k):
+        first = next(solve(d, k).winning_placements(), None)
+        result = solve(d, k)
+        assert result._first_winning_placement() == first
+        # The levels solve left suspended still wait exactly when the rule
+        # answered.
+        assert (result._levels is not None) == (first is not None and reaches_every_vertex(d))
 
 
 class TestBudget:
