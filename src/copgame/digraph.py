@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 from collections import deque
+from itertools import islice
 from operator import index
 
 from .errors import InputError, _at_least
@@ -179,21 +180,14 @@ def underlying_girth(d: Digraph):
 
 # The line boundaries of str.splitlines, "\r\n" first so that it counts as one.
 _LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+# A non-blank line from its first non-whitespace character (re's \s is
+# str.isspace, and every line break is whitespace): one match per line.
+_NONBLANK = re.compile("\\S[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
-def _first_line(text: str):
-    """(line number, stripped line, offset just past its line break) of the
-    first non-blank line of text, numbered as str.splitlines numbers them,
-    or None when every line is blank.  Only the lines up to it are read, so
-    a header is checked before the rest of a large text is split."""
-    lineno = start = 0
-    for lineno, brk in enumerate(_LINE_BREAK.finditer(text), 1):
-        line = text[start:brk.start()].strip()
-        if line:
-            return lineno, line, brk.end()
-        start = brk.end()
-    line = text[start:].strip()
-    return (lineno + 1, line, len(text)) if line else None
+def _line_of(text: str, match) -> int:
+    """The number str.splitlines gives the line of a _NONBLANK match."""
+    return sum(1 for _ in _LINE_BREAK.finditer(text, 0, match.start())) + 1
 
 
 def parse_arc_list(text: str, source: str = "<string>") -> Digraph:
@@ -202,51 +196,54 @@ def parse_arc_list(text: str, source: str = "<string>") -> Digraph:
     First non-empty line is "n m", with 1 <= n <= MAX_VERTICES and
     0 <= m <= MAX_ARCS; the next m lines are "tail head" pairs, 0-indexed.
     Duplicate arcs and loops are rejected.  Every refusal names source, and
-    the line when there is one.
+    the line when there is one; a count of arc lines other than m is
+    refused before the fault of any line.  The lines are read one at a
+    time: the header is checked before the body is read, and lines past
+    the m-th are counted, not kept.
     """
-    first = _first_line(text)
-    if first is None:
+    lines = _NONBLANK.finditer(text)
+    line = next(lines, None)
+    if line is None:
         raise InputError(f"{source}: empty input")
-    lineno, header, end = first
-    parts = header.split()
-    if len(parts) != 2:
-        raise InputError(f"{source}: line {lineno}: header must be 'n m'")
     try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise InputError(f"{source}: line {lineno}: header must be two integers") from None
-    try:
+        parts = line.group().split()
+        if len(parts) != 2:
+            raise InputError("header must be 'n m'")
+        try:
+            n, m = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise InputError("header must be two integers") from None
         _check_vertex_cap(_at_least(n, 1, "vertex count"))
         _check_arc_cap(_at_least(m, 0, "arc count"))
     except InputError as err:
-        raise InputError(f"{source}: line {lineno}: {err}") from None
-    body = [
-        (i, line.strip())
-        for i, line in enumerate(text[end:].splitlines(), lineno + 1)
-        if line.strip()
-    ]
-    if len(body) != m:
-        raise InputError(
-            f"{source}: expected {m} arc lines after the header, found {len(body)}"
-        )
+        raise InputError(f"{source}: line {_line_of(text, line)}: {err}") from None
     arcs = []
     seen = set()
-    for lineno, line in body:
-        parts = line.split()
-        if len(parts) != 2:
-            raise InputError(f"{source}: line {lineno}: expected 'tail head'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise InputError(f"{source}: line {lineno}: expected two integers") from None
-        if u == v:
-            raise InputError(f"{source}: line {lineno}: loop ({u}, {v})")
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"{source}: line {lineno}: arc ({u}, {v}) out of range")
-        if (u, v) in seen:
-            raise InputError(f"{source}: line {lineno}: duplicate arc ({u}, {v})")
-        seen.add((u, v))
-        arcs.append((u, v))
+    fault = None
+    try:
+        for line in islice(lines, m):
+            parts = line.group().split()
+            if len(parts) != 2:
+                raise InputError("expected 'tail head'")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise InputError("expected two integers") from None
+            if u == v:
+                raise InputError(f"loop ({u}, {v})")
+            if not (0 <= u < n and 0 <= v < n):
+                raise InputError(f"arc ({u}, {v}) out of range")
+            if (u, v) in seen:
+                raise InputError(f"duplicate arc ({u}, {v})")
+            seen.add((u, v))
+            arcs.append((u, v))
+    except InputError as err:
+        fault = InputError(f"{source}: line {_line_of(text, line)}: {err}")
+    found = len(arcs) + (fault is not None) + sum(1 for _ in lines)
+    if found != m:
+        raise InputError(f"{source}: expected {m} arc lines after the header, found {found}")
+    if fault is not None:
+        raise fault
     return Digraph(n, arcs)
 
 

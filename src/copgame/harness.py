@@ -13,18 +13,21 @@ the CSV output use; RUN_ORDER is the table's order.
     lemma4    subdividing by l = 2, 3, 4 pushes the underlying girth to at
               least l and keeps strong connectivity
     theorem1  the cop number is at least the source count; the doubled
-              order-2 plane needs exactly 3 cops and has no induced P_2
+              order-2 plane has its NAMED_INSTANCES answer and no induced
+              P_2
     theorem3  strongly connected hosts free of the forward-exact path
               tuple on k vertices have cop number at most k - 2
 
 An entry holds the suite's default config and its passes; a pass runs one
 check over every instance of one source.  Random instances have seeds
->= 0 (see _Drawn).  Fixed instances have negative seeds: -1 is theorem1's
-doubled plane, and -((n << 20) | code) - 1 is the digraph with arc mask
-`code` (see iter_all_digraphs) in theorem3's sweep of the strongly
-connected digraphs on 1 .. min(4, n_max) vertices.  `run_suite` runs the
-passes in order; `replay_instance` recomputes the rows of one (suite, seed)
-pair from the seed alone, and rejects a seed that no run records.
+>= 0 (see _Drawn).  Fixed instances have negative seeds.  Entry i of
+NAMED_INSTANCES, the paper's fixed hosts with their cop numbers, has seed
+-(i + 1); only theorem1 records one, -1, its doubled order-2 plane.  And
+-((n << 20) | code) - 1 is the digraph with arc mask `code` (see
+iter_all_digraphs) in theorem3's sweep of the strongly connected digraphs
+on 1 .. min(4, n_max) vertices.  `run_suite` runs the passes in order;
+`replay_instance` recomputes the rows of one (suite, seed) pair from the
+seed alone, and rejects a seed that no run records.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .constructions import (
     _random_digraph_from,
     clique_substitute_all,
     gen_claw_orientations,
+    gen_directed_cycle,
     gen_directed_path,
     gen_projective_plane_incidence_doubled,
     subdivide_arcs,
@@ -63,6 +67,44 @@ GIRTH_TARGETS = (2, 3, 4)
 
 # theorem3's exhaustive sweep covers 1 .. min(_SWEEP_N, n_max) vertices.
 _SWEEP_N = 4
+
+# name -> (builder, cop number, exact): the paper's fixed hosts, each with
+# its answer.  An exact entry needs exactly that many cops; otherwise one
+# cop fewer loses, so the number is a lower bound.  Entry i has seed
+# -(i + 1).  The builders look their function up when called, so that
+# rebinding the module's names (as a tracer does) reaches every call.
+NAMED_INSTANCES = {
+    # Bonato and Burgess, J. Combin. Des. 21 (2013): the incidence graph of
+    # a projective plane of order q needs q + 1 cops, and the doubled plane
+    # is that graph with each edge as two arcs.
+    "doubled-plane-q2": (lambda: gen_projective_plane_incidence_doubled(2), 3, True),
+    "doubled-plane-q3": (lambda: gen_projective_plane_incidence_doubled(3), 4, True),
+    # One cop can only follow the robber round a directed cycle; two close
+    # it, one waiting ahead of the robber while the other follows.
+    "cycle-100": (lambda: gen_directed_cycle(100), 2, True),
+    # Aigner and Fromme, Discrete Appl. Math. 8 (1984): a graph of girth at
+    # least 5 needs as many cops as its least degree; two close any cycle.
+    "bicycle-200": (
+        lambda: Digraph(200, [(v, (v + s) % 200) for v in range(200) for s in (1, -1)]),
+        2,
+        True,
+    ),
+    # Lemma 1: clique substitution never lowers the cop number, so the
+    # order-3 plane's answer bounds it below.  Its game at that many cops
+    # (1.07 G positions) is beyond the state budget.
+    "clique-sub-plane-q3": (
+        lambda: clique_substitute_all(gen_projective_plane_incidence_doubled(3)),
+        4,
+        False,
+    ),
+}
+
+
+def _claim(name: str):
+    """(k_max, cop_number(d, k_max)) that a named entry's answer asserts:
+    c cops win and c - 1 lose when it is exact, else c - 1 cops lose."""
+    _, c, exact = NAMED_INSTANCES[name]
+    return (c, c) if exact else (c - 1, None)
 
 
 @dataclass(frozen=True)
@@ -217,13 +259,12 @@ def _source_bound_check(d, cfg):
         yield "", c[0], None, f"sources={sources}", c[0] >= sources
 
 
-def _plane_check(d, cfg):
-    induced = find_induced(d, gen_directed_path(2))
-    c = yield from _cop_numbers("doubled-plane-q2", cfg, (d, 3))
+def _plane_check(d, cfg, name):
+    k_max, answer = _claim(name)
+    p2 = "absent" if find_induced(d, gen_directed_path(2)) is None else "present"
+    c = yield from _cop_numbers(name, cfg, (d, k_max))
     if c is not None:
-        p2 = "absent" if induced is None else "present"
-        ok = induced is None and c[0] == 3
-        yield "doubled-plane-q2", c[0], None, f"p2_induced={p2}", ok
+        yield name, c[0], None, f"p2_induced={p2}", p2 == "absent" and c[0] == answer
 
 
 def _path_star_check(d, cfg, transform):
@@ -354,8 +395,11 @@ def _decode_sweep_seed(seed: int, cfg: SuiteConfig):
     return d if is_strongly_connected(d) else None
 
 
-def _decode_plane_seed(seed: int, cfg: SuiteConfig):
-    return gen_projective_plane_incidence_doubled(2) if seed == -1 else None
+def _named(name: str) -> _Fixed:
+    """The one instance of a NAMED_INSTANCES entry, under its seed."""
+    seed = -1 - list(NAMED_INSTANCES).index(name)
+    return _Fixed(lambda cfg: (seed,),
+                  lambda s, cfg: NAMED_INSTANCES[name][0]() if s == seed else None)
 
 
 # ------------------------------------------------------------------- table
@@ -381,7 +425,7 @@ _SUITES = {
         SuiteConfig(trials=200, n_max=6),
         [
             (_Drawn(lambda d: True), _source_bound_check),
-            (_Fixed(lambda cfg: (-1,), _decode_plane_seed), _plane_check),
+            (_named("doubled-plane-q2"), partial(_plane_check, name="doubled-plane-q2")),
         ],
     ),
     "theorem3": (

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from collections import deque
 
-from copgame import Digraph
+import pytest
+
+from copgame import Digraph, InputError
 
 
 def minimax_cop_win(d, k):
@@ -210,6 +213,18 @@ def naive_isomorphic(d1, d2):
         if all((perm[u], perm[v]) in d2.arcs for u, v in d1.arcs):
             return True
     return False
+
+
+def refusal_and_traced_peak(call):
+    """The InputError that call() must raise, and the peak of the bytes
+    tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError) as info:
+            call()
+        return str(info.value), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class Index:

@@ -3,7 +3,6 @@
 import hashlib
 import math
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -398,14 +397,8 @@ class TestVertexCap:
         ],
     )
     def test_refused_before_building(self, build):
-        tracemalloc.start()
-        try:
-            with pytest.raises(InputError, match="exceeds the limit"):
-                build()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100_000
+        message, peak = oracles.refusal_and_traced_peak(build)
+        assert "exceeds the limit" in message and peak < 100_000
 
     def test_random_draws_nothing(self):
         rng = random.Random(5)
@@ -425,14 +418,8 @@ class TestArcCap:
         # 50,000 * 49,999 cluster arcs.
         star = bidirected_star(50_000)
         for substitute in (clique_substitute_all, lambda d: clique_substitute_vertex(d, 0)):
-            tracemalloc.start()
-            try:
-                with pytest.raises(InputError, match=f"exceeds the limit of {MAX_ARCS}"):
-                    substitute(star)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 32 * 2**20
+            message, peak = oracles.refusal_and_traced_peak(lambda: substitute(star))
+            assert f"exceeds the limit of {MAX_ARCS}" in message and peak < 32 * 2**20
 
     def test_vertex_cap_comes_first(self):
         star = bidirected_star(50_001)
@@ -443,14 +430,9 @@ class TestArcCap:
     def test_plane_refused_before_building(self):
         # q = 223 passes the vertex cap with 99,906 vertices, but its
         # 2 * 49,953 * 224 arcs would take the N^2 incidence loop minutes
-        tracemalloc.start()
-        try:
-            with pytest.raises(InputError, match=f"22378944 exceeds the limit of {MAX_ARCS}"):
-                gen_projective_plane_incidence_doubled(223)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100_000
+        message, peak = oracles.refusal_and_traced_peak(
+            lambda: gen_projective_plane_incidence_doubled(223))
+        assert f"22378944 exceeds the limit of {MAX_ARCS}" in message and peak < 100_000
 
     def test_plane_at_the_cap(self, monkeypatch):
         monkeypatch.setattr(copgame.digraph, "MAX_ARCS", 104)
@@ -504,15 +486,10 @@ class TestRandomDrawCap:
     def test_refused_before_drawing(self):
         rng = random.Random(5)
         state = rng.getstate()
-        tracemalloc.start()
-        try:
-            with pytest.raises(InputError, match="random draw count 50006112 exceeds the limit"):
-                _random_digraph_from(rng, 7072, 0.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        message, peak = oracles.refusal_and_traced_peak(
+            lambda: _random_digraph_from(rng, 7072, 0.0))
+        assert "random draw count 50006112 exceeds the limit" in message and peak < 100_000
         assert rng.getstate() == state
-        assert peak < 100_000
 
     def test_at_the_cap(self, monkeypatch):
         monkeypatch.setattr(copgame.constructions, "MAX_RANDOM_DRAWS", 12)

@@ -20,7 +20,7 @@ from copgame import (
     write_reports,
 )
 from copgame import harness
-from copgame.harness import CSV_HEADER, GIRTH_TARGETS
+from copgame.harness import CSV_HEADER, GIRTH_TARGETS, NAMED_INSTANCES
 
 import oracles
 
@@ -260,11 +260,21 @@ class TestReplayRejects:
         assert replay_instance("theorem3", _sweep_seed(2, 3))
 
     def test_negative_seed_of_a_suite_without_it(self):
-        for token in ("lemma1", "lemma2", "lemma3", "lemma4"):
-            with pytest.raises(InputError, match=f"no {token} run records"):
-                replay_instance(token, -1, TINY)
-        with pytest.raises(InputError, match="no theorem1 run records"):
-            replay_instance("theorem1", -2, TINY)
+        # only theorem1 records a named seed, -1
+        for token in RUN_ORDER:
+            for i in range(token == "theorem1", len(NAMED_INSTANCES)):
+                with pytest.raises(InputError, match=f"no {token} run records seed {-i - 1}$"):
+                    replay_instance(token, -i - 1, TINY)
+
+    def test_named_seeds_lie_above_the_sweep(self):
+        assert -len(NAMED_INSTANCES) > max(harness._sweep_seeds(TINY)) == -(1 << 20) - 1
+
+    def test_named_answer_is_what_theorem1_checks(self, monkeypatch):
+        # theorem1 reads the plane's answer from the table: a wrong one fails
+        build, _, exact = NAMED_INSTANCES["doubled-plane-q2"]
+        monkeypatch.setitem(NAMED_INSTANCES, "doubled-plane-q2", (build, 4, exact))
+        assert replay_instance("theorem1", -1)[0].verdicts == "p2_induced=absent;violation"
+        assert run_suite("theorem1", TINY).violating_seeds == [-1]
 
     def test_replay_seed_follows_the_integer_rule(self):
         # A string, None or a float is refused before any replay work, as

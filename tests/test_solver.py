@@ -31,6 +31,7 @@ from copgame import (
 )
 
 import copgame.solver as solver
+from copgame.harness import NAMED_INSTANCES, _claim
 from copgame.solver import (
     _first_blocks,
     _grouped_pushes,
@@ -688,9 +689,14 @@ class TestCopNumber:
     def test_insufficient_k_max(self):
         assert cop_number(C4, 1) is None
 
-    def test_doubled_plane_q2(self):
-        plane = gen_projective_plane_incidence_doubled(2)
-        assert cop_number(plane, 3) == 3
+    @pytest.mark.parametrize("name", [
+        name for name, (build, *_) in NAMED_INSTANCES.items()
+        if solver._table_sizes(build(), _claim(name)[0])[0] <= 10**7
+    ])
+    def test_named_instance(self, name):
+        # An exact entry's c cops win and c - 1 lose; a bound's c - 1 lose.
+        k_max, answer = _claim(name)
+        assert cop_number(NAMED_INSTANCES[name][0](), k_max) == answer
 
     def test_bad_k_max(self):
         with pytest.raises(InputError):
