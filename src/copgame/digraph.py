@@ -217,7 +217,6 @@ def parse_arc_list(text: str, source: str = "<string>") -> Digraph:
         _check_arc_cap(_at_least(m, 0, "arc count"))
     except InputError as err:
         raise InputError(f"{source}: line {_line_of(text, line)}: {err}") from None
-    arcs = []
     seen = set()
     fault = None
     try:
@@ -236,15 +235,14 @@ def parse_arc_list(text: str, source: str = "<string>") -> Digraph:
             if (u, v) in seen:
                 raise InputError(f"duplicate arc ({u}, {v})")
             seen.add((u, v))
-            arcs.append((u, v))
     except InputError as err:
         fault = InputError(f"{source}: line {_line_of(text, line)}: {err}")
-    found = len(arcs) + (fault is not None) + sum(1 for _ in lines)
+    found = len(seen) + (fault is not None) + sum(1 for _ in lines)
     if found != m:
         raise InputError(f"{source}: expected {m} arc lines after the header, found {found}")
     if fault is not None:
         raise fault
-    return Digraph(n, arcs)
+    return Digraph(n, seen)
 
 
 def format_arc_list(d: Digraph) -> str:

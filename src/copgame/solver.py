@@ -122,11 +122,14 @@ whether some placement's mask is full, which never needs them, and the
 first winning placement (_first_winning_placement, which copgame solve
 prints) needs them only when vertex 0 does not reach every vertex.
 
-The state budget bounds three counts, each computed in closed form before
-anything is allocated: positions, sub-move states, and the sub-move arcs
-the pushes can follow.  No table of arcs is built: the pushes follow them
-as shifts, so nothing of the third count's size is allocated.  A budget
-below 1 is refused with InputError.
+The state budget bounds three counts, each a closed form computed before
+anything is allocated: positions, 2n multisets(n, k); sub-move states,
+multisets(2n, k); and the sub-move arcs the pushes can follow, the sum
+over u of (1 + outdeg(u)) multisets(2n - u, k - 1) (_table_sizes).  None
+loops over the stages, so a request for any k is sized, and refused if
+too large, before any work.  No table of arcs is built: the pushes follow
+them as shifts, so nothing of the third count's size is allocated.  A
+budget below 1 is refused with InputError.
 """
 
 from __future__ import annotations
@@ -350,18 +353,20 @@ def _multisets(n: int, t: int) -> int:
 
 
 def _table_sizes(d: Digraph, k: int):
-    """(positions, sub-move states, sub-move arcs) of the k-cop game on d."""
+    """(positions, sub-move states, sub-move arcs) of the k-cop game on d,
+    each in closed form: no loop over the stages, so any k is sized with
+    n + 2 binomials."""
     n = d.n
     positions = _multisets(n, k) * n * 2
-    states = sum(_multisets(n, k - j) * _multisets(n, j) for j in range(k + 1))
-    # A stage-j state moves its smallest unmoved cop u along 1 + outdeg(u)
-    # arcs, and multisets(n - u, j - 1) unmoved multisets of size j have
-    # smallest vertex u.
-    arcs = sum(
-        _multisets(n, k - j)
-        * sum((1 + d.out_degree(u)) * _multisets(n - u, j - 1) for u in range(n))
-        for j in range(1, k + 1)
-    )
+    # Stage j holds multisets(n, k - j) * multisets(n, j) states, (M, U)
+    # with |U| = j.  A stage-j state moves its smallest unmoved cop u along
+    # 1 + outdeg(u) arcs, and multisets(n - u, j - 1) unmoved multisets of
+    # size j have smallest vertex u.  Each sum over the stages is
+    # Vandermonde's identity for multisets,
+    # sum over a + b = t of multisets(x, a) * multisets(y, b) = multisets(x + y, t),
+    # with t = k for the states and t = k - 1 for the arcs.
+    states = _multisets(2 * n, k)
+    arcs = sum((1 + d.out_degree(u)) * _multisets(2 * n - u, k - 1) for u in range(n))
     return positions, states, arcs
 
 
@@ -697,12 +702,6 @@ def _levels(d, k, lanes, bits, nbhd, copwin, robwin, rank):
     fold = None
     if k > 1 and one_word:
         fold = [sum(1 << width * u for u in closed_in[v]) for v in range(n)]
-    # shifts[j][u]: the bit shifts that prepend u to the lanes of a
-    # stage-(j - 1) row; stage k reads only the cut, since each of its
-    # blocks starts at lane 0.
-    shifts = [None] + [
-        [(width * cut, width * put) for cut, put in lanes[j - 1]] for j in range(1, k + 1)
-    ]
     reach_tables = _reach_tables(closed_in_masks)
 
     # rows[j][i(M)]: stage j, 1 <= j < k, lane i(U) holding the robber
@@ -775,12 +774,12 @@ def _levels(d, k, lanes, bits, nbhd, copwin, robwin, rank):
                         if v != a:
                             stage[offset + q] |= x * fold[v]
             else:
-                shift = shifts[j]
+                prepend = lanes[j - 1]
                 for p, pushed in _grouped_pushes(changed, tails, closed_in):
                     row = stage[p]
                     for u, x in pushed.items():
-                        cut, put = shift[u]
-                        row |= x >> cut << put
+                        cut, put = prepend[u]
+                        row |= x >> width * cut << width * put
                     stage[p] = row
             idx = list(compress(count(), map(ne, stage, snap)))
             delta = [stage[p] ^ snap[p] for p in idx]
@@ -795,7 +794,7 @@ def _levels(d, k, lanes, bits, nbhd, copwin, robwin, rank):
             (_, pushed), = _grouped_pushes(changed, removals[0], closed_in)
             for u in sorted(pushed):
                 old = block[u]
-                new = old | pushed[u] >> shifts[k][u][0]
+                new = old | pushed[u] >> width * top[u][0]
                 if new != old:
                     block[u] = new
                     _settle_lanes(copwin, cop_idx, cop_masks, top[u][1], old, new, width,

@@ -77,6 +77,31 @@ def minimax_cop_number(d, k_max):
     return None
 
 
+def table_sizes(d, k):
+    """(positions, sub-move states, sub-move arcs) of the k-cop game on d,
+    summed one sub-move stage at a time.
+
+    Stage j, 0 <= j <= k, holds the states (M, U) with |M| = k - j moved
+    and |U| = j unmoved cops.  A stage-j state with j >= 1 moves its
+    smallest unmoved cop u along 1 + outdeg(u) arcs, and the unmoved
+    j-multisets with smallest vertex u are the (j - 1)-multisets over the
+    vertices u .. n - 1 with u prepended.
+    """
+    n = d.n
+
+    def multisets(m, t):
+        return math.comb(m + t - 1, t)
+
+    positions = multisets(n, k) * n * 2
+    states = sum(multisets(n, k - j) * multisets(n, j) for j in range(k + 1))
+    arcs = sum(
+        multisets(n, k - j)
+        * sum((1 + d.out_degree(u)) * multisets(n - u, j - 1) for u in range(n))
+        for j in range(1, k + 1)
+    )
+    return positions, states, arcs
+
+
 def girth_by_enumeration(d):
     """Shortest underlying cycle by trying every cycle length from 2 up.
 

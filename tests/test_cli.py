@@ -461,6 +461,8 @@ class TestInputErrors:
             ("check C4 --pk 1", "path pattern length must be >= 2, got 1"),
             ("check C4 --pk-star 1", "path pattern length must be >= 2, got 1"),
             ("simulate C4 --k 0", "cop count must be >= 1, got 0"),
+            ("simulate C4 --k 1000000",
+             "1333341333348000008 positions exceed the state budget of 50000000"),
             ("verify --trials 0 --out-dir OUT", "trials must be >= 1, got 0"),
             ("verify --n-max 1 --out-dir OUT", "n_max must be >= 2, got 1"),
             ("verify --p 2 --out-dir OUT", "arc probability must be in [0, 1], got 2.0"),

@@ -3,7 +3,9 @@
 import gc
 import hashlib
 import inspect
+import math
 import random
+import time
 import weakref
 from itertools import combinations_with_replacement
 
@@ -889,6 +891,34 @@ class TestBudget:
     def test_cop_number_propagates(self):
         with pytest.raises(StateBudgetExceeded):
             cop_number(C4, 2, state_budget=10)
+
+    def test_table_sizes_match_the_per_stage_sums(self):
+        # The closed forms against the sums over the stages, on seeded
+        # hosts of every size up to 40 and every named host at its k_max
+        # and one cop more.
+        rng = random.Random(25)
+        games = [
+            (gen_random_digraph(n, rng.random(), rng.randrange(10**6)), k)
+            for n in range(1, 41) for k in range(1, 7)
+        ]
+        for name, (build, *_) in NAMED_INSTANCES.items():
+            d, (k_max, _) = build(), _claim(name)
+            games += [(d, k_max), (d, k_max + 1)]
+        for d, k in games:
+            assert solver._table_sizes(d, k) == oracles.table_sizes(d, k), (d, k)
+
+    def test_any_k_sized_before_work(self):
+        # A million cops: the positions alone exceed the budget, and each
+        # refusal names them without a pass over the million stages.
+        k = 10**6
+        for d in (gen_projective_plane_incidence_doubled(3), C4):
+            positions = math.comb(d.n + k - 1, k) * d.n * 2
+            match = f"^{positions} positions exceed the state budget of 50000000$"
+            for call in (solve, play_trace):
+                start = time.perf_counter()
+                with pytest.raises(StateBudgetExceeded, match=match):
+                    call(d, k)
+                assert time.perf_counter() - start < 2
 
     def test_bad_k(self):
         with pytest.raises(InputError):
