@@ -27,8 +27,8 @@ ones.
 
 Every state carries one bit mask over robber vertices, so one OR settles
 a state for all n robber positions at once.  Stage 0 (robwin) and stage k
-(copwin) keep one int mask per cop multiset, the layout the robber side,
-the ranks and SolveResult read.  Each middle stage j, 1 <= j < k, keeps
+(copwin) keep one int mask per cop multiset, the layout the robber side
+and SolveResult read.  Each middle stage j, 1 <= j < k, keeps
 one int per moved multiset M, its row: lane i(U) of the row, W bits wide,
 holds the mask of state (M, U), with i(U) the place of U in
 combinations_with_replacement order.  W is the smallest of 8, 16, 32 and
@@ -95,8 +95,11 @@ a list of masks into a row, and while W is at most one word
 _settle_lanes reads every lane of a block back with the same struct
 format; wider lanes are joined from each mask's bytes, and only the
 changed ones are read back (_nonzero_lanes).  Sub-move stages add
-nothing to the rank, which counts whole half-moves.  Ranks are kept
-bit-sliced: one mask per cop multiset and bit of the level.
+nothing to the rank, which counts whole half-moves.  Ranks are kept as
+the attractor's log: per side, one (idx, masks) entry per level from 2
+on, the cop multisets the level changed, ascending, with the bits each
+gained.  The rank of a won position is 0 when the robber stands on a cop,
+else the level of the first entry that holds its bit, else 1.
 
 The first pass, level 2, starts from the closed form: every cop
 multiset may have changed, and there is nothing to push, since level 1
@@ -135,7 +138,7 @@ budget below 1 is refused with InputError.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, compress, count, product, repeat
 from math import comb, inf
@@ -219,19 +222,20 @@ class SolveResult:
     copwin[i] and robwin[i] are bit masks over robber vertices: bit r is
     set when the cop side wins (C, r), for C the i-th cop multiset in
     combinations_with_replacement order (see _multiset_index), with the
-    cops, respectively the robber, to move.  rank[side][t][i] is the mask
-    of robber vertices whose rank with that side to move has bit t set.
+    cops, respectively the robber, to move.  log[side][L - 2] is the pair
+    (idx, masks) of level L >= 2 with that side to move: the indexes i,
+    ascending, that gained robber vertices at L, and the mask of each.
 
     solve may hand over the tables before the attractor's fixpoint, with
     levels, the suspended level generator, still to run; every query that
     reads the tables runs it to the end first.
     """
 
-    def __init__(self, d, k, copwin, robwin, rank, levels):
+    def __init__(self, d, k, copwin, robwin, log, levels):
         self._d = d
         self.k = k
         self._wins = (copwin, robwin)
-        self._rank = rank
+        self._log = log
         self._levels = levels
 
     def _complete(self) -> None:
@@ -264,14 +268,23 @@ class SolveResult:
         return bool(self._wins[side][ci] >> pos.robber & 1)
 
     def rank(self, pos: GamePosition):
-        """Optimal half-moves to capture, or None for robber-win positions."""
+        """Optimal half-moves to capture, or None for robber-win positions.
+
+        0 on a capture; else the level of the first log entry of pos's side
+        that holds its bit; else 1, a cop-to-move win of level 1, which the
+        log does not hold: N+[C] minus bits(C).
+        """
         ci, side = self._locate(pos)
-        if not self._wins[side][ci] >> pos.robber & 1:
+        r = pos.robber
+        if not self._wins[side][ci] >> r & 1:
             return None
-        return sum(
-            (plane[ci] >> pos.robber & 1) << t
-            for t, plane in enumerate(self._rank[side])
-        )
+        if r in pos.cops:
+            return 0
+        for level, (idx, masks) in enumerate(self._log[side], 2):
+            i = bisect_left(idx, ci)
+            if i < len(idx) and idx[i] == ci and masks[i] >> r & 1:
+                return level
+        return 1
 
     def _key(self, pos: GamePosition):
         """The rank of pos, or inf when the robber wins it."""
@@ -617,21 +630,6 @@ def _level_two(won: int, caught: int, closed_in, width: int, num_cw: int) -> int
     return fulls & ~reach & ~caught
 
 
-def _record_ranks(planes, idx, masks, level: int, num_cw: int) -> None:
-    """Add level to the bit-sliced ranks of the positions in the delta
-    (idx[i], masks[i]): plane t holds, per cop multiset, the mask of robber
-    vertices whose rank has bit t set."""
-    t = 0
-    while level >> t:
-        if t == len(planes):
-            planes.append([0] * num_cw)
-        if level >> t & 1:
-            plane = planes[t]
-            for ci, mask in zip(idx, masks):
-                plane[ci] |= mask
-        t += 1
-
-
 def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> SolveResult:
     """Classify every position of the k-cop game on d.
 
@@ -655,23 +653,26 @@ def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> Solve
     nbhd = _union_masks([1 << v | sum(1 << w for w in d.out_adj[v]) for v in range(n)], lanes)
     # Stage 0 and stage k stay one mask per cop multiset.
     robwin, copwin = bits[k], nbhd[k]
-    # No robber-to-move position is won at level 1: the robber may stay
-    # on r, which is a level-0 cop win only when r is in C.  The cop
-    # side's level-1 wins are N+[C] minus bits(C), its first rank plane.
-    rank = ([[c ^ r for c, r in zip(copwin, robwin)]], [])
-    levels = _levels(d, k, lanes, bits, nbhd, copwin, robwin, rank)
+    # The log of each side's changes from level 2 on.  Levels 0 and 1 need
+    # none: a rank-0 position has the robber on a cop, a cop-to-move win of
+    # rank 1 has it in the rest of N+[C], and no robber-to-move position is
+    # won at level 1, since the robber may stay on r.
+    log = ([], [])
+    levels = _levels(d, k, lanes, bits, nbhd, copwin, robwin, log)
     # Masks only grow, so the first full one proves that k cops win.
     if full not in copwin:
         for changed in levels:
             if any(copwin[ci] == full for ci in changed):
                 break
-    return SolveResult(d, k, copwin, robwin, rank, levels)
+    return SolveResult(d, k, copwin, robwin, log, levels)
 
 
-def _levels(d, k, lanes, bits, nbhd, copwin, robwin, rank):
+def _levels(d, k, lanes, bits, nbhd, copwin, robwin, log):
     """Build the sub-move tables, then run the attractor from level 2 to
-    its fixpoint, updating copwin, robwin and the rank planes in place, and
-    yield, ascending, the cop multisets each level changed on the cop side.
+    its fixpoint, updating copwin and robwin in place and appending each
+    level's changes, (idx, masks) with idx ascending, to log[0] for the
+    cop side and log[1] for the robber side, and yield, ascending, the cop
+    multisets each level changed on the cop side.
 
     It holds no reference to the SolveResult that drives it, so a result
     dropped mid-attractor is freed at once, not by the cyclic collector.
@@ -800,8 +801,8 @@ def _levels(d, k, lanes, bits, nbhd, copwin, robwin, rank):
                     _settle_lanes(copwin, cop_idx, cop_masks, top[u][1], old, new, width,
                                   block_sizes[u])
         rob_idx, rob_masks = settled_idx, settled_masks
-        _record_ranks(rank[0], cop_idx, cop_masks, level, num_cw)
-        _record_ranks(rank[1], rob_idx, rob_masks, level, num_cw)
+        log[0].append((cop_idx, cop_masks))
+        log[1].append((rob_idx, rob_masks))
         yield cop_idx
 
 

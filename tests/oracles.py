@@ -145,6 +145,61 @@ def simple_girth_edge_bfs(d):
     return best
 
 
+def greedy_dominating_set(d):
+    """A cop multiset C with N+[C] = V, picked greedily: each step takes the
+    vertex whose closed out-neighbourhood covers the most vertices not yet
+    covered, the smallest on ties.  Cops placed on C capture with their
+    first move wherever the robber starts, so the cop number is at most
+    len(C)."""
+    closed = [{v, *d.out_adj[v]} for v in range(d.n)]
+    left = set(range(d.n))
+    chosen = []
+    while left:
+        v = max(range(d.n), key=lambda v: len(closed[v] & left))
+        chosen.append(v)
+        left -= closed[v]
+    return chosen
+
+
+def aigner_fromme_bound(d):
+    """A lower bound on the cop number: the least degree when d is
+    symmetric, connected and its underlying simple graph has girth at least
+    5 (Aigner and Fromme, Discrete Appl. Math. 8, 1984), else 1.  The girth
+    is simple_girth_edge_bfs's, which ignores arc doubling; the package's
+    underlying_girth counts two opposite arcs as a 2-cycle, so it is 2 on
+    every symmetric digraph with an arc."""
+    if any((v, u) not in d.arcs for u, v in d.arcs):
+        return 1
+    seen, stack = {0}, [0]
+    while stack:
+        for w in d.out_adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) < d.n or simple_girth_edge_bfs(d) < 5:
+        return 1
+    return max(1, min(d.out_degree(v) for v in range(d.n)))
+
+
+def radius(d):
+    """The least, over the vertices that reach every other one, of the
+    largest out-distance to another vertex, by BFS from each; inf when no
+    vertex reaches them all."""
+    best = math.inf
+    for s in range(d.n):
+        dist = {s: 0}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in d.out_adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        if len(dist) == d.n:
+            best = min(best, max(dist.values()))
+    return best
+
+
 def naive_induced(host, pattern):
     """First induced embedding by scanning all ordered vertex tuples."""
     p = pattern.n

@@ -199,6 +199,31 @@ class TestRanks:
     def test_rank_parity(self, d, k):
         self.check_rank_parity(d, k)
 
+    def test_one_cop_on_a_tree(self):
+        # One cop on a bidirected tree does best from a centre: the robber
+        # then starts at most radius away and, fleeing, is caught on the
+        # radius-th cop move, after 2 * radius - 1 half-moves.
+        rng = random.Random(26)
+        for _ in range(200):
+            n = rng.randint(2, 12)
+            tree = oracles.symmetric_digraph(n, [(v, rng.randrange(v)) for v in range(1, n)])
+            result = solve(tree, 1)
+            best = min(
+                max(result.rank(GamePosition((c,), r, COPS)) for r in range(n))
+                for c in range(n)
+            )
+            assert best == 2 * oracles.radius(tree) - 1
+
+    def test_ranks_along_a_long_trace(self):
+        # Two cops on C_100 capture after 197 half-moves, and each
+        # snapshot's rank is one below the one before: ranks from about
+        # 197 levels of the log.
+        d = gen_directed_cycle(100)
+        trace = play_trace(d, 2)
+        result = solve(d, 2)
+        assert trace.outcome == "capture"
+        assert [result.rank(pos) for pos in trace.snapshots] == list(range(197, -1, -1))
+
     def test_best_move_decreases_rank(self):
         result = solve(C4, 2)
         for pos in result.positions():
@@ -226,14 +251,14 @@ class TestRanks:
         assert result.best_move(GamePosition((0, 1), 2, ROBBER)) is None
 
     def test_missing_step_raises(self, monkeypatch):
-        # With the robber-side rank planes cleared every robber-to-move win
-        # reads rank 0, so a cop-to-move position of rank 2 or more has no
-        # successor one rank below it.
+        # With the robber side's log cleared every robber-to-move win reads
+        # rank 0 or 1, so a cop-to-move position of rank 2 or more, odd and
+        # so at least 3, has no successor one rank below it.
         result = solve(C4, 2)
         pos = next(
             p for p in result.positions() if p.to_move == COPS and (result.rank(p) or 0) >= 2
         )
-        result._rank[1].clear()
+        result._log[1].clear()
         with pytest.raises(RuntimeError, match="no successor of key"):
             result.best_move(pos)
         monkeypatch.setattr(solver, "solve", lambda *args: result)
@@ -394,9 +419,37 @@ class TestFrozenTables:
     ])
     def test_full_tables_of_dense_hosts(self, host, k, expected):
         # The win masks and rank planes of the finished table, as lists.
+        # The planes are rebuilt from the log (see rank_planes).
         # The digests were taken from the solver that pushed every child
         # row into its parents one shift per (child, u).
         assert table_digest(solve(host(), k)) == expected
+
+
+def rank_planes(result):
+    """The bit-sliced rank planes of a finished table, the layout the
+    solver once kept and the frozen digests hash: plane t of a side holds,
+    per cop multiset, the mask of robber vertices whose rank with that side
+    to move has bit t set.  Each side had one plane per bit of the last
+    level run, made as the levels reached it: the cop side's first plane
+    holds its level-1 wins, N+[C] minus bits(C), and the robber side had
+    none until level 2 ran."""
+    d, copwin = result._d, result._wins[0]
+    last = 1 + len(result._log[0])
+    planes = tuple(
+        [[0] * len(copwin) for _ in range(last.bit_length() if log or side == 0 else 0)]
+        for side, log in enumerate(result._log)
+    )
+    for ci, cops in enumerate(result.placements()):
+        bits = {*cops}
+        nbhd = bits.union(*(d.out_adj[c] for c in cops))
+        planes[0][0][ci] = sum(1 << v for v in nbhd - bits)
+    for side, log in enumerate(result._log):
+        for level, (idx, masks) in enumerate(log, 2):
+            for t in range(level.bit_length()):
+                if level >> t & 1:
+                    for ci, mask in zip(idx, masks):
+                        planes[side][t][ci] |= mask
+    return planes
 
 
 def table_digest(result):
@@ -404,56 +457,46 @@ def table_digest(result):
     result._complete()
     digest = hashlib.sha256()
     digest.update(repr(result._wins).encode())
-    digest.update(repr(result._rank).encode())
+    digest.update(repr(rank_planes(result)).encode())
     return digest.hexdigest()
 
 
 def level_yields(d, k):
-    """The finished SolveResult of (d, k) and the lists _levels yielded,
-    one per level from 2 on, whether solve or _complete ran the level."""
-    yields = []
+    """The finished SolveResult of (d, k), the lists _levels yielded, one
+    per level from 2 on, whether solve or _complete ran the level, and the
+    changes each level made, in the log's layout: per side, one (idx,
+    masks) pair per level, read off copies of copwin and robwin taken
+    between the yields."""
+    yields, changes = [], ([], [])
     levels = solver._levels
 
-    def recording(*args):
-        for changed in levels(*args):
+    def recording(d, k, lanes, bits, nbhd, copwin, robwin, log):
+        before = copwin[:], robwin[:]
+        for changed in levels(d, k, lanes, bits, nbhd, copwin, robwin, log):
             yields.append(list(changed))
+            for side, (old, new) in enumerate(zip(before, (copwin, robwin))):
+                idx = [ci for ci, (a, b) in enumerate(zip(old, new)) if a != b]
+                changes[side].append((idx, [new[ci] ^ old[ci] for ci in idx]))
+            before = copwin[:], robwin[:]
             yield changed
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "_levels", recording)
         result = solve(d, k)
         result._complete()
-    return result, yields
-
-
-def cop_side_levels(result, ci):
-    """The ranks of the cop-to-move wins of cop multiset ci, read off the
-    bit-sliced rank planes one plane at a time, from the top one down."""
-    masks = {0: result._wins[0][ci]}
-    for t in reversed(range(len(result._rank[0]))):
-        plane = result._rank[0][t][ci]
-        split = {}
-        for level, mask in masks.items():
-            for bit, part in ((0, mask & ~plane), (1, mask & plane)):
-                if part:
-                    split[level | bit << t] = part
-        masks = split
-    return set(masks)
+    return result, yields, changes
 
 
 class TestLevelYields:
     """cop_number's early stop reads _levels' yields: at each level L >= 2,
-    the cop multisets that gained a cop-to-move win at L, ascending."""
+    the cop multisets that gained a cop-to-move win at L, ascending.  The
+    log that rank reads holds, per side and level, the same multisets and
+    the bits each gained."""
 
     def check(self, d, k):
-        result, yields = level_yields(d, k)
-        expected = [[] for _ in yields]
-        for ci in range(len(result._wins[0])):
-            for level in cop_side_levels(result, ci):
-                if level >= 2:
-                    assert level - 2 < len(yields)
-                    expected[level - 2].append(ci)
-        assert yields == expected
+        result, yields, changes = level_yields(d, k)
+        assert yields == [idx for idx, _ in changes[0]]
+        assert result._log == changes
 
     def test_every_lane_class(self):
         for d, k, _ in lane_class_games():
@@ -478,10 +521,10 @@ class TestLevelYields:
         own = [level_yields(d, k) for d, k in games]
         for width in (128, 192):
             monkeypatch.setattr(solver, "_lane_width", lambda n: width)
-            for (d, k), (result, yields) in zip(games, own):
-                wide, wide_yields = level_yields(d, k)
+            for (d, k), (result, yields, _) in zip(games, own):
+                wide, wide_yields, _ = level_yields(d, k)
                 assert wide._wins == result._wins
-                assert wide._rank == result._rank
+                assert wide._log == result._log
                 assert wide_yields == yields
 
 
@@ -802,6 +845,53 @@ class TestKnownAnswers:
     def test_one_cop_wins_exactly_on_dismantlable_graphs(self, d):
         host = oracles.symmetric_digraph(d.n, d.arcs)
         assert (cop_number(host, 1) == 1) == oracles.is_dismantlable(host)
+
+
+# The oracles' bounds on each named host: (Aigner and Fromme's least
+# degree, the size of the greedy dominating set).
+NAMED_BOUNDS = {
+    "doubled-plane-q2": (3, 4),
+    "doubled-plane-q3": (4, 6),
+    "cycle-100": (1, 50),
+    "bicycle-200": (2, 67),
+    "clique-sub-plane-q3": (1, 25),
+}
+
+
+class TestBounds:
+    """Cop-number bounds from the oracles, with no game solved: a greedy
+    dominating set above, Aigner and Fromme's least degree below."""
+
+    @staticmethod
+    def bounds(d):
+        return oracles.aigner_fromme_bound(d), len(oracles.greedy_dominating_set(d))
+
+    @pytest.mark.parametrize("name", list(NAMED_INSTANCES))
+    def test_named_instances(self, name):
+        # The table's answers, checked without a solve.  A bound's entry
+        # only bounds the cop number below, so it meets the upper bound
+        # alone.
+        build, c, exact = NAMED_INSTANCES[name]
+        lower, upper = self.bounds(build())
+        assert (lower, upper) == NAMED_BOUNDS[name]
+        assert c <= upper
+        assert lower <= c or not exact
+
+    def test_petersen(self):
+        # Girth 5 and 3-regular, dominated by 3 vertices: both bounds meet.
+        petersen = oracles.petersen_graph()
+        assert self.bounds(petersen) == (3, 3)
+        assert cop_number(petersen, 3) == 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(digraphs(6))
+    def test_random_games(self, d):
+        # The host and its symmetric closure, on which the lower bound can
+        # exceed 1.
+        for host in (d, oracles.symmetric_digraph(d.n, d.arcs)):
+            lower, upper = self.bounds(host)
+            c = cop_number(host, upper)
+            assert c is not None and lower <= c
 
 
 class TestPlacements:
