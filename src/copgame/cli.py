@@ -238,7 +238,7 @@ def build_parser():
     p = sub.add_parser("simulate", help="play out the game, emit a JSON trace")
     p.add_argument("input")
     p.add_argument("--k", type=int, required=True, help="cop count")
-    p.add_argument("--max-rounds", type=int, help="round cap (default: position count)")
+    p.add_argument("--max-rounds", type=int, help="round cap (default: none)")
     p.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET)
     p.set_defaults(func=_cmd_simulate)
 

@@ -190,11 +190,23 @@ def _line_of(text: str, match) -> int:
     return sum(1 for _ in _LINE_BREAK.finditer(text, 0, match.start())) + 1
 
 
+def _decimal(field: str) -> int:
+    """field, a field of the arc-list format, as an int when it is a
+    decimal integer in ASCII digits, [+-]?[0-9]+; else ValueError.  int()
+    alone also takes underscores between digits ("1_0") and the digits of
+    other scripts; with those refused, an ASCII field without whitespace
+    that int() takes has no other form."""
+    if not field.isascii() or "_" in field:
+        raise ValueError(field)
+    return int(field)
+
+
 def parse_arc_list(text: str, source: str = "<string>") -> Digraph:
     """Parse the plain arc-list format.
 
     First non-empty line is "n m", with 1 <= n <= MAX_VERTICES and
     0 <= m <= MAX_ARCS; the next m lines are "tail head" pairs, 0-indexed.
+    Every field is a decimal integer in ASCII digits, optionally signed.
     Duplicate arcs and loops are rejected.  Every refusal names source, and
     the line when there is one; a count of arc lines other than m is
     refused before the fault of any line.  The lines are read one at a
@@ -210,7 +222,7 @@ def parse_arc_list(text: str, source: str = "<string>") -> Digraph:
         if len(parts) != 2:
             raise InputError("header must be 'n m'")
         try:
-            n, m = int(parts[0]), int(parts[1])
+            n, m = _decimal(parts[0]), _decimal(parts[1])
         except ValueError:
             raise InputError("header must be two integers") from None
         _check_vertex_cap(_at_least(n, 1, "vertex count"))
@@ -225,7 +237,7 @@ def parse_arc_list(text: str, source: str = "<string>") -> Digraph:
             if len(parts) != 2:
                 raise InputError("expected 'tail head'")
             try:
-                u, v = int(parts[0]), int(parts[1])
+                u, v = _decimal(parts[0]), _decimal(parts[1])
             except ValueError:
                 raise InputError("expected two integers") from None
             if u == v:

@@ -14,8 +14,9 @@ table is indexed by a multiset's place i(C) in
 combinations_with_replacement order.  No list of multisets is kept: i(C)
 has a closed form (_multiset_index), and the placements are walked in
 that order as they are needed.  Every offset into that order, i(C) and
-the lanes and blocks below, is read from one count (_first_of): the
-index of the first t-multiset whose smallest vertex is u.
+the lanes and blocks below, is a difference of two entries of one table
+built per solve (_block_starts): starts[t][u], for t = 0..k and u < n,
+the index of the first t-multiset whose smallest vertex is u.
 
 The solver never tabulates whole cop moves.  A cop move is split into k
 single-cop sub-moves (Petr, Portier and Versteegen, "A faster algorithm
@@ -34,22 +35,23 @@ holds the mask of state (M, U), with i(U) the place of U in
 combinations_with_replacement order.  W is the smallest of 8, 16, 32 and
 64 that holds n, or else a multiple of 64.  Stage k is also kept packed,
 as one block per first cop vertex u: lane i of block u holds copwin of
-the cop multiset at index put_u + i, (u,) + U' for the U' of the
-stage-(k-1) lane cut_u + i (see below).
+the cop multiset at index starts[k][u] + i, (u,) + U' for the U' of the
+stage-(k-1) lane starts[k-1][u] + i (see below).
 
 A row is pushed one sub-move back with shifts, not one state at a time.
 The sub-move arcs into a child (M', U') of stage j - 1 come from
 (M' minus one v, (u,) + U') for each distinct v in M' and each u in the
 closed in-neighbourhood N-[v] with u <= min(U'), since u must be the
 smallest cop still to move.  The (j-1)-multisets with min >= u are a
-suffix of their list, from lane cut_u on, and prefixing u to each gives,
-in the same order, the block of j-multisets that start with u, from lane
-put_u on.  So (x >> W*cut_u) << W*put_u moves every lane of a child row x
-to the lane of its parent in row M' - v, and drops the lanes whose min is
-below u.  One rule makes every push (_grouped_pushes): the changed child
-rows are first grouped by parent row, then each parent ORs its children
-per u, over the v with u in N-[v], while they are still as narrow as a
-child row, and pays one shift per u that occurs.  Stage k is the same
+suffix of their list, from lane cut_u = starts[j-1][u] on, and prefixing
+u to each gives, in the same order, the block of j-multisets that start
+with u, from lane put_u = starts[j][u] on.  So (x >> W*cut_u) << W*put_u
+moves every lane of a child row x to the lane of its parent in row
+M' - v, and drops the lanes whose min is below u.  One rule makes every
+push (_grouped_pushes): the changed child rows are first grouped by
+parent row, then each parent ORs its children per u, over the v with u
+in N-[v], while they are still as narrow as a child row, and pays one
+shift per u that occurs.  Stage k is the same
 push with one parent, M = (), kept as the blocks above: M' = (v,), so
 block u takes the OR of the changed rows of the v in the closed
 out-neighbourhood N+[u], shifted by W*cut_u, with no put.  The one
@@ -62,7 +64,8 @@ identity, one size down.  i(M') lies in the block of its first vertex a,
 so M' = (a,) + R with i(R) read off that block: removing a leaves R, and
 removing any other v of R leaves (a,) + (R minus v), whose index is R's
 entry for v in the removal table of the size below, moved by the block's
-offset.  So the removal tables are built only up to size k - 1, and the
+offset: for M' of size t, starts[t-1][a] - starts[t-2][a], or 0 at
+t = 1.  So the removal tables are built only up to size k - 1, and the
 largest one, a row per cop multiset, is never built.
 
 The backward attractor runs level by level, and the level at which a
@@ -140,7 +143,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, compress, count, product, repeat
+from itertools import combinations_with_replacement, compress, count, product
 from math import comb, inf
 from operator import index, ne
 
@@ -221,8 +224,9 @@ class SolveResult:
 
     copwin[i] and robwin[i] are bit masks over robber vertices: bit r is
     set when the cop side wins (C, r), for C the i-th cop multiset in
-    combinations_with_replacement order (see _multiset_index), with the
-    cops, respectively the robber, to move.  log[side][L - 2] is the pair
+    combinations_with_replacement order, read off starts, the solve's table
+    of block starts (see _multiset_index), with the cops, respectively the
+    robber, to move.  log[side][L - 2] is the pair
     (idx, masks) of level L >= 2 with that side to move: the indexes i,
     ascending, that gained robber vertices at L, and the mask of each.
 
@@ -231,9 +235,10 @@ class SolveResult:
     reads the tables runs it to the end first.
     """
 
-    def __init__(self, d, k, copwin, robwin, log, levels):
+    def __init__(self, d, k, starts, copwin, robwin, log, levels):
         self._d = d
         self.k = k
+        self._starts = starts
         self._wins = (copwin, robwin)
         self._log = log
         self._levels = levels
@@ -260,7 +265,7 @@ class SolveResult:
         if len(pos.cops) != self.k:
             raise InputError(f"position has {len(pos.cops)} cops, expected {self.k}")
         self._complete()
-        return _multiset_index(self._d.n, pos.cops), 0 if pos.to_move == COPS else 1
+        return _multiset_index(self._starts, pos.cops), 0 if pos.to_move == COPS else 1
 
     def win(self, pos: GamePosition) -> bool:
         """True when the cop side forces capture from this position."""
@@ -403,70 +408,59 @@ def _lane_width(n: int) -> int:
     return -(-n // 64) * 64
 
 
-def _first_of(n: int, t: int, u: int) -> int:
-    """The index of the first t-multiset over n vertices whose smallest
-    vertex is u, in combinations_with_replacement order: the number of
-    those whose smallest vertex is below u."""
-    return _multisets(n, t) - _multisets(n - u, t)
+def _block_starts(n: int, k: int):
+    """starts[t][u] for t = 0..k and u < n: the index of the first
+    t-multiset over n vertices whose smallest vertex is u, in
+    combinations_with_replacement order, that is the number of those whose
+    smallest vertex is below u.  Row 0 is all zeros.
+
+    Every offset into that order is a difference of two entries.  The
+    t-multisets with smallest vertex >= u are the last ones, from lane
+    starts[t][u] on, and prefixing u to each gives, in the same order, the
+    block of (t + 1)-multisets that start with u, from lane
+    starts[t + 1][u] on."""
+    return [[_multisets(n, t) - _multisets(n - u, t) for u in range(n)] for t in range(k + 1)]
 
 
-def _prepend_lanes(n: int, t: int):
-    """(cut, put) per vertex u, in lanes, for prepending u to a row whose
-    lanes are the multisets of size t in combinations_with_replacement
-    order.  Those with smallest vertex >= u are the last
-    multisets(n - u, t), from lane cut on; prefixing u to each gives, in
-    the same order, the block of (t + 1)-multisets that start with u, from
-    lane put on."""
-    return [(_first_of(n, t, u), _first_of(n, t + 1, u)) for u in range(n)]
-
-
-def _multiset_index(n: int, cops) -> int:
-    """The place of the sorted multiset cops = (c_1, ..., c_k) over n
-    vertices in combinations_with_replacement order: the _prepend_lanes
-    identity in closed form.  The multisets before cops that agree with it
-    on the first p - 1 vertices and have their p-th in [c_{p-1}, c_p),
-    with c_0 = 0, end in the t-multisets over the vertices from c_{p-1} on
-    whose smallest vertex is below c_p, t = k - p + 1.  Summed over p they
-    are all the multisets before cops."""
+def _multiset_index(starts, cops) -> int:
+    """The place of the sorted multiset cops = (c_1, ..., c_k) in
+    combinations_with_replacement order, read off the table starts of
+    _block_starts.  The multisets before cops that agree with it on the
+    first p - 1 vertices and have their p-th in [c_{p-1}, c_p), with
+    c_0 = 0, end in the t-multisets over the vertices from c_{p-1} on whose
+    smallest vertex is below c_p, t = k - p + 1: starts[t][c_p] -
+    starts[t][c_{p-1}] of them.  Summed over p they are all the multisets
+    before cops."""
     i = low = 0
     for t, c in zip(range(len(cops), 0, -1), cops):
-        i += _first_of(n - low, t, c - low)
+        row = starts[t]
+        i += row[c] - row[low]
         low = c
     return i
 
 
-def _first_blocks(lanes, t: int):
-    """(cut, put, offset) per vertex a, for the multisets M' of size t >= 1
-    whose first vertex is a, in combinations_with_replacement order, read
-    off lanes[s] = _prepend_lanes(n, s) for s < t.  They are the block from
-    index put on, and M' = (a,) + R with R at index cut + i(M') - put in
-    the list one size down.  Removing any v of R leaves (a,) + (R minus v),
-    at index offset + i(R minus v), by the same identity two sizes down."""
-    # At t = 1 there is no size two down: the offset is 0.
-    below = lanes[t - 2] if t > 1 else repeat((0, 0))
-    return [(cut, put, cut - low) for (cut, put), (low, _) in zip(lanes[t - 1], below)]
+def _removal_tables(starts, k: int):
+    """tables[t][i(M')], for each multiset M' of size t < k: the flat tuple
+    v, i(M' minus one v), v, ... over the distinct v of M', ascending (flat
+    to save memory: one tuple per M' rather than one per pair).
 
-
-def _removal_tables(lanes):
-    """tables[t][i(M')], for each multiset M' of size t < k = len(lanes):
-    the flat tuple v, i(M' minus one v), v, ... over the distinct v of M',
-    ascending (flat to save memory: one tuple per M' rather than one per
-    pair).  lanes[s] is _prepend_lanes(n, s).
-
-    Built from size t - 1 without any lookup: M' = (a,) + R, and the rows
-    of the block of a are those of R in order (see _first_blocks).
-    Removing a leaves R; removing any other v of R leaves (a,) + (R
-    minus v).  The pushes derive the parents of each changed child row
-    the same way from the table one size down (see _split_rows), so the
-    largest table, that of size k, is never built.
+    Built from size t - 1 without any lookup: the multisets M' = (a,) + R
+    of size t whose first vertex is a are the block from starts[t][a] on,
+    with R running, in order, over the size-(t - 1) list from
+    starts[t - 1][a] on.  Removing a leaves R; removing any other v of R
+    leaves (a,) + (R minus v), by the same identity two sizes down.  The
+    pushes derive the parents of each changed child row the same way from
+    the table one size down (see _split_rows), so the largest table, that
+    of size k, is never built.
     """
     tables = [[()]]
-    for t in range(1, len(lanes)):
+    for t in range(1, k):
         prev = tables[-1]
         # Row numbers are shared int objects: one per row, not one per pair.
         rows = list(range(len(prev)))
         table = []
-        for a, (cut, _, offset) in enumerate(_first_blocks(lanes, t)):
+        for a, (cut, low) in enumerate(zip(starts[t - 1], starts[max(t - 2, 0)])):
+            offset = cut - low
             for r in rows[cut:]:
                 pairs = iter(prev[r])
                 table.append((a, r, *[
@@ -476,15 +470,17 @@ def _removal_tables(lanes):
     return tables
 
 
-def _split_rows(idx, delta, first_blocks):
-    """(x, a, r, offset) for each changed child row i(M') = m with delta x:
-    M' = (a,) + R with R at index r, found by the block of a (see
-    _first_blocks), whose start is the last at or below m."""
-    starts = [put for _, put, _ in first_blocks]
+def _split_rows(idx, delta, starts, t: int):
+    """(x, a, r, offset) for each changed child row i(M') = m with delta x,
+    M' of size t >= 1: M' = (a,) + R, a the last vertex whose block start
+    starts[t][a] is at or below m, and R at index r in the list one size
+    down.  Removing any v of R leaves (a,) + (R minus v), at index
+    offset + i(R minus v) (see _removal_tables)."""
+    firsts, cuts, lows = starts[t], starts[t - 1], starts[max(t - 2, 0)]
     for m, x in zip(idx, delta):
-        a = bisect_right(starts, m) - 1
-        cut, put, offset = first_blocks[a]
-        yield x, a, cut + m - put, offset
+        a = bisect_right(firsts, m) - 1
+        cut = cuts[a]
+        yield x, a, cut + m - firsts[a], cut - lows[a]
 
 
 def _nonzero_lanes(x: int, width: int):
@@ -599,17 +595,15 @@ def _reach_tables(closed_in):
     return tables
 
 
-def _union_masks(vertex_masks, lanes):
+def _union_masks(vertex_masks, starts, k: int):
     """Per size t = 0..k, the OR of vertex_masks over each multiset of t
     vertices, in combinations_with_replacement order: the size-t multisets
     that start with v are v prefixed to a suffix of the size-(t - 1) list,
-    from lane lanes[t - 1][v][0] on (see _prepend_lanes)."""
+    from lane starts[t - 1][v] on (see _block_starts)."""
     unions = [[0]]
-    for offsets in lanes:
+    for cuts in starts[:k]:
         prev = unions[-1]
-        unions.append([
-            vm | p for vm, (cut, _) in zip(vertex_masks, offsets) for p in prev[cut:]
-        ])
+        unions.append([vm | p for vm, cut in zip(vertex_masks, cuts) for p in prev[cut:]])
     return unions
 
 
@@ -643,14 +637,14 @@ def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> Solve
     _check_budget(d, k, state_budget)
     n = d.n
     full = (1 << n) - 1
-    # The lane offsets of prepending a vertex to the t-multisets, t < k,
-    # built once: the unions below and the pushes of _levels read them.
-    lanes = [_prepend_lanes(n, t) for t in range(k)]
+    # Every offset into multiset order, built once: the unions below, the
+    # pushes of _levels and the lookups of the result read it.
+    starts = _block_starts(n, k)
     # Levels 0 and 1 in closed form: after level 1 the stage-j state
     # (M, U) holds bits(M) | N+[U], since the robber is caught where a cop
     # stands or where a cop still to move can step.
-    bits = _union_masks([1 << v for v in range(n)], lanes)
-    nbhd = _union_masks([1 << v | sum(1 << w for w in d.out_adj[v]) for v in range(n)], lanes)
+    bits = _union_masks([1 << v for v in range(n)], starts, k)
+    nbhd = _union_masks([1 << v | sum(1 << w for w in d.out_adj[v]) for v in range(n)], starts, k)
     # Stage 0 and stage k stay one mask per cop multiset.
     robwin, copwin = bits[k], nbhd[k]
     # The log of each side's changes from level 2 on.  Levels 0 and 1 need
@@ -658,16 +652,16 @@ def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> Solve
     # rank 1 has it in the rest of N+[C], and no robber-to-move position is
     # won at level 1, since the robber may stay on r.
     log = ([], [])
-    levels = _levels(d, k, lanes, bits, nbhd, copwin, robwin, log)
+    levels = _levels(d, k, starts, bits, nbhd, copwin, robwin, log)
     # Masks only grow, so the first full one proves that k cops win.
     if full not in copwin:
         for changed in levels:
             if any(copwin[ci] == full for ci in changed):
                 break
-    return SolveResult(d, k, copwin, robwin, log, levels)
+    return SolveResult(d, k, starts, copwin, robwin, log, levels)
 
 
-def _levels(d, k, lanes, bits, nbhd, copwin, robwin, log):
+def _levels(d, k, starts, bits, nbhd, copwin, robwin, log):
     """Build the sub-move tables, then run the attractor from level 2 to
     its fixpoint, updating copwin and robwin in place and appending each
     level's changes, (idx, masks) with idx ascending, to log[0] for the
@@ -691,11 +685,11 @@ def _levels(d, k, lanes, bits, nbhd, copwin, robwin, log):
     closed_in = [sorted((v,) + d.in_adj[v]) for v in range(n)]
     closed_in_masks = [sum(1 << u for u in into) for into in closed_in]
     # The push into stage j, 1 <= j <= k, derives the parents of each
-    # changed stage-(j - 1) row from blocks[j], which splits the row by its
-    # first vertex, and from removals[k - j], the table one size down.  At
-    # j = k that is the one parent M = () of every row.
-    removals = _removal_tables(lanes)
-    blocks = [None] + [_first_blocks(lanes, k - j + 1) for j in range(1, k + 1)]
+    # changed stage-(j - 1) row, a moved multiset of size k - j + 1, from
+    # the block starts of that size, which split the rows by their first
+    # vertex, and from removals[k - j], the table one size down.  At j = k
+    # that is the one parent M = () of every row.
+    removals = _removal_tables(starts, k)
     # At j = 1 every cut is 0 and put is u, so with lanes of one word the
     # shifts of v fold into one multiply by fold[v]: solve(plane_q3, 4)
     # takes 1.4 times as long with the grouped push instead.  With wider
@@ -715,11 +709,11 @@ def _levels(d, k, lanes, bits, nbhd, copwin, robwin, log):
         packed = _pack(nbhd[j], width)
         rows.append([b * ones | packed for b in bits[k - j]])
     # Stage k is kept in blocks, one per first cop vertex u: lane i of
-    # block[u] holds copwin[put_u + i], the cop multiset (u,) + U' for the
-    # U' at lane cut_u + i of a stage-(k - 1) row (see _prepend_lanes).
-    top = lanes[k - 1]
-    block_sizes = [len(nbhd[k - 1]) - cut for cut, _ in top]
-    block = [_pack(copwin[put:put + size], width) for (_, put), size in zip(top, block_sizes)]
+    # block[u] holds copwin[puts[u] + i], the cop multiset (u,) + U' for
+    # the U' at lane cuts[u] + i of a stage-(k - 1) row (see _block_starts).
+    cuts, puts = starts[k - 1], starts[k]
+    block_sizes = [len(nbhd[k - 1]) - cut for cut in cuts]
+    block = [_pack(copwin[put:put + size], width) for put, size in zip(puts, block_sizes)]
     # Nothing below reads the set-up lists: free them for the whole run.
     del bits, nbhd
 
@@ -766,7 +760,7 @@ def _levels(d, k, lanes, bits, nbhd, copwin, robwin, log):
             stage = rows[j]
             snap = stage[:]
             tails = removals[k - j]
-            changed = _split_rows(idx, delta, blocks[j])
+            changed = _split_rows(idx, delta, starts, k - j + 1)
             if j == 1 and fold:
                 for x, a, r, offset in changed:
                     stage[r] |= x * fold[a]
@@ -775,12 +769,11 @@ def _levels(d, k, lanes, bits, nbhd, copwin, robwin, log):
                         if v != a:
                             stage[offset + q] |= x * fold[v]
             else:
-                prepend = lanes[j - 1]
+                cut_at, put_at = starts[j - 1], starts[j]
                 for p, pushed in _grouped_pushes(changed, tails, closed_in):
                     row = stage[p]
                     for u, x in pushed.items():
-                        cut, put = prepend[u]
-                        row |= x >> width * cut << width * put
+                        row |= x >> width * cut_at[u] << width * put_at[u]
                     stage[p] = row
             idx = list(compress(count(), map(ne, stage, snap)))
             delta = [stage[p] ^ snap[p] for p in idx]
@@ -791,14 +784,14 @@ def _levels(d, k, lanes, bits, nbhd, copwin, robwin, log):
         # the blocks are.
         cop_idx, cop_masks = [], []
         if idx:
-            changed = _split_rows(idx, delta, blocks[k])
+            changed = _split_rows(idx, delta, starts, 1)
             (_, pushed), = _grouped_pushes(changed, removals[0], closed_in)
             for u in sorted(pushed):
                 old = block[u]
-                new = old | pushed[u] >> width * top[u][0]
+                new = old | pushed[u] >> width * cuts[u]
                 if new != old:
                     block[u] = new
-                    _settle_lanes(copwin, cop_idx, cop_masks, top[u][1], old, new, width,
+                    _settle_lanes(copwin, cop_idx, cop_masks, puts[u], old, new, width,
                                   block_sizes[u])
         rob_idx, rob_masks = settled_idx, settled_masks
         log[0].append((cop_idx, cop_masks))
@@ -868,8 +861,11 @@ def play_trace(
     in legal_moves order, whose key is one below the position's own (inf
     stays inf).  That is the successor of least rank for the cops and of
     greatest rank for the robber, ties broken to the smallest.
-    max_rounds, when given, must be at least 1; a trace that reaches it
-    raises StateBudgetExceeded.
+
+    Without max_rounds a trace always ends: every snapshot before the
+    first repeat is a distinct position, so a game without capture repeats
+    within num_positions half-moves.  max_rounds, when given, must be at
+    least 1; a trace that reaches it raises StateBudgetExceeded.
     """
     if max_rounds is not None:
         max_rounds = _at_least(max_rounds, 1, "max_rounds")
@@ -883,10 +879,9 @@ def play_trace(
     pos = GamePosition(cops_start, robber_start, COPS)
     snapshots = [pos]
     seen = {pos: 0}
-    half_limit = 2 * max_rounds if max_rounds is not None else result.num_positions + 1
     repeat = None
     while pos.robber not in pos.cops:
-        if len(snapshots) - 1 >= half_limit:
+        if max_rounds is not None and len(snapshots) - 1 >= 2 * max_rounds:
             raise StateBudgetExceeded(
                 "trace exceeded the round limit without capture or repetition"
             )

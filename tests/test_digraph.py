@@ -196,6 +196,22 @@ class TestArcListFormat:
         with pytest.raises(InputError):
             parse_arc_list("2 1\n0 x\n")
 
+    @pytest.mark.parametrize("field", ["1_0", "\uff13", "\u0663"],
+                             ids=["underscore", "fullwidth", "arabic-indic"])
+    def test_fields_are_ascii_decimal_integers(self, field):
+        # int() takes each of these fields, as 10, 3 and 3.
+        for text, message in ((f"{field} 0\n", "line 1: header must be two integers"),
+                              (f"12 1\n0 {field}\n", "line 2: expected two integers")):
+            with pytest.raises(InputError) as info:
+                parse_arc_list(text, source="bad.dg")
+            assert str(info.value) == f"bad.dg: {message}"
+
+    def test_signed_fields(self):
+        assert parse_arc_list("+2 1\n+0 1\n") == Digraph(2, [(0, 1)])
+        with pytest.raises(InputError) as info:
+            parse_arc_list("2 1\n0 -1\n", source="bad.dg")
+        assert str(info.value) == "bad.dg: line 2: arc (0, -1) out of range"
+
     def test_out_of_range_rejected(self):
         with pytest.raises(InputError, match="out of range"):
             parse_arc_list("2 1\n0 5\n")

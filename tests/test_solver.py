@@ -35,13 +35,12 @@ from copgame import (
 import copgame.solver as solver
 from copgame.harness import NAMED_INSTANCES, _claim
 from copgame.solver import (
-    _first_blocks,
+    _block_starts,
     _grouped_pushes,
     _lane_width,
     _multiset_index,
     _nonzero_lanes,
     _pack,
-    _prepend_lanes,
     _removal_tables,
     _settle_lanes,
     _split_rows,
@@ -224,6 +223,33 @@ class TestRanks:
         assert trace.outcome == "capture"
         assert [result.rank(pos) for pos in trace.snapshots] == list(range(197, -1, -1))
 
+    def test_early_stop_level_is_the_capture_time(self):
+        # solve stops at the first level that fills a placement's mask, and
+        # the log holds one entry per level from 2 on, so the stop level,
+        # read before any query finishes the table, is the capture time:
+        # the least, over the winning placements, of the worst robber
+        # start's cop-to-move rank.  Level 1 always runs, so a placement on
+        # every vertex, which captures at once, stops there too.
+        rng = random.Random(11)
+        games = [
+            (gen_random_digraph(rng.randint(1, 7), rng.random(), rng.randrange(10**6)),
+             rng.randint(1, 3))
+            for _ in range(600)
+        ]
+        games += [(gen_projective_plane_incidence_doubled(2), 3), (gen_directed_cycle(12), 2)]
+        stops = []
+        for d, k in games:
+            result = solve(d, k)
+            stop = len(result._log[0]) + 1
+            wins = list(result.winning_placements())
+            if wins:
+                worst = [max(result.rank(GamePosition(p, r, COPS)) for r in range(d.n))
+                         for p in wins]
+                assert stop == max(1, min(worst))
+                stops.append(stop)
+        assert len(stops) == 505
+        assert stops[-2:] == [3, 9]
+
     def test_best_move_decreases_rank(self):
         result = solve(C4, 2)
         for pos in result.positions():
@@ -331,9 +357,11 @@ def packed(lanes, width):
 
 
 def lanes_below(n, t):
-    """The lane offsets of prepending a vertex to the multisets of each
-    size below t, as solve builds them."""
-    return [_prepend_lanes(n, s) for s in range(t)]
+    """The (cut, put) lane offsets of prepending each vertex to the
+    multisets of each size below t, read off the block starts as the
+    pushes read them."""
+    starts = _block_starts(n, t)
+    return [list(zip(starts[s], starts[s + 1])) for s in range(t)]
 
 
 class TestFrozenTables:
@@ -544,7 +572,7 @@ class TestLanes:
         # every lane of a packed row to the lane of its parent.
         smaller = list(combinations_with_replacement(range(n), t))
         larger = list(combinations_with_replacement(range(n), t + 1))
-        lanes = _prepend_lanes(n, t)
+        lanes = lanes_below(n, t + 1)[t]
         width = _lane_width(n)
         masks = data.draw(st.lists(
             st.integers(0, (1 << n) - 1), min_size=len(smaller), max_size=len(smaller)
@@ -627,7 +655,7 @@ class TestLanes:
             )), width)
             for _ in idx
         ]
-        shifts = [(width * cut, width * put) for cut, put in _prepend_lanes(n, s)]
+        shifts = [(width * cut, width * put) for cut, put in lanes_below(n, s + 1)[s]]
         expected = [0] * len(parents)
         for m, x in zip(idx, rows):
             child = children[m]
@@ -638,9 +666,9 @@ class TestLanes:
                 for u in closed_in[v]:
                     cut, put = shifts[u]
                     expected[p] |= x >> cut << put
-        lanes = lanes_below(n, t)
-        changed = _split_rows(idx, rows, _first_blocks(lanes, t))
-        groups = list(_grouped_pushes(changed, _removal_tables(lanes)[t - 1], closed_in))
+        starts = _block_starts(n, t)
+        changed = _split_rows(idx, rows, starts, t)
+        groups = list(_grouped_pushes(changed, _removal_tables(starts, t)[t - 1], closed_in))
         assert len({p for p, _ in groups}) == len(groups)
         assert t > 1 or len(groups) == 1
         got = [0] * len(parents)
@@ -656,13 +684,50 @@ class TestMultisetIndex:
         for n in range(1, 9):
             for t in range(5):
                 for i, cops in enumerate(combinations_with_replacement(range(n), t)):
-                    assert _multiset_index(n, cops) == i
+                    assert _multiset_index(_block_starts(n, t), cops) == i
 
     def test_placements_repeat(self):
         result = solve(C4, 3)
         first = list(result.placements())
         assert first == list(result.placements())
         assert first == list(combinations_with_replacement(range(4), 3))
+
+
+class TestBlockStarts:
+    def test_matches_enumeration(self):
+        # starts[t][u] is the index of the first t-multiset whose smallest
+        # vertex is u, and row 0, of the empty multiset, is all zeros.
+        for n in range(1, 10):
+            expected = [[0] * n]
+            for t in range(1, 6):
+                firsts = {}
+                for i, m in enumerate(combinations_with_replacement(range(n), t)):
+                    firsts.setdefault(m[0], i)
+                expected.append([firsts[u] for u in range(n)])
+            for k in range(6):
+                assert _block_starts(n, k) == expected[:k + 1]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_split_rows(self, n):
+        # Each child M' of size t splits as (a,) + R: a its first vertex, r
+        # the index of R one size down, and offset + i(S) the index of
+        # (a,) + S for each S two sizes down with min(S) >= a; at t = 1,
+        # where R is empty, the offset is 0.
+        starts = _block_starts(n, 4)
+        for t in range(1, 5):
+            children = list(combinations_with_replacement(range(n), t))
+            index = {m: i for i, m in enumerate(combinations_with_replacement(range(n), t - 1))}
+            below = list(combinations_with_replacement(range(n), max(t - 2, 0)))
+            rows = range(len(children))
+            for m, (x, a, r, offset) in zip(rows, _split_rows(rows, rows, starts, t)):
+                child = children[m]
+                assert (x, a, r) == (m, child[0], index[child[1:]])
+                if t == 1:
+                    assert offset == 0
+                    continue
+                for q, rest in enumerate(below):
+                    if not rest or rest[0] >= a:
+                        assert offset + q == index[(a,) + rest]
 
 
 def removal_oracle(n, t):
@@ -685,7 +750,7 @@ class TestRemovalTables:
     def test_rows_match_the_oracle(self, n):
         # Sizes 0 to 4, every row: the distinct v of M' ascending, each with
         # the index of M' minus v.
-        tables = _removal_tables(lanes_below(n, 5))
+        tables = _removal_tables(_block_starts(n, 5), 5)
         assert len(tables) == 5
         assert tables[0] == [()]
         for t in range(1, 5):
@@ -697,13 +762,13 @@ class TestRemovalTables:
     def test_derived_top_rows_match_the_oracle(self, n, t):
         # The push derives the rows of the top size t from the table one
         # size down: (a, r), then R's row without a, moved by offset.
-        lanes = lanes_below(n, t)
-        tails = _removal_tables(lanes)[t - 1]
+        starts = _block_starts(n, t)
+        tails = _removal_tables(starts, t)[t - 1]
         oracle = list(removal_oracle(n, t).values())
         top = range(len(oracle))
         derived = [
             [(a, r)] + [(v, offset + q) for v, q in pairs_of(tails[r]) if v != a]
-            for _, a, r, offset in _split_rows(top, top, _first_blocks(lanes, t))
+            for _, a, r, offset in _split_rows(top, top, starts, t)
         ]
         assert derived == oracle
 
