@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 
-from .digraph import MAX_ARCS, Digraph, _check_arc_cap, _check_vertex_cap
+from .digraph import MAX_ARCS, Digraph, _check_arc_cap, _check_vertex_cap, _from_rows
 from .errors import InputError, _as_int, _at_least
 
 # A random digraph costs one draw per ordered pair of vertices, so the
@@ -200,8 +200,9 @@ def gen_projective_plane_incidence_doubled(q: int) -> Digraph:
     return Digraph(2 * n, arcs)
 
 
-def _random_digraph_from(rng: random.Random, n: int, p: float) -> Digraph:
-    """Each ordered pair becomes an arc independently with probability p,
+def _random_rows(rng: random.Random, n: int, p: float) -> list:
+    """The out-neighbour rows of a random digraph on n vertices: each
+    ordered pair becomes an arc independently with probability p,
     consuming the rng in fixed lexicographic pair order.
 
     The n(n - 1) draws are refused before the rng is touched when they
@@ -214,11 +215,19 @@ def _random_digraph_from(rng: random.Random, n: int, p: float) -> Digraph:
         raise InputError(
             f"random draw count {draws} exceeds the limit of {MAX_RANDOM_DRAWS}"
         )
-    arcs = []
+    rows = []
+    arcs = 0
     for u in range(n):
-        arcs += [(u, v) for v in range(n) if u != v and rng.random() < p]
-        _check_arc_cap(len(arcs))
-    return Digraph(n, arcs)
+        row = [v for v in range(n) if u != v and rng.random() < p]
+        rows.append(row)
+        arcs += len(row)
+        _check_arc_cap(arcs)
+    return rows
+
+
+def _random_digraph_from(rng: random.Random, n: int, p: float) -> Digraph:
+    """The digraph of _random_rows(rng, n, p)."""
+    return _from_rows(_random_rows(rng, n, p))
 
 
 def gen_random_digraph(n: int, p: float, seed: int) -> Digraph:

@@ -123,18 +123,47 @@ def _reachable(adj, start: int) -> int:
     return count
 
 
+def _in_rows(outs):
+    """The in-neighbour rows, each ascending, of the digraph whose
+    out-neighbour rows are outs."""
+    ins = [[] for _ in outs]
+    for u, row in enumerate(outs):
+        for v in row:
+            ins[v].append(u)
+    return ins
+
+
+def _from_rows(outs) -> Digraph:
+    """The digraph on len(outs) vertices whose out-neighbour rows are outs."""
+    return Digraph(len(outs), ((u, v) for u, row in enumerate(outs) for v in row))
+
+
+# The two connectivity tests read adjacency rows, not a Digraph, so that
+# the verification suites can test a drawn instance before building it.
+def _strongly_connected(outs, ins) -> bool:
+    """True when vertex 0 reaches every vertex along the out-neighbour
+    rows outs and along the in-neighbour rows ins of the same arcs."""
+    n = len(outs)
+    return _reachable(outs, 0) == n and _reachable(ins, 0) == n
+
+
+def _weakly_connected(outs, ins) -> bool:
+    """True when vertex 0 reaches every vertex along the arcs of the rows
+    outs and ins taken both ways."""
+    return _reachable([o + i for o, i in zip(outs, ins)], 0) == len(outs)
+
+
 def is_strongly_connected(d: Digraph) -> bool:
     """True when every vertex reaches every other along directed arcs.
 
     A single vertex is strongly connected.
     """
-    return _reachable(d.out_adj, 0) == d.n and _reachable(d.in_adj, 0) == d.n
+    return _strongly_connected(d.out_adj, d.in_adj)
 
 
 def is_weakly_connected(d: Digraph) -> bool:
     """True when the underlying graph is connected."""
-    und = [set(d.out_adj[v]) | set(d.in_adj[v]) for v in range(d.n)]
-    return _reachable(und, 0) == d.n
+    return _weakly_connected(d.out_adj, d.in_adj)
 
 
 def count_sources(d: Digraph) -> int:

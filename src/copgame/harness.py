@@ -18,16 +18,21 @@ the CSV output use; RUN_ORDER is the table's order.
     theorem3  strongly connected hosts free of the forward-exact path
               tuple on k vertices have cop number at most k - 2
 
-An entry holds the suite's default config and its passes; a pass runs one
-check over every instance of one source.  Random instances have seeds
->= 0 (see _Drawn).  Fixed instances have negative seeds.  Entry i of
-NAMED_INSTANCES, the paper's fixed hosts with their cop numbers, has seed
--(i + 1); only theorem1 records one, -1, its doubled order-2 plane.  And
--((n << 20) | code) - 1 is the digraph with arc mask `code` (see
-iter_all_digraphs) in theorem3's sweep of the strongly connected digraphs
-on 1 .. min(4, n_max) vertices.  `run_suite` runs the passes in order;
-`replay_instance` recomputes the rows of one (suite, seed) pair from the
-seed alone, and rejects a seed that no run records.
+An entry holds the suite's default config and its passes; a pass is one
+source of instances and its checks, each run over every instance of the
+source in turn.  Random instances have seeds >= 0 (see _Drawn).  Fixed
+instances have negative seeds.  Entry i of NAMED_INSTANCES, the paper's
+fixed hosts with their cop numbers, has seed -(i + 1); only theorem1
+records one, -1, its doubled order-2 plane.  And -((n << 20) | code) - 1
+is the digraph with arc mask `code` (see iter_all_digraphs) in theorem3's
+sweep of the strongly connected digraphs on 1 .. min(4, n_max) vertices.
+Each random attempt and each sweep code is decided on its out- and
+in-neighbour rows, and a Digraph is built only for the instance that is
+kept.  `run_suite` runs the passes in order, and draws a source with
+several checks (lemma4's girth targets) once, as a list; any other source
+is read one instance at a time.  `replay_instance` recomputes the rows of
+one (suite, seed) pair from the seed alone, decoding it once per source,
+and rejects a seed that no run records.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from pathlib import Path
 
 from .constructions import (
     _check_probability,
-    _random_digraph_from,
+    _random_rows,
     clique_substitute_all,
     gen_claw_orientations,
     gen_directed_cycle,
@@ -52,9 +57,12 @@ from .constructions import (
 )
 from .digraph import (
     Digraph,
+    _from_rows,
+    _in_rows,
+    _strongly_connected,
+    _weakly_connected,
     count_sources,
     is_strongly_connected,
-    is_weakly_connected,
     underlying_girth,
 )
 from .errors import InputError, StateBudgetExceeded, _as_int, _at_least
@@ -232,11 +240,14 @@ def _subdivision_check(d, cfg, factors):
             yield f"subdivide-m{m}", before[0], after[0], f"n_after={sub.n}", ok
 
 
+_CLAWS = tuple(gen_claw_orientations())
+
+
 def _claw_check(d, cfg):
     big = clique_substitute_all(d)
     sc = is_strongly_connected(big)
     found = []
-    for i, claw in enumerate(gen_claw_orientations()):
+    for i, claw in enumerate(_CLAWS):
         w = find_induced(big, claw)
         if w is not None:
             found.append(f"claw{i}={'-'.join(map(str, w.vertices))}")
@@ -309,21 +320,23 @@ def _run_check(report, check, seed, d, cfg) -> None:
         t0 = t1
 
 
-def _draw(seed: int, cfg: SuiteConfig) -> Digraph:
-    """The instance a random attempt seed denotes: vertex count first, then
-    arcs, from one seeded stream."""
+def _draw(seed: int, cfg: SuiteConfig) -> list:
+    """The out-neighbour rows of the instance a random attempt seed
+    denotes: vertex count first, then arcs, from one seeded stream."""
     rng = random.Random(seed)
     n = rng.randint(2, cfg.n_max)
-    return _random_digraph_from(rng, n, cfg.p)
+    return _random_rows(rng, n, cfg.p)
 
 
 @dataclass(frozen=True)
 class _Drawn:
     """Random instances.  Instance i of a run is the first attempt seed
     (cfg.seed + i) * 1000 + j, j < RETRY_CAP, whose draw satisfies the
-    predicate, or None when no attempt does."""
+    predicate, or None when no attempt does.  The predicate reads a draw's
+    out- and in-neighbour rows, so a Digraph is built only for the attempt
+    that is kept."""
 
-    predicate: object
+    predicate: object  # (out rows, in rows) -> bool
 
     def instances(self, cfg: SuiteConfig):
         for block in range(cfg.seed, cfg.seed + cfg.trials):
@@ -343,9 +356,9 @@ class _Drawn:
         """(attempt seed, digraph) of the first of the block's first `draws`
         attempts whose draw satisfies the predicate, or None."""
         for s in range(block * 1000, block * 1000 + draws):
-            d = _draw(s, cfg)
-            if self.predicate(d):
-                return s, d
+            outs = _draw(s, cfg)
+            if self.predicate(outs, _in_rows(outs)):
+                return s, _from_rows(outs)
         return None
 
 
@@ -363,19 +376,23 @@ class _Fixed:
                 yield s, d
 
 
-def _digraph_of_code(n: int, code: int) -> Digraph:
-    """The loop-free digraph on 0..n-1 whose arcs are the set bits of code,
-    bit b standing for the b-th ordered pair (u, v), u != v, in
-    lexicographic order."""
-    pairs = ((u, v) for u in range(n) for v in range(n) if u != v)
-    return Digraph(n, [pair for b, pair in enumerate(pairs) if code >> b & 1])
+def _rows_of_code(n: int, code: int) -> list:
+    """The out-neighbour rows of the loop-free digraph on 0..n-1 whose arcs
+    are the set bits of code, bit b standing for the b-th ordered pair
+    (u, v), u != v, in lexicographic order: the pairs of tail u are the
+    n - 1 bits from u(n - 1) on, and (u, v) is the (v - [v > u])-th."""
+    rows = []
+    for u in range(n):
+        bits = code >> u * (n - 1)
+        rows.append([v for v in range(n) if v != u and bits >> v - (v > u) & 1])
+    return rows
 
 
 def iter_all_digraphs(n: int):
     """Every loop-free digraph on vertices 0..n-1, as (code, digraph); the
     code is the arc-subset bitmask over lexicographic ordered pairs."""
     for code in range(1 << n * (n - 1)):
-        yield code, _digraph_of_code(n, code)
+        yield code, _from_rows(_rows_of_code(n, code))
 
 
 def _sweep_seeds(cfg: SuiteConfig):
@@ -391,8 +408,8 @@ def _decode_sweep_seed(seed: int, cfg: SuiteConfig):
     n, code = divmod(-seed - 1, 1 << 20)
     if not 1 <= n <= min(_SWEEP_N, cfg.n_max) or code >> n * (n - 1):
         return None
-    d = _digraph_of_code(n, code)
-    return d if is_strongly_connected(d) else None
+    outs = _rows_of_code(n, code)
+    return _from_rows(outs) if _strongly_connected(outs, _in_rows(outs)) else None
 
 
 def _named(name: str) -> _Fixed:
@@ -404,28 +421,29 @@ def _named(name: str) -> _Fixed:
 
 # ------------------------------------------------------------------- table
 
-# The predicates look their function up when called, so that rebinding the
-# module's names (as a tracer does) reaches every call.
-_WEAK = _Drawn(lambda d: is_weakly_connected(d))
-_STRONG = _Drawn(lambda d: is_strongly_connected(d))
+# The predicates are the row-level helpers behind is_weakly_connected and
+# is_strongly_connected, called on a draw's rows before any Digraph exists.
+_WEAK = _Drawn(_weakly_connected)
+_STRONG = _Drawn(_strongly_connected)
 
-# token -> (default config, passes); a pass is (instance source, check).
+# token -> (default config, passes); a pass is (instance source, checks),
+# and each check runs over every instance of the source in turn.
 _SUITES = {
-    "lemma1": (SuiteConfig(trials=200, n_max=6), [(_WEAK, _clique_sub_check)]),
+    "lemma1": (SuiteConfig(trials=200, n_max=6), [(_WEAK, [_clique_sub_check])]),
     "lemma2": (
         SuiteConfig(trials=200, n_max=5),
-        [(_WEAK, partial(_subdivision_check, factors=(2, 3)))],
+        [(_WEAK, [partial(_subdivision_check, factors=(2, 3))])],
     ),
-    "lemma3": (SuiteConfig(trials=100, n_max=6), [(_STRONG, _claw_check)]),
+    "lemma3": (SuiteConfig(trials=100, n_max=6), [(_STRONG, [_claw_check])]),
     "lemma4": (
         SuiteConfig(trials=100, n_max=6),
-        [(_STRONG, partial(_girth_check, l=l)) for l in GIRTH_TARGETS],
+        [(_STRONG, [partial(_girth_check, l=l) for l in GIRTH_TARGETS])],
     ),
     "theorem1": (
         SuiteConfig(trials=200, n_max=6),
         [
-            (_Drawn(lambda d: True), _source_bound_check),
-            (_named("doubled-plane-q2"), partial(_plane_check, name="doubled-plane-q2")),
+            (_Drawn(lambda outs, ins: True), [_source_bound_check]),
+            (_named("doubled-plane-q2"), [partial(_plane_check, name="doubled-plane-q2")]),
         ],
     ),
     "theorem3": (
@@ -433,9 +451,9 @@ _SUITES = {
         [
             (
                 _Fixed(_sweep_seeds, _decode_sweep_seed),
-                partial(_path_star_check, transform="exhaustive"),
+                [partial(_path_star_check, transform="exhaustive")],
             ),
-            (_STRONG, partial(_path_star_check, transform="random")),
+            (_STRONG, [partial(_path_star_check, transform="random")]),
         ],
     ),
 }
@@ -453,17 +471,23 @@ def _lookup(token: str, cfg: SuiteConfig | None):
 
 
 def run_suite(token: str, cfg: SuiteConfig | None = None) -> ExperimentReport:
-    """Run one suite: each check over every instance of its pass in turn."""
+    """Run one suite: each check over every instance of its pass in turn.
+    A source with several checks is drawn once and kept as a list; any
+    other is read one instance at a time."""
     passes, cfg = _lookup(token, cfg)
     report = ExperimentReport(token, [], [], [])
-    for source, check in passes:
-        for i, instance in enumerate(source.instances(cfg)):
-            if instance is None:
-                report.errors.append(
-                    f"instance {i}: no instance satisfied the predicate in {RETRY_CAP} draws"
-                )
-            else:
-                _run_check(report, check, *instance, cfg)
+    for source, checks in passes:
+        instances = source.instances(cfg)
+        if len(checks) > 1:
+            instances = list(instances)
+        for check in checks:
+            for i, instance in enumerate(instances):
+                if instance is None:
+                    report.errors.append(
+                        f"instance {i}: no instance satisfied the predicate in {RETRY_CAP} draws"
+                    )
+                else:
+                    _run_check(report, check, *instance, cfg)
     return report
 
 
@@ -474,10 +498,11 @@ def replay_instance(token: str, seed: int, cfg: SuiteConfig | None = None):
     seed = _as_int(seed, "seed")
     passes, cfg = _lookup(token, cfg)
     report = ExperimentReport(token, [], [], [])
-    for source, check in passes:
+    for source, checks in passes:
         d = source.decode(seed, cfg)
         if d is not None:
-            _run_check(report, check, seed, d, cfg)
+            for check in checks:
+                _run_check(report, check, seed, d, cfg)
     if not report.records:
         raise InputError(f"no {token} run records seed {seed}")
     return report.records

@@ -48,25 +48,28 @@ u to each gives, in the same order, the block of j-multisets that start
 with u, from lane put_u = starts[j][u] on.  So (x >> W*cut_u) << W*put_u
 moves every lane of a child row x to the lane of its parent in row
 M' - v, and drops the lanes whose min is below u.  One rule makes every
-push (_grouped_pushes): the changed child rows are first grouped by
-parent row, then each parent ORs its children per u, over the v with u
-in N-[v], while they are still as narrow as a child row, and pays one
-shift per u that occurs.  Stage k is the same
-push with one parent, M = (), kept as the blocks above: M' = (v,), so
-block u takes the OR of the changed rows of the v in the closed
-out-neighbourhood N+[u], shifted by W*cut_u, with no put.  The one
-exception is stage 1 while W is at most one word: every cut is 0 there,
-so the u of N-[v] fold into one multiply per child and parent by the sum
-of 2^(W*u), which beats grouping.
+push into a middle stage (_grouped_pushes): the changed child rows are
+first grouped by parent row, then each parent ORs its children per u,
+over the v with u in N-[v], while they are still as narrow as a child
+row, and pays one shift per u that occurs.  The one exception is stage 1
+while W is at most one word: every cut is 0 there, so the u of N-[v]
+fold into one multiply per child and parent by the sum of 2^(W*u),
+which beats grouping.  Stage k needs no grouping: its one parent is
+M = (), kept as the blocks above, and its children are the rows of the
+M' = (v,), at index v.  So each changed child row is ORed into the push
+of every u in N-[v] directly, and block u takes that OR, the changed rows
+of the v in the closed out-neighbourhood N+[u], shifted by W*cut_u, with
+no put.
 
-The parent rows M' minus v of a changed child row come from the same
-identity, one size down.  i(M') lies in the block of its first vertex a,
-so M' = (a,) + R with i(R) read off that block: removing a leaves R, and
-removing any other v of R leaves (a,) + (R minus v), whose index is R's
-entry for v in the removal table of the size below, moved by the block's
-offset: for M' of size t, starts[t-1][a] - starts[t-2][a], or 0 at
-t = 1.  So the removal tables are built only up to size k - 1, and the
-largest one, a row per cop multiset, is never built.
+The parent rows M' minus v of a changed middle-stage child row come from
+the same identity, one size down.  i(M') lies in the block of its first
+vertex a, so M' = (a,) + R with i(R) read off that block: removing a
+leaves R, and removing any other v of R leaves (a,) + (R minus v), whose
+index is R's entry for v in the removal table of the size below, moved
+by the block's offset: for M' of size t, starts[t-1][a] -
+starts[t-2][a], or 0 at t = 1.  So the removal tables are built only up
+to size k - 1, and the largest one, a row per cop multiset, is never
+built.
 
 The backward attractor runs level by level, and the level at which a
 position is won is its rank.  Levels 0 and 1 have a closed form and are
@@ -684,11 +687,10 @@ def _levels(d, k, starts, bits, nbhd, copwin, robwin, log):
     num_cw = len(copwin)
     closed_in = [sorted((v,) + d.in_adj[v]) for v in range(n)]
     closed_in_masks = [sum(1 << u for u in into) for into in closed_in]
-    # The push into stage j, 1 <= j <= k, derives the parents of each
-    # changed stage-(j - 1) row, a moved multiset of size k - j + 1, from
-    # the block starts of that size, which split the rows by their first
-    # vertex, and from removals[k - j], the table one size down.  At j = k
-    # that is the one parent M = () of every row.
+    # The push into a middle stage j, 1 <= j < k, derives the parents of
+    # each changed stage-(j - 1) row, a moved multiset of size k - j + 1,
+    # from the block starts of that size, which split the rows by their
+    # first vertex, and from removals[k - j], the table one size down.
     removals = _removal_tables(starts, k)
     # At j = 1 every cut is 0 and put is u, so with lanes of one word the
     # shifts of v fold into one multiply by fold[v]: solve(plane_q3, 4)
@@ -777,22 +779,22 @@ def _levels(d, k, starts, bits, nbhd, copwin, robwin, log):
                     stage[p] = row
             idx = list(compress(count(), map(ne, stage, snap)))
             delta = [stage[p] ^ snap[p] for p in idx]
-        # Stage k is the same push with one parent, M = (): its children
-        # are the changed rows of the (v,), and block u takes the OR of
-        # those of the v in N+[u] with one shift.  The lanes the blocks
-        # gained are the cop multisets the level changed, ascending since
-        # the blocks are.
-        cop_idx, cop_masks = [], []
-        if idx:
-            changed = _split_rows(idx, delta, starts, 1)
-            (_, pushed), = _grouped_pushes(changed, removals[0], closed_in)
-            for u in sorted(pushed):
-                old = block[u]
-                new = old | pushed[u] >> width * cuts[u]
-                if new != old:
-                    block[u] = new
-                    _settle_lanes(copwin, cop_idx, cop_masks, puts[u], old, new, width,
-                                  block_sizes[u])
+        # Stage k has one parent, M = (), whose children are the changed
+        # rows of the (v,), at index v: each is ORed into pushed[u] for the
+        # u in N-[v], so block u takes the OR of the rows of the v in N+[u]
+        # with one shift.  The lanes the blocks gained are the cop
+        # multisets the level changed, ascending since the blocks are.
+        cop_idx, cop_masks, pushed = [], [], [0] * n
+        for v, x in zip(idx, delta):
+            for u in closed_in[v]:
+                pushed[u] |= x
+        for u in compress(range(n), pushed):
+            old = block[u]
+            new = old | pushed[u] >> width * cuts[u]
+            if new != old:
+                block[u] = new
+                _settle_lanes(copwin, cop_idx, cop_masks, puts[u], old, new, width,
+                              block_sizes[u])
         rob_idx, rob_masks = settled_idx, settled_masks
         log[0].append((cop_idx, cop_masks))
         log[1].append((rob_idx, rob_masks))

@@ -295,6 +295,24 @@ def naive_isomorphic(d1, d2):
     return False
 
 
+def connectivity_by_closure(d):
+    """(strongly connected, weakly connected) of d, read off the Warshall
+    closure of its arcs, and of its arcs taken both ways, as bit masks."""
+    full = (1 << d.n) - 1
+
+    def closes(arcs):
+        reach = [1 << v for v in range(d.n)]
+        for u, v in arcs:
+            reach[u] |= 1 << v
+        for w in range(d.n):
+            for u in range(d.n):
+                if reach[u] >> w & 1:
+                    reach[u] |= reach[w]
+        return all(r == full for r in reach)
+
+    return closes(d.arcs), closes(d.arcs | {(v, u) for u, v in d.arcs})
+
+
 def refusal_and_traced_peak(call):
     """The InputError that call() must raise, and the peak of the bytes
     tracemalloc traced while it ran."""

@@ -2,17 +2,21 @@
 
 import csv
 import hashlib
+import random
 from dataclasses import replace
 
 import pytest
 
+import copgame.constructions
 from copgame import (
     RUN_ORDER,
+    Digraph,
     InputError,
     SuiteConfig,
     config_with_overrides,
     cop_number,
     is_strongly_connected,
+    is_weakly_connected,
     iter_all_digraphs,
     replay_instance,
     run_all,
@@ -20,6 +24,8 @@ from copgame import (
     write_reports,
 )
 from copgame import harness
+from copgame.constructions import _random_digraph_from, _random_rows
+from copgame.digraph import _from_rows, _in_rows, _strongly_connected, _weakly_connected
 from copgame.harness import CSV_HEADER, GIRTH_TARGETS, NAMED_INSTANCES
 
 import oracles
@@ -47,8 +53,25 @@ FROZEN_OVERRUN_ROWS = (
 )
 
 
+# Row count and sha256 of run_all() with every suite's default config
+# (suite seed 1), hashed as FROZEN_ROWS is.  It pins what the small configs
+# above cannot: theorem3's draws on n = 7 vertices, the 300 blocks of its
+# random pass, and every attempt of a block up to the one that is kept.
+FROZEN_DEFAULT_ROWS = (
+    5053,
+    "119356eec8edfbbdf0f65a80a6fc7de5d42bc41a2a6f470a7834f3bf0c8cb74f",
+)
+
+
 def rows_without_micros(report):
     return [rec.row()[:-1] for rec in report.records]
+
+
+def row_digest(reports):
+    """(row count, sha256) of the reports' rows, micros dropped, each row
+    comma-joined and newline-terminated."""
+    rows = [",".join(rec.row()[:-1]) + "\n" for report in reports for rec in report.records]
+    return len(rows), hashlib.sha256("".join(rows).encode()).hexdigest()
 
 
 class TestSuiteConfig:
@@ -196,13 +219,10 @@ class TestDeterminism:
             replay_instance("nope", 1, TINY)
 
     def test_frozen_rows(self):
-        rows = [
-            ",".join(rec.row()[:-1]) + "\n"
-            for report in run_all(cfg=SuiteConfig(trials=3, n_max=4))
-            for rec in report.records
-        ]
-        digest = hashlib.sha256("".join(rows).encode()).hexdigest()
-        assert (len(rows), digest) == FROZEN_ROWS
+        assert row_digest(run_all(cfg=SuiteConfig(trials=3, n_max=4))) == FROZEN_ROWS
+
+    def test_frozen_default_rows(self):
+        assert row_digest(run_all()) == FROZEN_DEFAULT_ROWS
 
     def test_frozen_overrun_rows(self):
         count, lines = 0, []
@@ -226,6 +246,114 @@ class TestDeterminism:
         for seed, rows in recorded.items():
             replayed = replay_instance("theorem3", seed, TINY)
             assert [rec.row()[:-1] for rec in replayed] == rows
+
+
+def assert_predicates_agree(outs, d):
+    """The row-level predicates on outs, the public tests on d, and the
+    closure oracle all agree."""
+    ins = _in_rows(outs)
+    strong, weak = oracles.connectivity_by_closure(d)
+    assert _strongly_connected(outs, ins) == is_strongly_connected(d) == strong
+    assert _weakly_connected(outs, ins) == is_weakly_connected(d) == weak
+    return strong, weak
+
+
+class TestDraws:
+    def test_every_sweep_code(self):
+        # Every code on n <= 4 vertices: its rows are the arcs the code's
+        # set bits name, over the ordered pairs in lexicographic order, and
+        # the predicates agree on them.
+        seen = []
+        for n in range(1, 5):
+            pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            for code in range(1 << len(pairs)):
+                outs = harness._rows_of_code(n, code)
+                d = Digraph(n, [pair for b, pair in enumerate(pairs) if code >> b & 1])
+                assert _from_rows(outs) == d
+                seen.append(assert_predicates_agree(outs, d))
+        assert len(seen) == 4165
+        assert sum(strong for strong, _ in seen) == 1626
+
+    def test_seeded_draws(self):
+        # 2,400 draws on up to 7 vertices, sparse to dense, with both
+        # answers of both predicates among them.
+        seen = set()
+        for p in (0.15, 0.3, 0.5):
+            cfg = SuiteConfig(n_max=7, p=p)
+            for seed in range(800):
+                outs = harness._draw(seed, cfg)
+                seen.add(assert_predicates_agree(outs, _from_rows(outs)))
+        assert seen == {(True, True), (False, True), (False, False)}
+
+    def test_kept_draw_is_the_generator_digraph(self):
+        # A kept instance is the digraph _random_digraph_from builds from
+        # the attempt seed's stream, after its vertex count.
+        cfg = SuiteConfig(trials=40, n_max=7)
+        for source in (harness._WEAK, harness._STRONG):
+            for seed, d in source.instances(cfg):
+                rng = random.Random(seed)
+                assert d == _random_digraph_from(rng, rng.randint(2, cfg.n_max), cfg.p)
+
+    def test_rows_consume_the_stream_as_the_generator(self):
+        for seed in range(300):
+            a, b = random.Random(seed), random.Random(seed)
+            n = a.randint(2, 7)
+            assert b.randint(2, 7) == n
+            assert _from_rows(_random_rows(a, n, 0.3)) == _random_digraph_from(b, n, 0.3)
+            assert a.getstate() == b.getstate()
+
+    def test_draw_cap_refused_before_any_arc_is_drawn(self, monkeypatch):
+        # run_suite refuses at its first attempt, when the stream has given
+        # the vertex count and no arc yet
+        made = []
+        plain = random.Random
+
+        def recording(seed):
+            made.append((seed, plain(seed)))
+            return made[-1][1]
+
+        monkeypatch.setattr(harness.random, "Random", recording)
+        monkeypatch.setattr(copgame.constructions, "MAX_RANDOM_DRAWS", 1)
+        with pytest.raises(InputError, match="random draw count [0-9]+ exceeds the limit of 1$"):
+            run_suite("lemma1", TINY)
+        (seed, rng), = made
+        fresh = plain(seed)
+        fresh.randint(2, TINY.n_max)
+        assert rng.getstate() == fresh.getstate()
+
+
+class TestDrawOnce:
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The attempt seeds harness._draw is called with, in order."""
+        seeds = []
+        draw = harness._draw
+
+        def counted(seed, cfg):
+            seeds.append(seed)
+            return draw(seed, cfg)
+
+        monkeypatch.setattr(harness, "_draw", counted)
+        return seeds
+
+    def test_shared_source_drawn_once_per_run(self, draws):
+        # lemma3 and lemma4 read the same source, lemma4 with three checks
+        cfg = SuiteConfig(trials=20, n_max=6)
+        run_suite("lemma3", cfg)
+        once = draws[:]
+        draws.clear()
+        report = run_suite("lemma4", cfg)
+        assert draws == once and len(once) > cfg.trials
+        assert report.instances_run == len(GIRTH_TARGETS) * cfg.trials
+
+    def test_shared_source_decoded_once_per_replay(self, draws):
+        cfg = SuiteConfig(trials=20, n_max=6)
+        seed = max(rec.seed for rec in run_suite("lemma3", cfg).records
+                   if rec.seed % 1000 > 0)
+        draws.clear()
+        rows = replay_instance("lemma4", seed, cfg)
+        assert len(rows) == len(GIRTH_TARGETS)
+        assert draws == list(range(seed - seed % 1000, seed + 1))
 
 
 def _sweep_seed(n, code):
