@@ -7,6 +7,7 @@ that cannot be written."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -133,18 +134,8 @@ def _cmd_solve(args):
 def _cmd_simulate(args):
     d = _read_digraph(args.input)
     trace = play_trace(d, args.k, args.max_rounds, args.state_budget)
-    payload = {
-        "k": trace.k,
-        "cops_start": list(trace.cops_start),
-        "robber_start": trace.robber_start,
-        "outcome": trace.outcome,
-        "repeat": None if trace.repeat is None else list(trace.repeat),
-        "snapshots": [
-            {"cops": list(p.cops), "robber": p.robber, "to_move": p.to_move}
-            for p in trace.snapshots
-        ],
-    }
-    print(json.dumps(payload, sort_keys=True))
+    # GameTrace's fields are the JSON keys; its tuples print as lists.
+    print(json.dumps(dataclasses.asdict(trace), sort_keys=True))
     return 0
 
 

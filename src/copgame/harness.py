@@ -259,8 +259,7 @@ def _girth_check(d, cfg, l):
     sub = subdivide_arcs(d, l)
     g = underlying_girth(sub)
     sc = is_strongly_connected(sub)
-    g_text = "inf" if g == float("inf") else str(g)
-    yield f"subdivide-m{l}", None, None, f"girth={g_text};sc={int(sc)}", g >= l and sc
+    yield f"subdivide-m{l}", None, None, f"girth={g};sc={int(sc)}", g >= l and sc
 
 
 def _source_bound_check(d, cfg):

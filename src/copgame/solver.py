@@ -836,7 +836,8 @@ class GameTrace:
     move); each later snapshot follows one half-move.  A capture trace ends
     on a position with the robber caught; a robber-escape trace ends at the
     first repeated position, with repeat holding the indexes of the two
-    equal snapshots.
+    equal snapshots.  `copgame simulate` prints these fields as the keys of
+    one JSON object.
     """
 
     k: int
@@ -878,20 +879,18 @@ def play_trace(
     cops_start, _ = max(placements, key=lambda pm: pm[1].bit_count())
     robber_start = max(range(d.n), key=lambda r: key(GamePosition(cops_start, r, COPS)))
 
+    # seen maps each position played so far to its half-move index; in
+    # insertion order its keys are the snapshots.
+    start = (result.k, cops_start, robber_start)
     pos = GamePosition(cops_start, robber_start, COPS)
-    snapshots = [pos]
     seen = {pos: 0}
-    repeat = None
     while pos.robber not in pos.cops:
-        if max_rounds is not None and len(snapshots) - 1 >= 2 * max_rounds:
+        if max_rounds is not None and len(seen) > 2 * max_rounds:
             raise StateBudgetExceeded(
                 "trace exceeded the round limit without capture or repetition"
             )
         pos = result._step(pos, key(pos))
-        snapshots.append(pos)
         if pos in seen:
-            repeat = (seen[pos], len(snapshots) - 1)
-            break
-        seen[pos] = len(snapshots) - 1
-    outcome = "capture" if repeat is None else "robber-escape"
-    return GameTrace(result.k, cops_start, robber_start, tuple(snapshots), outcome, repeat)
+            return GameTrace(*start, (*seen, pos), "robber-escape", (seen[pos], len(seen)))
+        seen[pos] = len(seen)
+    return GameTrace(*start, tuple(seen), "capture", None)

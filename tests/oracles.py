@@ -60,6 +60,40 @@ def minimax_cop_win(d, k):
     return win
 
 
+def minimax_ranks(d, k):
+    """Rank of every position by depth-indexed minimax in synchronous rounds.
+
+    win_t is computed from win_{t-1} alone: win_0 is capture, and a
+    position not yet captured wins at t when some successor (cops to move)
+    or every successor (robber to move) wins at t - 1.  A position's rank
+    is the least t with win_t, and None when no round makes it win.
+    Successors are generated here from d.out_adj, not by legal_moves.
+    Returns {position: rank} with positions as in minimax_cop_win.
+    """
+    n = d.n
+    successors = {}
+    for cw in itertools.combinations_with_replacement(range(n), k):
+        opts = [[c, *d.out_adj[c]] for c in cw]
+        moves = {tuple(sorted(t)) for t in itertools.product(*opts)}
+        for r in range(n):
+            successors[(cw, r, "cops")] = [(c2, r, "robber") for c2 in moves]
+            successors[(cw, r, "robber")] = [(cw, r2, "cops") for r2 in [r, *d.out_adj[r]]]
+    rank = {pos: 0 if pos[1] in pos[0] else None for pos in successors}
+    for t in itertools.count(1):
+        won = [
+            pos
+            for pos, value in rank.items()
+            if value is None
+            and (any if pos[2] == "cops" else all)(
+                rank[s] is not None for s in successors[pos]
+            )
+        ]
+        if not won:
+            return rank
+        for pos in won:
+            rank[pos] = t
+
+
 def minimax_some_placement_wins(win, d, k):
     """Whether some cop placement beats every robber reply, from a minimax
     win table."""
@@ -293,6 +327,15 @@ def naive_isomorphic(d1, d2):
         if all((perm[u], perm[v]) in d2.arcs for u, v in d1.arcs):
             return True
     return False
+
+
+def canonical_form(d):
+    """The least sorted arc tuple over all relabellings of d: two digraphs
+    are isomorphic exactly when their forms are equal."""
+    return d.n, min(
+        tuple(sorted((perm[u], perm[v]) for u, v in d.arcs))
+        for perm in itertools.permutations(range(d.n))
+    )
 
 
 def connectivity_by_closure(d):

@@ -15,6 +15,7 @@ from copgame import (
     gen_projective_plane_incidence_doubled,
     gen_random_digraph,
     parse_arc_list,
+    subdivide_arcs,
 )
 from copgame import cli
 from copgame.cli import main
@@ -276,6 +277,35 @@ class TestSimulate:
         code, out, err = run(capsys, "simulate", src, "--k", "2", "--max-rounds", rounds)
         expected = "round limit" if rounds == "1" else f"max_rounds must be >= 1, got {rounds}"
         assert code == 2 and out == "" and expected in err
+
+    def test_frozen_json(self, capsys, tmp_path):
+        # The printed JSON of nine games with both outcomes, among them C_100
+        # at k = 2 (198 snapshots) and the order-3 plane's robber escape at
+        # k = 3.
+        plane = gen_projective_plane_incidence_doubled(2)
+        games = [
+            (gen_directed_cycle(4), 1),
+            (gen_directed_cycle(4), 2),
+            (plane, 3),
+            (gen_projective_plane_incidence_doubled(3), 3),
+            (gen_directed_cycle(12), 2),
+            (subdivide_arcs(plane, 2), 2),
+            (gen_directed_cycle(100), 2),
+            (clique_substitute_all(plane), 2),
+            (clique_substitute_all(plane), 3),
+        ]
+        outcomes = set()
+        digest = hashlib.sha256()
+        for d, k in games:
+            src = write(tmp_path, "d.dg", format_arc_list(d))
+            code, out, _ = run(capsys, "simulate", src, "--k", str(k))
+            assert code == 0
+            outcomes.add(json.loads(out)["outcome"])
+            digest.update(out.encode())
+        assert outcomes == {"capture", "robber-escape"}
+        assert digest.hexdigest() == (
+            "4b9eca5c9d925b2d4acbb04eedd4c0e2250a4b2ad4241e058fb2513153f9e0ec"
+        )
 
 
 class TestDot:

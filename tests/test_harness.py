@@ -1,9 +1,11 @@
 """Verification suites: determinism, replay, CSV output and error paths."""
 
+import ast
 import csv
 import hashlib
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -274,6 +276,20 @@ class TestDraws:
         assert len(seen) == 4165
         assert sum(strong for strong, _ in seen) == 1626
 
+    def test_sweep_covers_every_strong_class(self):
+        # Isomorphism classes per n = 1 .. 4: the strong digraphs the sweep
+        # decodes (OEIS A035512) and every code of iter_all_digraphs
+        # (A000273).
+        cfg = SuiteConfig(n_max=4)
+        strong = {n: set() for n in range(1, 5)}
+        for seed in harness._sweep_seeds(cfg):
+            d = harness._decode_sweep_seed(seed, cfg)
+            if d is not None:
+                strong[d.n].add(oracles.canonical_form(d))
+        every = [{oracles.canonical_form(d) for _, d in iter_all_digraphs(n)} for n in range(1, 5)]
+        assert [len(classes) for classes in strong.values()] == [1, 1, 5, 83]
+        assert [len(classes) for classes in every] == [1, 3, 16, 218]
+
     def test_seeded_draws(self):
         # 2,400 draws on up to 7 vertices, sparse to dense, with both
         # answers of both predicates among them.
@@ -543,3 +559,24 @@ class TestCsvOutput:
         monkeypatch.setattr(harness, "run_suite", no_suite)
         with pytest.raises(InputError, match="not a directory"):
             run_all(out_dir=target)
+
+
+class TestReadme:
+    def test_library_block(self):
+        # The README's Library example, run statement by statement; its
+        # three bare expressions are the values its comments promise.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        scope, values = {}, []
+        for stmt in ast.parse(block).body:
+            if isinstance(stmt, ast.Expr):
+                values.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), scope))
+            else:
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"), scope)
+        number, passed, replayed = values
+        report = scope["report"]
+        first = report.records[0].seed
+        assert number == 2 and passed and replayed
+        assert [rec.row()[:-1] for rec in replayed] == [
+            rec.row()[:-1] for rec in report.records if rec.seed == first
+        ]

@@ -213,6 +213,17 @@ class TestRanks:
             )
             assert best == 2 * oracles.radius(tree) - 1
 
+    def test_ranks_match_minimax(self):
+        # Every position of 300 seeded games with n <= 6 and k <= 3 has the
+        # rank that synchronous-round minimax gives it.
+        rng = random.Random(29)
+        for _ in range(300):
+            d = gen_random_digraph(rng.randint(1, 6), rng.random(), rng.randrange(10**6))
+            k = rng.randint(1, 3)
+            result = solve(d, k)
+            for (cw, r, side), rank in oracles.minimax_ranks(d, k).items():
+                assert result.rank(GamePosition(cw, r, side)) == rank, (d.arcs, k, cw, r, side)
+
     def test_ranks_along_a_long_trace(self):
         # Two cops on C_100 capture after 197 half-moves, and each
         # snapshot's rank is one below the one before: ranks from about
