@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -59,7 +60,10 @@ def _claw(index):
 
 # A gen family or transform op: the flags it reads and the call they feed.
 # Each call names its library function inside a lambda, so that it looks the
-# name up when it runs and sees the module's binding of that moment.
+# name up when it runs and sees the module's binding of that moment.  The
+# cached parser binds only the private _cmd_* functions, which look up every
+# library name the same way, so a tracer that rebinds the public names of
+# this module still sees every library call after the parser is built.
 _GEN = {
     "path": (("k",), lambda k: gen_directed_path(k)),
     "cycle": (("n",), lambda n: gen_directed_cycle(n)),
@@ -252,8 +256,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser main reuses: built on the first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, StateBudgetExceeded, OSError) as exc:

@@ -7,6 +7,16 @@ graph.  The underlying graph is treated as a multigraph for girth purposes:
 an opposite arc pair counts as a cycle of length 2.  The vertex count and
 every arc end are taken through operator.index, so they are stored as
 plain ints; anything else is refused with InputError.
+
+A Digraph is built in one of two ways.  The constructor Digraph(n, arcs)
+checks everything above and collapses repeated arcs.  The unchecked
+builder _from_rows(outs) takes out-neighbour rows and checks nothing: each
+row must be ascending, without repeats, and hold only vertices in range
+other than its own.  It is for package code whose rows meet that by
+construction or were checked already: the constructor itself, after its
+checks; parse_arc_list, which refuses every bad arc line; and the random
+draws and theorem3 sweep codes of constructions and harness.  Both fill
+n, arcs, out_adj and in_adj through _from_rows alone.
 """
 
 from __future__ import annotations
@@ -50,7 +60,7 @@ class Digraph:
     def __init__(self, n: int, arcs=()):
         n = _at_least(n, 1, "vertex count")
         _check_vertex_cap(n)
-        arc_set = set()
+        outs = [[] for _ in range(n)]
         for arc in arcs:
             try:
                 u, v = arc
@@ -61,16 +71,8 @@ class Digraph:
                 raise InputError(f"loop ({u}, {u}) is not allowed")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"arc ({u}, {v}) is out of range for n={n}")
-            arc_set.add((u, v))
-        outs = [[] for _ in range(n)]
-        ins = [[] for _ in range(n)]
-        for u, v in sorted(arc_set):
             outs[u].append(v)
-            ins[v].append(u)
-        self.n = n
-        self.arcs = frozenset(arc_set)
-        self.out_adj = tuple(tuple(vs) for vs in outs)
-        self.in_adj = tuple(tuple(us) for us in ins)
+        _from_rows([sorted(set(row)) for row in outs], self)
 
     @property
     def arc_count(self) -> int:
@@ -133,9 +135,20 @@ def _in_rows(outs):
     return ins
 
 
-def _from_rows(outs) -> Digraph:
-    """The digraph on len(outs) vertices whose out-neighbour rows are outs."""
-    return Digraph(len(outs), ((u, v) for u, row in enumerate(outs) for v in row))
+def _from_rows(outs, d=None) -> Digraph:
+    """The digraph on len(outs) vertices whose out-neighbour rows are outs,
+    filled into d when given and into a new Digraph otherwise.
+
+    Unchecked: see the module docstring for the rows' contract and for
+    who may call it.
+    """
+    if d is None:
+        d = Digraph.__new__(Digraph)
+    d.n = len(outs)
+    d.arcs = frozenset([(u, v) for u, row in enumerate(outs) for v in row])
+    d.out_adj = tuple(map(tuple, outs))
+    d.in_adj = tuple(map(tuple, _in_rows(outs)))
+    return d
 
 
 # The two connectivity tests read adjacency rows, not a Digraph, so that
@@ -258,7 +271,10 @@ def parse_arc_list(text: str, source: str = "<string>") -> Digraph:
         _check_arc_cap(_at_least(m, 0, "arc count"))
     except InputError as err:
         raise InputError(f"{source}: line {_line_of(text, line)}: {err}") from None
+    # Each arc once, as u * n + v, for the duplicate check; its head also
+    # goes into the tail's row, and the rows are sorted once all are read.
     seen = set()
+    rows = [[] for _ in range(n)]
     fault = None
     try:
         for line in islice(lines, m):
@@ -273,9 +289,10 @@ def parse_arc_list(text: str, source: str = "<string>") -> Digraph:
                 raise InputError(f"loop ({u}, {v})")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"arc ({u}, {v}) out of range")
-            if (u, v) in seen:
+            if u * n + v in seen:
                 raise InputError(f"duplicate arc ({u}, {v})")
-            seen.add((u, v))
+            seen.add(u * n + v)
+            rows[u].append(v)
     except InputError as err:
         fault = InputError(f"{source}: line {_line_of(text, line)}: {err}")
     found = len(seen) + (fault is not None) + sum(1 for _ in lines)
@@ -283,7 +300,9 @@ def parse_arc_list(text: str, source: str = "<string>") -> Digraph:
         raise InputError(f"{source}: expected {m} arc lines after the header, found {found}")
     if fault is not None:
         raise fault
-    return Digraph(n, seen)
+    for row in rows:
+        row.sort()
+    return _from_rows(rows)
 
 
 def format_arc_list(d: Digraph) -> str:

@@ -3,10 +3,15 @@
 import csv
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import copgame
 from copgame import (
     Digraph,
     clique_substitute_all,
@@ -35,6 +40,21 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def fresh_stdout(*argv):
+    """The stdout of argv run by a fresh `python -m copgame.cli` process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(copgame.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "copgame.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return done.stdout
+
+
+def csv_rows_without_micros(path):
+    with open(path, newline="") as fh:
+        return [row[:-1] for row in csv.reader(fh)]
 
 
 class TestGen:
@@ -539,3 +559,36 @@ class TestInputErrors:
         src = write(tmp_path, "huge.dg", "1000000000 0\n")
         code, _, err = run(capsys, "check", src, "--pk", "2")
         assert code == 2 and "exceeds the limit" in err
+
+
+class TestCachedParser:
+    """main reuses one parser per process; no call leaves state in it that
+    changes a later call's output."""
+
+    def test_solve_without_k_max_after_one_with_it(self, capsys, tmp_path):
+        f = write(tmp_path, "c4.dg", C4_TEXT)
+        for argv in (["solve", f, "--k-max", "1"], ["solve", f]):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out == fresh_stdout(*argv)
+        assert json.loads(out)["k_max"] == 4
+
+    def test_verify_without_seed_after_one_with_it(self, capsys, tmp_path):
+        # The stdout names no path, so each side writes its own out-dir.
+        flags = ["verify", "--suite", "lemma1", "--trials", "2", "--n-max", "4"]
+        rows = []
+        for name, seed in (("seeded", ["--seed", "7"]), ("default", [])):
+            code, out, _ = run(capsys, *flags, *seed, "--out-dir", str(tmp_path / name))
+            fresh = tmp_path / f"{name}-fresh"
+            assert code == 0 and out == fresh_stdout(*flags, *seed, "--out-dir", str(fresh))
+            rows.append(csv_rows_without_micros(tmp_path / name / "lemma1.csv"))
+            assert rows[-1] == csv_rows_without_micros(fresh / "lemma1.csv")
+        assert rows[0] != rows[1]
+
+    def test_valid_gen_after_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["gen", "bogus"])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == fresh_stdout("gen", "bogus") == ""
+        code, out, _ = run(capsys, "gen", "cycle", "--n", "5")
+        assert code == 0 and out == fresh_stdout("gen", "cycle", "--n", "5")
+        assert out == format_arc_list(gen_directed_cycle(5))

@@ -1,6 +1,8 @@
 """Digraph construction, queries and the text formats."""
 
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -22,13 +24,20 @@ from copgame import (
     underlying_girth,
 )
 import copgame.digraph
-from copgame.digraph import MAX_VERTICES
+from copgame.constructions import _random_rows
+from copgame.digraph import MAX_VERTICES, _from_rows
+from copgame.harness import NAMED_INSTANCES, _rows_of_code
 
 import oracles
 
 # Star with one in-only, one out-only and one bidirected neighbor of the
 # center vertex 2, plus a second in-only neighbor.
 HUB = Digraph(6, [(0, 2), (1, 2), (2, 4), (2, 5), (2, 3), (3, 2)])
+
+
+def fields(d):
+    """Every field a builder fills; Digraph.__eq__ reads only n and arcs."""
+    return d.n, d.arcs, d.out_adj, d.in_adj
 
 
 def digraphs(max_n=7):
@@ -101,6 +110,37 @@ class TestConstruction:
 
     def test_equality_ignores_arc_order(self):
         assert Digraph(3, [(0, 1), (1, 2)]) == Digraph(3, [(1, 2), (0, 1)])
+
+
+class TestBuilders:
+    """_from_rows, the unchecked builder, fills what the checked
+    constructor fills from the same arcs."""
+
+    @staticmethod
+    def assert_builders_agree(rows):
+        pairs = [(u, v) for u, row in enumerate(rows) for v in row]
+        assert fields(_from_rows(rows)) == fields(Digraph(len(rows), pairs))
+
+    def test_seeded_random_rows(self):
+        rng = random.Random(2024)
+        for _ in range(200):
+            self.assert_builders_agree(_random_rows(rng, rng.randint(1, 9), rng.random()))
+
+    def test_every_code_up_to_three_vertices(self):
+        for n in range(1, 4):
+            for code in range(1 << n * (n - 1)):
+                self.assert_builders_agree(_rows_of_code(n, code))
+
+    def test_named_instances_round_trip_field_by_field(self):
+        checked = 0
+        for build, *_ in NAMED_INSTANCES.values():
+            start = time.perf_counter()
+            d = build()
+            if time.perf_counter() - start >= 1:
+                continue
+            assert fields(parse_arc_list(format_arc_list(d))) == fields(d)
+            checked += 1
+        assert checked > 0
 
 
 class TestConnectivity:
@@ -177,6 +217,14 @@ class TestArcListFormat:
     def test_parse_simple(self):
         d = parse_arc_list("3 2\n0 1\n1 2\n")
         assert d.n == 3 and d.arcs == frozenset({(0, 1), (1, 2)})
+
+    def test_unsorted_arc_lines_give_ascending_rows(self):
+        d = Digraph(6, [(u, v) for u in range(6) for v in range(6) if u != v and (u + v) % 3])
+        header, *body = format_arc_list(d).splitlines()
+        for order in (body[::-1], random.Random(5).sample(body, len(body))):
+            parsed = parse_arc_list("\n".join([header, *order]) + "\n")
+            assert fields(parsed) == fields(d)
+            assert all(list(row) == sorted(row) for row in parsed.out_adj + parsed.in_adj)
 
     def test_duplicate_line_rejected(self):
         with pytest.raises(InputError, match="duplicate"):
