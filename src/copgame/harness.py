@@ -196,45 +196,39 @@ class ExperimentReport:
 # (transform, c_before, c_after, verdicts, outcome).  An outcome of True or
 # False appends ";ok" or ";violation" to the verdicts, None appends
 # nothing.  Every check gets its cop numbers from _cop_numbers, the one path
-# from a budget overrun to a row: it yields the transform's
-# error=state-budget row, whose outcome is the StateBudgetExceeded, and
-# returns None in place of the cop numbers.
+# from a budget overrun to a row: it returns (overrun rows, cop numbers), the
+# rows empty when every game is solved, else the transform's one
+# error=state-budget row, whose outcome is the StateBudgetExceeded, with
+# None in place of the cop numbers.  The check yields the rows first.
 
 
 def _cop_numbers(transform, cfg, *games):
-    """The cop numbers of the (digraph, k_max) games, or None after yielding
-    transform's error row when one of them overruns the state budget."""
+    """([], the cop numbers of the (digraph, k_max) games), or ([transform's
+    error row], None) when one of them overruns the state budget."""
     try:
-        return [cop_number(d, k_max, cfg.state_budget) for d, k_max in games]
+        return [], [cop_number(d, k_max, cfg.state_budget) for d, k_max in games]
     except StateBudgetExceeded as exc:
-        yield transform, None, None, "error=state-budget", exc
-
-
-def _drained(gen):
-    """The rows a sub-generator yields, as a list, and its return value."""
-    value = []
-
-    def run():
-        value.append((yield from gen))
-
-    return list(run()), value[0]
+        return [(transform, None, None, "error=state-budget", exc)], None
 
 
 def _clique_sub_check(d, cfg):
     big = clique_substitute_all(d)
-    c = yield from _cop_numbers("clique-sub", cfg, (d, d.n), (big, big.n))
+    overrun, c = _cop_numbers("clique-sub", cfg, (d, d.n), (big, big.n))
+    yield from overrun
     if c is not None:
         c_before, c_after = c
         yield "clique-sub", c_before, c_after, f"n_after={big.n}", c_after >= c_before
 
 
 def _subdivision_check(d, cfg, factors):
-    before = yield from _cop_numbers("subdivide", cfg, (d, d.n))
+    overrun, before = _cop_numbers("subdivide", cfg, (d, d.n))
+    yield from overrun
     if before is None:
         return
     for m in factors:
         sub = subdivide_arcs(d, m)
-        after = yield from _cop_numbers(f"subdivide-m{m}", cfg, (sub, sub.n))
+        overrun, after = _cop_numbers(f"subdivide-m{m}", cfg, (sub, sub.n))
+        yield from overrun
         if after is not None:
             ok = after[0] >= before[0]
             yield f"subdivide-m{m}", before[0], after[0], f"n_after={sub.n}", ok
@@ -264,7 +258,8 @@ def _girth_check(d, cfg, l):
 
 def _source_bound_check(d, cfg):
     sources = count_sources(d)
-    c = yield from _cop_numbers("", cfg, (d, d.n))
+    overrun, c = _cop_numbers("", cfg, (d, d.n))
+    yield from overrun
     if c is not None:
         yield "", c[0], None, f"sources={sources}", c[0] >= sources
 
@@ -272,7 +267,8 @@ def _source_bound_check(d, cfg):
 def _plane_check(d, cfg, name):
     k_max, answer = _claim(name)
     p2 = "absent" if find_induced(d, gen_directed_path(2)) is None else "present"
-    c = yield from _cop_numbers(name, cfg, (d, k_max))
+    overrun, c = _cop_numbers(name, cfg, (d, k_max))
+    yield from overrun
     if c is not None:
         yield name, c[0], None, f"p2_induced={p2}", p2 == "absent" and c[0] == answer
 
@@ -288,7 +284,7 @@ def _path_star_check(d, cfg, transform):
             yield transform, None, None, f"k={k};witness={witness}", None
             continue
         if solved is None:
-            solved = _drained(_cop_numbers(transform, cfg, (d, d.n)))
+            solved = _cop_numbers(transform, cfg, (d, d.n))
         overrun, c = solved
         yield from overrun
         if c is not None:
@@ -331,9 +327,10 @@ def _draw(seed: int, cfg: SuiteConfig) -> list:
 class _Drawn:
     """Random instances.  Instance i of a run is the first attempt seed
     (cfg.seed + i) * 1000 + j, j < RETRY_CAP, whose draw satisfies the
-    predicate, or None when no attempt does.  The predicate reads a draw's
-    out- and in-neighbour rows, so a Digraph is built only for the attempt
-    that is kept."""
+    predicate, or None when no attempt does; replay refuses an attempt
+    index j at or past RETRY_CAP, as no run draws it.  The predicate reads
+    a draw's out- and in-neighbour rows, so a Digraph is built only for
+    the attempt that is kept."""
 
     predicate: object  # (out rows, in rows) -> bool
 
@@ -343,10 +340,10 @@ class _Drawn:
 
     def decode(self, seed: int, cfg: SuiteConfig):
         """The digraph of an attempt seed, or None unless its block is one
-        a run reads and it is the block's first draw that satisfies the
-        predicate."""
+        a run reads, its attempt index is below RETRY_CAP and it is the
+        block's first draw that satisfies the predicate."""
         block, j = divmod(seed, 1000)
-        if block not in range(cfg.seed, cfg.seed + cfg.trials):
+        if block not in range(cfg.seed, cfg.seed + cfg.trials) or j >= RETRY_CAP:
             return None
         found = self._first(block, j + 1, cfg)
         return found[1] if found is not None and found[0] == seed else None

@@ -145,6 +145,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, compress, count, product
 from math import comb, inf
@@ -555,30 +556,20 @@ def _grouped_pushes(changed, tails, closed_in):
     [v, x, v, x, ...] list, and the groups are popped one parent at a
     time, so that a parent's rows are ORed while still narrow and each
     (parent, u) pays one shift, not one per child."""
-    groups = {}
+    groups = defaultdict(list)
     for x, a, r, offset in changed:
-        group = groups.get(r)
-        if group is None:
-            groups[r] = [a, x]
-        else:
-            group += a, x
+        groups[r].extend((a, x))
         pairs = iter(tails[r])
         for v, q in zip(pairs, pairs):
             if v != a:
-                p = offset + q
-                group = groups.get(p)
-                if group is None:
-                    groups[p] = [v, x]
-                else:
-                    group += v, x
+                groups[offset + q].extend((v, x))
     while groups:
         p, group = groups.popitem()
-        pushed = {}
-        get = pushed.get
+        pushed = defaultdict(int)
         items = iter(group)
         for v, x in zip(items, items):
             for u in closed_in[v]:
-                pushed[u] = get(u, 0) | x
+                pushed[u] |= x
         yield p, pushed
 
 

@@ -22,7 +22,7 @@ from copgame import (
     parse_arc_list,
     subdivide_arcs,
 )
-from copgame import cli
+from copgame import cli, harness
 from copgame.cli import main
 from copgame.solver import SolveResult
 
@@ -381,6 +381,21 @@ class TestVerify:
         )
         assert code == 2
         assert "errors=1" in out
+
+    def test_violation_exits_one(self, capsys, tmp_path, monkeypatch):
+        # With clique substitution made the identity, lemma3 meets the
+        # claws of the plain hosts: each is a violation and verify exits 1.
+        monkeypatch.setattr(harness, "clique_substitute_all", lambda d: d)
+        out_dir = tmp_path / "r"
+        code, out, _ = run(capsys, "verify", "--suite", "lemma3", "--out-dir", str(out_dir))
+        assert code == 1
+        assert out.splitlines() == ["lemma3: instances=100 violations=5 errors=0"]
+        with open(out_dir / "summary.csv", newline="") as fh:
+            summary = list(csv.reader(fh))
+        assert summary[1][-1] == "15013 45005 77009 82040 96021"
+        with open(out_dir / "lemma3.csv", newline="") as fh:
+            verdicts = {row[1]: row[7] for row in csv.reader(fh)}
+        assert verdicts["15013"] == "sc=1;claw1=2-4-1-5;violation"
 
     def test_negative_seed_exits_two(self, capsys, tmp_path):
         out_dir = tmp_path / "r"

@@ -310,17 +310,29 @@ class TestFamilies:
         assert all(plane.out_degree(v) == 4 for v in range(plane.n))
         assert oracles.is_bipartite(plane)
 
+    @pytest.mark.parametrize("q", [5, 7])
+    def test_plane_orders_past_the_first_trial_divisor(self, q):
+        # The primality test tries 2, then 3 and on; q = 2 and 3 stop at 2.
+        plane = gen_projective_plane_incidence_doubled(q)
+        points = q * q + q + 1
+        assert plane.n == 2 * points and plane.arc_count == 2 * points * (q + 1)
+        assert all(
+            plane.in_degree(v) == plane.out_degree(v) == q + 1
+            for v in range(plane.n)
+        )
+        assert oracles.is_bipartite(plane)
+        assert oracles.simple_girth_edge_bfs(plane) == 6
+
     def test_plane_bad_order(self):
-        with pytest.raises(InputError, match="prime"):
-            gen_projective_plane_incidence_doubled(4)
-        with pytest.raises(InputError, match="prime"):
-            gen_projective_plane_incidence_doubled(1)
+        for q in (1, 4, 9, 25):
+            with pytest.raises(InputError, match="prime"):
+                gen_projective_plane_incidence_doubled(q)
 
     def test_random_deterministic(self):
         a = gen_random_digraph(6, 0.4, 17)
         b = gen_random_digraph(6, 0.4, 17)
         assert a == b
-        assert gen_random_digraph(6, 0.4, 18) != a or True  # seeds may collide
+        assert gen_random_digraph(6, 0.4, 18) != a
 
     def test_random_extremes(self):
         assert gen_random_digraph(4, 0.0, 1).arc_count == 0

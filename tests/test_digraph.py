@@ -254,6 +254,12 @@ class TestArcListFormat:
                 parse_arc_list(text, source="bad.dg")
             assert str(info.value) == f"bad.dg: {message}"
 
+    @pytest.mark.parametrize("body", ["0 1 2", "5"])
+    def test_arc_line_needs_two_fields(self, body):
+        with pytest.raises(InputError) as info:
+            parse_arc_list(f"6 1\n{body}\n", source="bad.dg")
+        assert str(info.value) == "bad.dg: line 2: expected 'tail head'"
+
     def test_signed_fields(self):
         assert parse_arc_list("+2 1\n+0 1\n") == Digraph(2, [(0, 1)])
         with pytest.raises(InputError) as info:

@@ -458,6 +458,17 @@ class TestReplayRejects:
         with pytest.raises(InputError, match=f"no lemma1 run records seed {seeds[1]}"):
             replay_instance("lemma1", seeds[1], SuiteConfig(trials=1, n_max=4))
 
+    def test_random_seed_at_or_past_the_retry_cap(self, monkeypatch):
+        # 1027 is the first strongly connected draw of lemma3's block 1, so
+        # it replays at the cap of 1000; with a cap of 2 no run draws it
+        cfg = SuiteConfig(trials=20, n_max=6)
+        assert replay_instance("lemma3", 1027, cfg)
+        monkeypatch.setattr(harness, "RETRY_CAP", 2)
+        errors = run_suite("lemma3", cfg).errors
+        assert errors[0] == "instance 0: no instance satisfied the predicate in 2 draws"
+        with pytest.raises(InputError, match="no lemma3 run records seed 1027"):
+            replay_instance("lemma3", 1027, cfg)
+
     def test_random_seed_failing_the_predicate(self):
         # with p = 0 no draw is weakly connected; 1000 opens block 1, the
         # one block this config's run reads
