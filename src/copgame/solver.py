@@ -107,14 +107,30 @@ on, the cop multisets the level changed, ascending, with the bits each
 gained.  The rank of a won position is 0 when the robber stands on a cop,
 else the level of the first entry that holds its bit, else 1.
 
+The robber side reads (C, r) won once r is in the closed
+in-neighbourhood N-[w] of no escape w, a vertex outside copwin[C], and
+not already won.  The reach of the escapes is read off one 8-bit table
+per byte of the vertices (_reach_tables): table c maps byte c of
+copwin[C] to the union of N-[w] over the escapes w among vertices 8c to
+8c + 7.  A level takes one of two paths, by how many cop multisets the
+level before changed.  Below _COLUMNS_FROM (64) it settles them one at
+a time, one lookup per table.  From 64 on it settles them by byte
+columns (_settle_columns), _COLUMN_CHUNK (2,048) at a time: their copwin
+and robwin masks are laid out as _pack lays a row, so byte c of every
+lane is one column of bytes, and each table, split by output byte b into
+256-byte tables with the all-zero ones dropped (_reach_columns), maps a
+whole column through bytes.translate in C.  The OR over c of the
+translated columns is byte b of every lane's reach, and the gains are
+read back as _settle_lanes reads a block.  Both numbers were set by
+measurement (see their comments): most levels of verify's tiny games
+change fewer than 5 cop multisets, where the columns' fixed cost loses,
+and the chunks bound the columns' buffers.
+
 The first pass, level 2, starts from the closed form: every cop
 multiset may have changed, and there is nothing to push, since level 1
 won no robber-to-move position.  Its robber side reads (C, r) won
-exactly when r is not in C and N+[r] lies inside N+[C].  While W is at
-most one word that is one packed pass over copwin and robwin, each
-packed into one row (_level_two), whose gains are read as one block;
-wider lanes, like every later level, settle the robber side one cop
-multiset at a time.
+exactly when r is not in C and N+[r] lies inside N+[C], and it settles
+every cop multiset, by byte columns unless there are fewer than 64.
 
 solve works eagerly only up to the first proof that k cops win.  It
 checks the budget and sets levels 0 and 1 in closed form; then, unless a
@@ -161,6 +177,22 @@ DEFAULT_STATE_BUDGET = 50_000_000
 _LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 # bytes.translate table mapping each nonzero byte to 1.
 _NONZERO = bytes([0] + [1] * 255)
+
+# A level settles the robber side by byte columns (_settle_columns) once
+# the level before changed at least this many cop multisets, and one
+# multiset at a time below.  Of the 8,878 robber levels of the default
+# verify run (run_all(), 1,676 solves), 8,491 changed fewer than 64 and
+# 6,800 fewer than 5, and with byte columns on every level that run took
+# 1.10 times as long (550 against 504 ms).  The k = 3 solve of
+# cop_number(clique_substitute_all(plane(2)), 3) settles 13,244, 7,196,
+# 6,244 and 6,594 cop multisets at its robber levels that settle any.
+_COLUMNS_FROM = 64
+# Cop multisets per byte-column pass, which bounds its buffers:
+# cop_number(clique_substitute_all(plane(3)), 3) peaked at 142.3 MB in one
+# pass and at 119.5 MB in chunks of 2,048 (119.9 MB with no byte columns).
+# cop_number(clique_substitute_all(plane(2)), 3) took 57 to 58 ms in
+# chunks of 512, 55 ms in chunks of 2,048, and no less in larger ones.
+_COLUMN_CHUNK = 2048
 
 COPS = "cops"
 ROBBER = "robber"
@@ -513,13 +545,17 @@ def _nonzero_lanes(x: int, width: int):
     return lanes + top[::-1]
 
 
+def _lane_bytes(masks, width: int) -> bytes:
+    """The little-endian bytes of the packed row whose lane i, width bits
+    wide, holds masks[i]: width // 8 bytes per lane."""
+    if width <= 64:
+        return struct.pack(f"<{len(masks)}{_LANE_FORMATS[width]}", *masks)
+    return b"".join(mask.to_bytes(width // 8, "little") for mask in masks)
+
+
 def _pack(masks, width: int) -> int:
     """The packed row whose lane i, width bits wide, holds masks[i]."""
-    if width <= 64:
-        raw = struct.pack(f"<{len(masks)}{_LANE_FORMATS[width]}", *masks)
-    else:
-        raw = b"".join(mask.to_bytes(width // 8, "little") for mask in masks)
-    return int.from_bytes(raw, "little")
+    return int.from_bytes(_lane_bytes(masks, width), "little")
 
 
 def _settle_lanes(wins, idx, masks, put: int, old: int, new: int, width: int, num_lanes: int):
@@ -565,28 +601,80 @@ def _grouped_pushes(changed, tails, closed_in):
                 groups[offset + q].extend((v, x))
     while groups:
         p, group = groups.popitem()
-        pushed = defaultdict(int)
+        pushed = {}
         items = iter(group)
         for v, x in zip(items, items):
             for u in closed_in[v]:
-                pushed[u] |= x
+                pushed[u] = pushed.get(u, 0) | x
         yield p, pushed
 
 
 def _reach_tables(closed_in):
     """(shift, table) pairs covering the vertices eight at a time: for a
-    mask m, the union of table[m >> shift & 255] over the pairs is the set
-    of vertices with an arc into m or in m.  closed_in[v] is the mask of
-    N-[v]."""
+    copwin mask m, the union of table[m >> shift & 255] over the pairs is
+    the set of vertices with an arc into, or in, some escape, a vertex
+    outside m.  closed_in[v] is the mask of N-[v].  When 8 does not divide
+    n, the top table covers the last n % 8 vertices, one entry per value of
+    their bits."""
     tables = []
     for shift in range(0, len(closed_in), 8):
-        # Doubling: the entries with bit i set are those without it, OR
-        # the mask of vertex shift + i.
+        # Doubling: the entries with bit i clear, vertex shift + i an
+        # escape, are those with it set, OR the mask of that vertex.
         table = [0]
         for into in closed_in[shift:shift + 8]:
-            table += [t | into for t in table]
+            table = [t | into for t in table] + table
         tables.append((shift, table))
     return tables
+
+
+def _reach_columns(reach_tables, width: int):
+    """The translate tables of _settle_columns: per byte b of the vertices,
+    the (c, table) pairs whose table maps byte c of a copwin mask to byte b
+    of its reach_tables entry, as 256 bytes for bytes.translate, the top
+    table padded with zeros.  The all-zero tables are dropped."""
+    step = width // 8
+    columns = [[] for _ in reach_tables]
+    for shift, table in reach_tables:
+        raw = _lane_bytes(table + [0] * (256 - len(table)), width)
+        for b, pairs in enumerate(columns):
+            column = raw[b::step]
+            if any(column):
+                pairs.append((shift // 8, column))
+    return columns
+
+
+def _settle_columns(copwin, robwin, ids, columns, full: int, width: int, idx, masks):
+    """Settle the robber side of the cop multisets ids, ascending, by byte
+    columns, _COLUMN_CHUNK multisets at a time, and append to idx and masks
+    those that gained and the bits each gained, ascending.  The copwin and
+    robwin masks of a chunk are laid out as _pack lays a row, so byte c of
+    every lane is the column raw[c::width // 8], and each translate settles
+    one (c, b) pair of the chunk in C: byte b of robwin gains the vertices
+    of byte b of full that no escape reaches and no robber win holds."""
+    step = width // 8
+    for lo in range(0, len(ids), _COLUMN_CHUNK):
+        chunk = ids[lo:lo + _COLUMN_CHUNK]
+        size = len(chunk)
+        raw = _lane_bytes([copwin[ci] for ci in chunk], width)
+        rob = _lane_bytes([robwin[ci] for ci in chunk], width)
+        by_byte = [raw[c::step] for c in range(len(columns))]
+        ones = int.from_bytes(b"\1" * size, "little")
+        out = bytearray(len(raw))
+        for b, pairs in enumerate(columns):
+            reach = int.from_bytes(rob[b::step], "little")
+            for c, table in pairs:
+                reach |= int.from_bytes(by_byte[c].translate(table), "little")
+            out[b::step] = ((full >> 8 * b & 255) * ones & ~reach).to_bytes(size, "little")
+        if width <= 64:
+            gained = struct.unpack(f"<{size}{_LANE_FORMATS[width]}", out)
+            lanes = zip(compress(chunk, gained), filter(None, gained))
+        else:
+            gained = _nonzero_lanes(int.from_bytes(out, "little"), width)
+            lanes = ((chunk[i], g) for i, g in gained)
+        for ci, g in lanes:
+            robwin[ci] |= g
+            idx.append(ci)
+            masks.append(g)
 
 
 def _union_masks(vertex_masks, starts, k: int):
@@ -599,23 +687,6 @@ def _union_masks(vertex_masks, starts, k: int):
         prev = unions[-1]
         unions.append([vm | p for vm, cut in zip(vertex_masks, cuts) for p in prev[cut:]])
     return unions
-
-
-def _level_two(won: int, caught: int, closed_in, width: int, num_cw: int) -> int:
-    """The robber-to-move wins of level 2, packed as won and caught are:
-    lane i(C) of won holds copwin[C] after level 1, N+[C], and of caught
-    bits(C).  (C, r) is won when r is not in C and N+[r] lies inside N+[C],
-    that is when r is in the closed in-neighbourhood of no escape w outside
-    N+[C].  Lane by lane, bit w of the escapes times the mask of N-[w]
-    (closed_in[w]) is that neighbourhood or 0; the product carries nothing
-    into the next lane, since the mask has at most width bits."""
-    ones = _pack([1] * num_cw, width)
-    fulls = ((1 << len(closed_in)) - 1) * ones
-    escapes = fulls & ~won
-    reach = 0
-    for w, into in enumerate(closed_in):
-        reach |= (escapes >> w & ones) * into
-    return fulls & ~reach & ~caught
 
 
 def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> SolveResult:
@@ -671,11 +742,6 @@ def _levels(d, k, starts, bits, nbhd, copwin, robwin, log):
     n = d.n
     full = (1 << n) - 1
     width = _lane_width(n)
-    # With lanes of one word, a multiply over a whole row beats the
-    # per-lane shifts or lookups it replaces (the j = 1 fold and level 2,
-    # timed below); with wider lanes it loses.
-    one_word = width <= 64
-    num_cw = len(copwin)
     closed_in = [sorted((v,) + d.in_adj[v]) for v in range(n)]
     closed_in_masks = [sum(1 << u for u in into) for into in closed_in]
     # The push into a middle stage j, 1 <= j < k, derives the parents of
@@ -688,9 +754,11 @@ def _levels(d, k, starts, bits, nbhd, copwin, robwin, log):
     # takes 1.4 times as long with the grouped push instead.  With wider
     # lanes the multiply is the slower one (1.3 times on C_200 at k = 2).
     fold = None
-    if k > 1 and one_word:
+    if k > 1 and width <= 64:
         fold = [sum(1 << width * u for u in closed_in[v]) for v in range(n)]
-    reach_tables = _reach_tables(closed_in_masks)
+    # The robber side's 8-bit lookups, and their byte columns, built at the
+    # first level that settles by columns.
+    reach_tables, columns = _reach_tables(closed_in_masks), None
 
     # rows[j][i(M)]: stage j, 1 <= j < k, lane i(U) holding the robber
     # vertices from which (M, U) reaches a robber-to-move cop win.  After
@@ -713,34 +781,29 @@ def _levels(d, k, starts, bits, nbhd, copwin, robwin, log):
     # Level 1 may have changed every cop multiset on the cop side, and won
     # no robber-to-move position, so level 2 settles the robber side of
     # every multiset and has nothing to push.
-    level, cop_idx, rob_idx, rob_masks = 1, range(num_cw), [], []
+    cop_idx, rob_idx, rob_masks = range(len(copwin)), [], []
     while cop_idx or rob_idx:
-        level += 1
         # Robber to move: (C, r) wins when no successor of r is outside
         # copwin[C], i.e. r is outside the closed in-neighbourhood of every
-        # cop-side escape.  Only cop sets with new cop wins can change.
+        # cop-side escape.  Only cop sets with new cop wins can change: a
+        # level that changed few settles them one at a time, by 8-bit
+        # lookups, and one that changed many by byte columns.
         settled_idx, settled_masks = [], []
-        if level == 2 and one_word:
-            # The whole table in one packed pass over copwin and robwin,
-            # which still holds bits(C).  Its cost grows as n * W per cop
-            # multiset, so wider lanes take the per-multiset loop
-            # (solve(C_200, 2) took 1.5 times as long packed).
-            caught = _pack(robwin, width)
-            gained = _level_two(_pack(copwin, width), caught, closed_in_masks, width, num_cw)
-            _settle_lanes(robwin, settled_idx, settled_masks, 0, caught, caught | gained,
-                          width, num_cw)
-            del caught, gained
-        else:
+        if len(cop_idx) < _COLUMNS_FROM:
             for ci in cop_idx:
-                escapes = full & ~copwin[ci]
+                cw = copwin[ci]
                 reach = 0
                 for shift, table in reach_tables:
-                    reach |= table[escapes >> shift & 255]
-                gained = full & ~reach & ~robwin[ci]
+                    reach |= table[cw >> shift & 255]
+                gained = full & ~(reach | robwin[ci])
                 if gained:
                     robwin[ci] |= gained
                     settled_idx.append(ci)
                     settled_masks.append(gained)
+        else:
+            columns = columns or _reach_columns(reach_tables, width)
+            _settle_columns(copwin, robwin, cop_idx, columns, full, width,
+                            settled_idx, settled_masks)
         # Cops to move: push last level's robber-side wins back one
         # sub-move stage at a time.  A changed row of stage j - 1 reaches
         # row M' - v of stage j, for each distinct v in M', with u in

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import copgame.constructions
+import copgame.solver as solver
 from copgame import (
     RUN_ORDER,
     Digraph,
@@ -224,6 +225,13 @@ class TestDeterminism:
         assert row_digest(run_all(cfg=SuiteConfig(trials=3, n_max=4))) == FROZEN_ROWS
 
     def test_frozen_default_rows(self):
+        assert row_digest(run_all()) == FROZEN_DEFAULT_ROWS
+
+    def test_frozen_default_rows_by_byte_columns(self, monkeypatch):
+        # Every robber level of every solve settled by byte columns, the
+        # path that the default run's tiny games leave to the per-multiset
+        # lookups.
+        monkeypatch.setattr(solver, "_COLUMNS_FROM", 0)
         assert row_digest(run_all()) == FROZEN_DEFAULT_ROWS
 
     def test_frozen_overrun_rows(self):

@@ -41,7 +41,10 @@ from copgame.solver import (
     _multiset_index,
     _nonzero_lanes,
     _pack,
+    _reach_columns,
+    _reach_tables,
     _removal_tables,
+    _settle_columns,
     _settle_lanes,
     _split_rows,
 )
@@ -436,8 +439,9 @@ class TestFrozenTables:
         self.check_level_two(d, k)
 
     def test_level_two_in_every_lane_class(self):
-        # Lanes of one word settle level 2 in one packed pass, wider ones
-        # one cop multiset at a time: both must meet the closed form.
+        # Level 2 settles the robber side of every cop multiset, by byte
+        # columns once there are at least _COLUMNS_FROM of them and one at
+        # a time below: either way it must meet the closed form.
         for d, k, robbers in lane_class_games():
             self.check_level_two(d, k, robbers)
 
@@ -553,9 +557,9 @@ class TestLevelYields:
 
     def test_wide_lanes_match_one_word_lanes(self, monkeypatch):
         # Lanes wider than one word run their own kernels: the grouped
-        # j = 1 push, level 2 one cop multiset at a time, _nonzero_lanes
-        # and the joined _pack.  Forced on the games whose own lanes fit
-        # one word, they must give the same tables and yields.
+        # j = 1 push, _nonzero_lanes, also for the robber side's byte
+        # columns, and the joined _pack.  Forced on the games whose own
+        # lanes fit one word, they must give the same tables and yields.
         games = [(d, k) for d, k, _ in lane_class_games() if d.n <= 64]
         own = [level_yields(d, k) for d, k in games]
         for width in (128, 192):
@@ -565,6 +569,37 @@ class TestLevelYields:
                 assert wide._wins == result._wins
                 assert wide._log == result._log
                 assert wide_yields == yields
+
+    def check_robber_paths(self, d, k):
+        # Every robber level forced by byte columns, in chunks of 1 and 3
+        # cop multisets so that chunk edges fall inside levels, then every
+        # level forced one multiset at a time: the same tables and yields.
+        result, yields, _ = level_yields(d, k)
+        for columns_from, chunk in [(0, 1), (0, 3), (math.inf, solver._COLUMN_CHUNK)]:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solver, "_COLUMNS_FROM", columns_from)
+                patch.setattr(solver, "_COLUMN_CHUNK", chunk)
+                forced, forced_yields, _ = level_yields(d, k)
+            assert forced._wins == result._wins
+            assert forced._log == result._log
+            assert forced_yields == yields
+
+    def test_robber_paths_in_every_lane_class(self):
+        for d, k, _ in lane_class_games():
+            self.check_robber_paths(d, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(digraphs(6), st.integers(1, 3))
+    def test_robber_paths_on_random_games(self, d, k):
+        self.check_robber_paths(d, k)
+
+    def test_robber_paths_on_the_order_3_plane(self):
+        self.check_robber_paths(gen_projective_plane_incidence_doubled(3), 4)
+
+
+def reach_oracle(closed_in, escapes):
+    """The vertices with an arc into, or in, some vertex of escapes."""
+    return {u for w in escapes for u in closed_in[w]}
 
 
 class TestLanes:
@@ -688,6 +723,64 @@ class TestLanes:
                 cut, put = shifts[u]
                 got[p] |= x >> cut << put
         assert got == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([*range(1, 21), 64, 65, 130]), st.data())
+    def test_reach_columns(self, n, data):
+        # Table (c, b) maps byte c of a copwin mask to byte b of the
+        # vertices that its escapes in byte c reach; exactly the all-zero
+        # tables are dropped.  The gains of _settle_columns must equal the
+        # per-multiset lookups' and the definition's, lane for lane, over
+        # masks that hold each lane's top vertex bit too.
+        d = gen_random_digraph(n, data.draw(st.floats(0, 1)), data.draw(st.integers(0, 10**6)))
+        closed_in = [sorted((v,) + d.in_adj[v]) for v in range(n)]
+        closed_in_masks = [sum(1 << u for u in into) for into in closed_in]
+        width = _lane_width(n)
+        tables = _reach_tables(closed_in_masks)
+        columns = _reach_columns(tables, width)
+        expected = {}
+        for c in range(len(tables)):
+            # A top byte over fewer than 8 vertices takes only the values
+            # of their bits, and its tables are padded with zeros.
+            low = range(8 * c, min(8 * c + 8, n))
+            reaches = [
+                reach_oracle(closed_in, [w for w in low if not byte >> w % 8 & 1])
+                for byte in range(1 << len(low))
+            ]
+            for b in range(width // 8):
+                table = bytes(
+                    sum(1 << r % 8 for r in reach if r // 8 == b) for reach in reaches
+                ).ljust(256, b"\0")
+                if any(table):
+                    expected[c, b] = table
+        assert len(columns) == len(tables)
+        assert {(c, b): table for b, pairs in enumerate(columns) for c, table in pairs} == expected
+
+        full = (1 << n) - 1
+        mask = st.one_of(st.just(full), st.just(1 << n - 1), st.integers(0, full))
+        num = data.draw(st.integers(1, 12))
+        copwin = data.draw(st.lists(mask, min_size=num, max_size=num))
+        robwin = data.draw(st.lists(mask, min_size=num, max_size=num))
+        ids = sorted(data.draw(st.sets(st.integers(0, num - 1))))
+        want = []
+        for ci in ids:
+            escapes = [w for w in range(n) if not copwin[ci] >> w & 1]
+            gained = full & ~sum(1 << r for r in reach_oracle(closed_in, escapes)) & ~robwin[ci]
+            reach = 0
+            for shift, table in tables:
+                reach |= table[copwin[ci] >> shift & 255]
+            assert full & ~(reach | robwin[ci]) == gained
+            if gained:
+                want.append((ci, gained))
+        settled = robwin[:]
+        for ci, gained in want:
+            settled[ci] |= gained
+        idx, masks = [-1], [-2]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_COLUMN_CHUNK", data.draw(st.sampled_from([1, 3, 2048])))
+            _settle_columns(copwin, robwin, ids, columns, full, width, idx, masks)
+        assert list(zip(idx, masks)) == [(-1, -2)] + want
+        assert robwin == settled
 
 
 class TestMultisetIndex:
