@@ -225,15 +225,10 @@ def _random_rows(rng: random.Random, n: int, p: float) -> list:
     return rows
 
 
-def _random_digraph_from(rng: random.Random, n: int, p: float) -> Digraph:
-    """The digraph of _random_rows(rng, n, p)."""
-    return _from_rows(_random_rows(rng, n, p))
-
-
 def gen_random_digraph(n: int, p: float, seed: int) -> Digraph:
     """Seeded Erdos-Renyi style digraph; identical arguments give identical
     graphs on any platform.  The seed is required: None, which would seed
     from the clock, is refused like any other non-integer."""
     n = _at_least(n, 1, "vertex count")
     _check_probability(p)
-    return _random_digraph_from(random.Random(_as_int(seed, "seed")), n, p)
+    return _from_rows(_random_rows(random.Random(_as_int(seed, "seed")), n, p))

@@ -165,10 +165,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, compress, count, product
 from math import comb, inf
-from operator import index, ne
+from operator import ne
 
 from .digraph import Digraph, _reachable
-from .errors import InputError, StateBudgetExceeded, _at_least
+from .errors import InputError, StateBudgetExceeded, _as_int, _at_least
 
 DEFAULT_STATE_BUDGET = 50_000_000
 
@@ -180,9 +180,9 @@ _NONZERO = bytes([0] + [1] * 255)
 
 # A level settles the robber side by byte columns (_settle_columns) once
 # the level before changed at least this many cop multisets, and one
-# multiset at a time below.  Of the 8,878 robber levels of the default
-# verify run (run_all(), 1,676 solves), 8,491 changed fewer than 64 and
-# 6,800 fewer than 5, and with byte columns on every level that run took
+# multiset at a time below.  Of the 8,904 robber levels of the default
+# verify run (run_all(), 1,676 solves), 8,517 changed fewer than 64 and
+# 6,821 fewer than 5, and with byte columns on every level that run took
 # 1.10 times as long (550 against 504 ms).  The k = 3 solve of
 # cop_number(clique_substitute_all(plane(2)), 3) settles 13,244, 7,196,
 # 6,244 and 6,594 cop multisets at its robber levels that settle any.
@@ -198,15 +198,6 @@ COPS = "cops"
 ROBBER = "robber"
 
 
-def _vertex_id(value, piece: str) -> int:
-    """value as an int, for whatever operator.index accepts, as every
-    vertex id is taken (see errors); anything else raises InputError."""
-    try:
-        return index(value)
-    except TypeError:
-        raise InputError(f"{piece} vertex {value!r} is not an integer") from None
-
-
 @dataclass(frozen=True, order=True)
 class GamePosition:
     """One game state.  Each vertex id is stored as a plain int, and cops
@@ -219,12 +210,12 @@ class GamePosition:
     def __post_init__(self):
         try:
             # The generator takes iter(self.cops) as it is made.
-            ids = (_vertex_id(c, "cop") for c in self.cops)
+            ids = (_as_int(c, "cop vertex") for c in self.cops)
         except TypeError:
             raise InputError(f"cops must be iterable, got {self.cops!r}") from None
         cops = sorted(ids)
         object.__setattr__(self, "cops", tuple(cops))
-        object.__setattr__(self, "robber", _vertex_id(self.robber, "robber"))
+        object.__setattr__(self, "robber", _as_int(self.robber, "robber vertex"))
         if self.to_move not in (COPS, ROBBER):
             raise InputError(f"to_move must be '{COPS}' or '{ROBBER}'")
 
@@ -733,12 +724,13 @@ def _levels(d, k, starts, bits, nbhd, copwin, robwin, log):
     cop side and log[1] for the robber side, and yield, ascending, the cop
     multisets each level changed on the cop side.
 
+    A host without arcs reaches its fixpoint after one pass that settles
+    nothing: every escape reaches only itself, so level 2's robber side
+    gains nothing, and nothing is pushed.
+
     It holds no reference to the SolveResult that drives it, so a result
     dropped mid-attractor is freed at once, not by the cyclic collector.
     """
-    if copwin == robwin:
-        # Level 1 changed nothing (d has no arc): the fixpoint is reached.
-        return
     n = d.n
     full = (1 << n) - 1
     width = _lane_width(n)

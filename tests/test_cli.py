@@ -42,14 +42,18 @@ def write(tmp_path, name, text):
     return str(path)
 
 
-def fresh_stdout(*argv):
-    """The stdout of argv run by a fresh `python -m copgame.cli` process."""
+def fresh_run(*argv):
+    """argv run by a fresh `python -m copgame.cli` process."""
     env = {**os.environ, "PYTHONPATH": str(Path(copgame.__file__).parents[1])}
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "copgame.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    return done.stdout
+
+
+def fresh_stdout(*argv):
+    """The stdout of argv run by a fresh `python -m copgame.cli` process."""
+    return fresh_run(*argv).stdout
 
 
 def csv_rows_without_micros(path):
@@ -62,6 +66,11 @@ class TestGen:
         code, out, _ = run(capsys, "gen", "path", "--k", "3")
         assert code == 0
         assert parse_arc_list(out) == Digraph(3, [(0, 1), (1, 2)])
+
+    def test_run_as_a_module(self):
+        done = fresh_run("gen", "cycle", "--n", "3")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "3 3\n0 1\n1 2\n2 0\n"
 
     def test_cycle_to_file(self, capsys, tmp_path):
         target = tmp_path / "c.dg"

@@ -26,8 +26,8 @@ from copgame import (
 )
 import copgame.constructions
 import copgame.digraph
-from copgame.constructions import MAX_RANDOM_DRAWS, _random_digraph_from
-from copgame.digraph import MAX_ARCS, MAX_VERTICES
+from copgame.constructions import MAX_RANDOM_DRAWS, _random_rows
+from copgame.digraph import MAX_ARCS, MAX_VERTICES, _from_rows
 
 import oracles
 
@@ -416,7 +416,7 @@ class TestVertexCap:
         rng = random.Random(5)
         state = rng.getstate()
         with pytest.raises(InputError, match="exceeds the limit"):
-            _random_digraph_from(rng, MAX_VERTICES + 1, 0.5)
+            _from_rows(_random_rows(rng, MAX_VERTICES + 1, 0.5))
         assert rng.getstate() == state
 
     def test_at_the_cap(self):
@@ -499,14 +499,14 @@ class TestRandomDrawCap:
         rng = random.Random(5)
         state = rng.getstate()
         message, peak = oracles.refusal_and_traced_peak(
-            lambda: _random_digraph_from(rng, 7072, 0.0))
+            lambda: _from_rows(_random_rows(rng, 7072, 0.0)))
         assert "random draw count 50006112 exceeds the limit" in message and peak < 100_000
         assert rng.getstate() == state
 
     def test_at_the_cap(self, monkeypatch):
         monkeypatch.setattr(copgame.constructions, "MAX_RANDOM_DRAWS", 12)
         rng = CountingRandom(3)
-        assert _random_digraph_from(rng, 4, 0.5) == gen_random_digraph(4, 0.5, 3)
+        assert _from_rows(_random_rows(rng, 4, 0.5)) == gen_random_digraph(4, 0.5, 3)
         assert rng.draws == 12
         monkeypatch.setattr(copgame.constructions, "MAX_RANDOM_DRAWS", 11)
         with pytest.raises(InputError, match="random draw count 12 exceeds the limit of 11"):
@@ -518,7 +518,7 @@ class TestRandomDrawCap:
         monkeypatch.setattr(copgame.digraph, "MAX_ARCS", 5)
         rng = CountingRandom(1)
         with pytest.raises(InputError, match="arc count 9 exceeds the limit of 5"):
-            _random_digraph_from(rng, 10, 1.0)
+            _from_rows(_random_rows(rng, 10, 1.0))
         assert rng.draws == 9
 
     def test_arc_cap_admits_exactly_the_cap(self, monkeypatch):

@@ -60,6 +60,9 @@ class TestConstruction:
         with pytest.raises(InputError):
             Digraph(2, [(-1, 0)])
 
+    def test_repr(self):
+        assert repr(gen_directed_cycle(4)) == "Digraph(n=4, arcs=4)"
+
     def test_zero_vertices_rejected(self):
         with pytest.raises(InputError):
             Digraph(0)

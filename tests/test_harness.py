@@ -18,6 +18,7 @@ from copgame import (
     SuiteConfig,
     config_with_overrides,
     cop_number,
+    gen_random_digraph,
     is_strongly_connected,
     is_weakly_connected,
     iter_all_digraphs,
@@ -27,7 +28,7 @@ from copgame import (
     write_reports,
 )
 from copgame import harness
-from copgame.constructions import _random_digraph_from, _random_rows
+from copgame.constructions import _random_rows
 from copgame.digraph import _from_rows, _in_rows, _strongly_connected, _weakly_connected
 from copgame.harness import CSV_HEADER, GIRTH_TARGETS, NAMED_INSTANCES
 
@@ -310,21 +311,19 @@ class TestDraws:
         assert seen == {(True, True), (False, True), (False, False)}
 
     def test_kept_draw_is_the_generator_digraph(self):
-        # A kept instance is the digraph _random_digraph_from builds from
-        # the attempt seed's stream, after its vertex count.
+        # A kept instance is the digraph of the rows _random_rows draws
+        # from the attempt seed's stream, after its vertex count.
         cfg = SuiteConfig(trials=40, n_max=7)
         for source in (harness._WEAK, harness._STRONG):
             for seed, d in source.instances(cfg):
                 rng = random.Random(seed)
-                assert d == _random_digraph_from(rng, rng.randint(2, cfg.n_max), cfg.p)
+                assert d == _from_rows(_random_rows(rng, rng.randint(2, cfg.n_max), cfg.p))
 
     def test_rows_consume_the_stream_as_the_generator(self):
         for seed in range(300):
-            a, b = random.Random(seed), random.Random(seed)
-            n = a.randint(2, 7)
-            assert b.randint(2, 7) == n
-            assert _from_rows(_random_rows(a, n, 0.3)) == _random_digraph_from(b, n, 0.3)
-            assert a.getstate() == b.getstate()
+            n = seed % 6 + 2
+            rows = _random_rows(random.Random(seed), n, 0.3)
+            assert _from_rows(rows) == gen_random_digraph(n, 0.3, seed)
 
     def test_draw_cap_refused_before_any_arc_is_drawn(self, monkeypatch):
         # run_suite refuses at its first attempt, when the stream has given

@@ -64,6 +64,16 @@ class TestFrozenChainValues:
     def test_path_contains_itself(self):
         assert containment_chain_check(P3, 3) == (False, False, False)
 
+    def test_subgraph_free_host_with_a_star_tuple_raises(self, monkeypatch):
+        monkeypatch.setattr(copgame.patterns, "find_pk_subgraph", lambda d, k: None)
+        with pytest.raises(AssertionError, match="^subgraph-free host contains a star tuple$"):
+            containment_chain_check(gen_directed_path(4), 3)
+
+    def test_star_free_host_with_an_induced_path_raises(self, monkeypatch):
+        monkeypatch.setattr(copgame.patterns, "find_pk_star", lambda d, k: None)
+        with pytest.raises(AssertionError, match="^star-free host contains an induced path$"):
+            containment_chain_check(gen_directed_path(4), 3)
+
     def test_chain_checked_under_python_O(self):
         # With a star search that never finds anything, P3 is star-free but
         # contains an induced P3; python -O must not strip that check.

@@ -92,11 +92,11 @@ class TestGamePosition:
     def test_non_integer_ids_refused_before_sorting(self):
         # A mix of ints and other values used to fail in the sort with
         # TypeError before any check could name the bad id.
-        with pytest.raises(InputError, match="cop vertex 'a' is not an integer"):
+        with pytest.raises(InputError, match="cop vertex must be an integer, got 'a'"):
             GamePosition((0, "a"), 1, COPS)
-        with pytest.raises(InputError, match="cop vertex 'a' is not an integer"):
+        with pytest.raises(InputError, match="cop vertex must be an integer, got 'a'"):
             solve(C4, 2).placement_wins((0, "a"))
-        with pytest.raises(InputError, match="robber vertex None is not an integer"):
+        with pytest.raises(InputError, match="robber vertex must be an integer, got None"):
             GamePosition((0,), None, ROBBER)
 
     def test_non_iterable_cops_refused(self):
@@ -554,6 +554,28 @@ class TestLevelYields:
         # The early stop comes at level 3 of the k = 4 game, so solve and
         # _complete each run some of the levels.
         self.check(gen_projective_plane_incidence_doubled(3), 4)
+
+    def test_hosts_without_arcs(self):
+        # Every escape reaches only itself, so the tables keep their closed
+        # form, and the level loop reaches its fixpoint after one pass that
+        # settles nothing.  solve runs no level when a placement covers
+        # every vertex.
+        for n in range(1, 7):
+            d = Digraph(n)
+            for k in range(1, 4):
+                result = solve(d, k)
+                if k >= n:
+                    assert result._log == ([], [])
+                result._complete()
+                assert result._log == ([([], [])], [([], [])])
+                bits = [sum(1 << v for v in set(cops))
+                        for cops in combinations_with_replacement(range(n), k)]
+                assert result._wins == (bits, bits)
+                for pos in result.positions():
+                    for side in (COPS, ROBBER):
+                        at = GamePosition(pos.cops, pos.robber, side)
+                        assert result.rank(at) == (0 if pos.robber in pos.cops else None)
+                self.check(d, k)
 
     def test_wide_lanes_match_one_word_lanes(self, monkeypatch):
         # Lanes wider than one word run their own kernels: the grouped
@@ -1079,13 +1101,13 @@ class TestPlacements:
             result.placement_wins((0, 9))
         with pytest.raises(InputError):
             result.placement_wins(())
-        with pytest.raises(InputError, match="cop vertex 1.5 is not an integer"):
+        with pytest.raises(InputError, match="cop vertex must be an integer, got 1.5"):
             result.placement_wins((0, 1.5))
-        with pytest.raises(InputError, match="cop vertex 1.5 is not an integer"):
+        with pytest.raises(InputError, match="cop vertex must be an integer, got 1.5"):
             result.win(GamePosition((1.5, 0), 0, COPS))
-        with pytest.raises(InputError, match="robber vertex 2.0 is not an integer"):
+        with pytest.raises(InputError, match="robber vertex must be an integer, got 2.0"):
             result.win(GamePosition((0, 1), 2.0, COPS))
-        with pytest.raises(InputError, match="robber vertex '1' is not an integer"):
+        with pytest.raises(InputError, match="robber vertex must be an integer, got '1'"):
             legal_moves(C4, GamePosition((0,), "1", ROBBER))
 
     def test_position_cop_count_checked(self):
