@@ -135,9 +135,11 @@ def _in_rows(outs):
     return ins
 
 
-def _from_rows(outs, d=None) -> Digraph:
+def _from_rows(outs, d=None, ins=None) -> Digraph:
     """The digraph on len(outs) vertices whose out-neighbour rows are outs,
-    filled into d when given and into a new Digraph otherwise.
+    filled into d when given and into a new Digraph otherwise.  ins, when
+    given, must be _in_rows(outs), which a caller that already tested the
+    rows may hold.
 
     Unchecked: see the module docstring for the rows' contract and for
     who may call it.
@@ -147,7 +149,7 @@ def _from_rows(outs, d=None) -> Digraph:
     d.n = len(outs)
     d.arcs = frozenset([(u, v) for u, row in enumerate(outs) for v in row])
     d.out_adj = tuple(map(tuple, outs))
-    d.in_adj = tuple(map(tuple, _in_rows(outs)))
+    d.in_adj = tuple(map(tuple, _in_rows(outs) if ins is None else ins))
     return d
 
 

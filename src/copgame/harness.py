@@ -353,8 +353,9 @@ class _Drawn:
         attempts whose draw satisfies the predicate, or None."""
         for s in range(block * 1000, block * 1000 + draws):
             outs = _draw(s, cfg)
-            if self.predicate(outs, _in_rows(outs)):
-                return s, _from_rows(outs)
+            ins = _in_rows(outs)
+            if self.predicate(outs, ins):
+                return s, _from_rows(outs, ins=ins)
         return None
 
 
@@ -405,7 +406,8 @@ def _decode_sweep_seed(seed: int, cfg: SuiteConfig):
     if not 1 <= n <= min(_SWEEP_N, cfg.n_max) or code >> n * (n - 1):
         return None
     outs = _rows_of_code(n, code)
-    return _from_rows(outs) if _strongly_connected(outs, _in_rows(outs)) else None
+    ins = _in_rows(outs)
+    return _from_rows(outs, ins=ins) if _strongly_connected(outs, ins) else None
 
 
 def _named(name: str) -> _Fixed:

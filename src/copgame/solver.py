@@ -101,11 +101,24 @@ a list of masks into a row, and while W is at most one word
 _settle_lanes reads every lane of a block back with the same struct
 format; wider lanes are joined from each mask's bytes, and only the
 changed ones are read back (_nonzero_lanes).  Sub-move stages add
-nothing to the rank, which counts whole half-moves.  Ranks are kept as
-the attractor's log: per side, one (idx, masks) entry per level from 2
-on, the cop multisets the level changed, ascending, with the bits each
-gained.  The rank of a won position is 0 when the robber stands on a cop,
-else the level of the first entry that holds its bit, else 1.
+nothing to the rank, which counts whole half-moves.
+
+Ranks are kept as the attractor's log: per side, one entry per level
+from 2 on, kept packed, so that the only ints per lane a level leaves
+behind are the fewer than _COLUMNS_FROM robber-side masks that the next
+push reads (see below).  An entry is an unsigned int array ('I') of the
+cop multisets the level changed, ascending, and one bytes of the bits
+each gained, W/8 bytes per index in _pack's little-endian lane layout.
+A level collects its gains in lists and packs them every _LANES_PENDING
+lanes and at its end (_log_chunk, _log_entry); the robber side's byte
+columns pack each chunk they settle.  Every side and level that gained
+nothing shares one empty entry, _NO_GAINS.  The rank of a won position
+is 0 when the robber stands on a cop, else the level of the first entry
+that holds its bit, found by bisection and read from the one byte of the
+lane that holds it, else 1.
+The push of the next level reads the robber side's masks from the list
+of those it settled one at a time, fewer than _COLUMNS_FROM, and back
+from its entry (_lane_masks) after byte columns.
 
 The robber side reads (C, r) won once r is in the closed
 in-neighbourhood N-[w] of no escape w, a vertex outside copwin[C], and
@@ -120,8 +133,10 @@ and robwin masks are laid out as _pack lays a row, so byte c of every
 lane is one column of bytes, and each table, split by output byte b into
 256-byte tables with the all-zero ones dropped (_reach_columns), maps a
 whole column through bytes.translate in C.  The OR over c of the
-translated columns is byte b of every lane's reach, and the gains are
-read back as _settle_lanes reads a block.  Both numbers were set by
+translated columns is byte b of every lane's reach.  The gains are read
+back by one struct read while W is at most one word; wider lanes are read
+only where the OR of the gained bytes, one byte per lane, is nonzero, with
+no int made of the whole chunk.  Both numbers were set by
 measurement (see their comments): most levels of verify's tiny games
 change fewer than 5 cop multisets, where the columns' fixed cost loses,
 and the chunks bound the columns' buffers.
@@ -138,8 +153,10 @@ placement already has N+[C] = V, it runs the levels from 2 on (building
 the sub-move tables first) until the fixpoint or until a level whose
 changed cop multisets include one with a full copwin mask.  Masks only
 grow, so that mask stays full.  The remaining levels are left in a
-suspended generator, which holds the tables and the sub-move stages but
-no reference to the SolveResult, so a dropped result is freed at once.
+suspended generator, which holds the tables, the sub-move stages and the
+log, but neither the stage copies, pushes and pending gains of the level
+it ran (it drops them before each yield) nor any reference to the
+SolveResult, so a dropped result is freed at once.
 The queries that need the whole table (win, rank, best_move,
 placement_wins, winning_placements and play_trace's placement scan) run
 those levels first and then drop the generator.  cop_number only asks
@@ -160,6 +177,7 @@ budget below 1 is refused with InputError.
 from __future__ import annotations
 
 import struct
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
@@ -177,6 +195,9 @@ DEFAULT_STATE_BUDGET = 50_000_000
 _LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 # bytes.translate table mapping each nonzero byte to 1.
 _NONZERO = bytes([0] + [1] * 255)
+# The log entry of every side and level that gained nothing, shared: 9,578
+# of the 17,808 entries of the default verify run's solves are empty.
+_NO_GAINS = (array("I"), b"")
 
 # A level settles the robber side by byte columns (_settle_columns) once
 # the level before changed at least this many cop multisets, and one
@@ -193,6 +214,18 @@ _COLUMNS_FROM = 64
 # cop_number(clique_substitute_all(plane(2)), 3) took 57 to 58 ms in
 # chunks of 512, 55 ms in chunks of 2,048, and no less in larger ones.
 _COLUMN_CHUNK = 2048
+# A level holds its cop-side gains as lists and packs them into its log
+# entry every _LANES_PENDING lanes and at its end.  Packing after every
+# changed block made the default verify run's 2,687 solves 8 % slower (317
+# against 293 ms).  Peak RSS to the end at k = 3, fresh process each, of
+# clique_substitute_all(plane(3)) and subdivide_arcs(plane(2), 3): 104.4
+# and 115.8-116.7 MB at 1,024 lanes, 104.5-105.5 and 115.9-116.0 MB at
+# 4,096, 107.8 and 118.4 MB at 16,384, and 126.8 and 130.0 MB packing only
+# at the level's end (122.6 and 183.8 MB with a list of ints per level).
+# No value changed their times, nor that of cli's early-stopped
+# clique_substitute_all(plane(2)) game, whose levels gain 6,244 to 11,032
+# lanes; no level of verify's solves gains more than 700.
+_LANES_PENDING = 4096
 
 COPS = "cops"
 ROBBER = "robber"
@@ -253,9 +286,12 @@ class SolveResult:
     set when the cop side wins (C, r), for C the i-th cop multiset in
     combinations_with_replacement order, read off starts, the solve's table
     of block starts (see _multiset_index), with the cops, respectively the
-    robber, to move.  log[side][L - 2] is the pair
-    (idx, masks) of level L >= 2 with that side to move: the indexes i,
-    ascending, that gained robber vertices at L, and the mask of each.
+    robber, to move.  log[side][L - 2] is the pair (idx, lanes) of level
+    L >= 2 with that side to move: idx an unsigned int array of the
+    indexes i, ascending, that gained robber vertices at L, and lanes one
+    bytes of the bits each gained, W/8 little-endian bytes per index for
+    the lane width W (see _lane_width).  Every empty pair is the one
+    shared _NO_GAINS; rank reads one byte of one lane per level it probes.
 
     solve may hand over the tables before the attractor's fixpoint, with
     levels, the suspended level generator, still to run; every query that
@@ -312,9 +348,13 @@ class SolveResult:
             return None
         if r in pos.cops:
             return 0
-        for level, (idx, masks) in enumerate(self._log[side], 2):
+        byte, bit = divmod(r, 8)
+        for level, (idx, lanes) in enumerate(self._log[side], 2):
             i = bisect_left(idx, ci)
-            if i < len(idx) and idx[i] == ci and masks[i] >> r & 1:
+            # Lane i of an entry is its bytes from i * W / 8 on; only the
+            # byte that holds bit r is read.
+            if (i < len(idx) and idx[i] == ci
+                    and lanes[len(lanes) // len(idx) * i + byte] >> bit & 1):
                 return level
         return 1
 
@@ -544,18 +584,50 @@ def _lane_bytes(masks, width: int) -> bytes:
     return b"".join(mask.to_bytes(width // 8, "little") for mask in masks)
 
 
+def _lane_masks(lanes, width: int):
+    """The masks of the lanes of bytes laid out as _lane_bytes lays them."""
+    step = width // 8
+    if width <= 64:
+        return struct.unpack(f"<{len(lanes) // step}{_LANE_FORMATS[width]}", lanes)
+    return [int.from_bytes(lanes[i:i + step], "little") for i in range(0, len(lanes), step)]
+
+
 def _pack(masks, width: int) -> int:
     """The packed row whose lane i, width bits wide, holds masks[i]."""
     return int.from_bytes(_lane_bytes(masks, width), "little")
 
 
+def _log_chunk(idx, masks, width: int):
+    """The gains idx and masks, lists of cop multiset indexes and the masks
+    they gained, packed: idx as an unsigned int array, the masks as
+    _lane_bytes lays them."""
+    return array("I", idx), _lane_bytes(masks, width)
+
+
+def _log_entry(chunks, idx, masks, width: int):
+    """The log entry of one side and level: the chunks the level packed, in
+    order (see _log_chunk), then the gains idx and masks still pending,
+    joined into one index array, exact in size, and one bytes; or
+    _NO_GAINS when the level gained nothing."""
+    if not chunks:
+        return _log_chunk(idx, masks, width) if idx else _NO_GAINS
+    if idx:
+        chunks.append(_log_chunk(idx, masks, width))
+    if len(chunks) == 1:
+        return chunks[0]
+    joined = array("I")
+    for part, _ in chunks:
+        joined += part
+    return joined[:], b"".join([lanes for _, lanes in chunks])
+
+
 def _settle_lanes(wins, idx, masks, put: int, old: int, new: int, width: int, num_lanes: int):
     """Write the packed row new, num_lanes lanes, into wins[put:], where
     the lanes of old stood, new holding old's bits and more, and append
-    to idx and masks the indexes put + i and the masks of the lanes i that
-    gained bits, ascending.  While lanes fit one word, struct reads every
-    lane of both rows in the little-endian format _pack writes; wider
-    lanes read only the changed ones, by _nonzero_lanes."""
+    to the lists idx and masks the indexes put + i and the masks of the
+    lanes i that gained bits, ascending.  While lanes fit one word, struct
+    reads every lane of both rows in the little-endian format _pack
+    writes; wider lanes read only the changed ones, by _nonzero_lanes."""
     if width <= 64:
         fmt = f"<{num_lanes}{_LANE_FORMATS[width]}"
         size = num_lanes * width // 8
@@ -634,38 +706,51 @@ def _reach_columns(reach_tables, width: int):
     return columns
 
 
-def _settle_columns(copwin, robwin, ids, columns, full: int, width: int, idx, masks):
+def _settle_columns(copwin, robwin, ids, columns, full: int, width: int, chunks):
     """Settle the robber side of the cop multisets ids, ascending, by byte
-    columns, _COLUMN_CHUNK multisets at a time, and append to idx and masks
-    those that gained and the bits each gained, ascending.  The copwin and
-    robwin masks of a chunk are laid out as _pack lays a row, so byte c of
-    every lane is the column raw[c::width // 8], and each translate settles
-    one (c, b) pair of the chunk in C: byte b of robwin gains the vertices
-    of byte b of full that no escape reaches and no robber win holds."""
+    columns, _COLUMN_CHUNK multisets at a time, and append to chunks, per
+    chunk that gained, the log chunk (see _log_chunk) of those that gained,
+    ascending, and the bits each gained.  The copwin and robwin masks
+    of a chunk are laid out as _pack lays a row, so byte c of every lane is
+    the column raw[c::width // 8], and each translate settles one (c, b)
+    pair of the chunk in C: byte b of robwin gains the vertices of byte b
+    of full that no escape reaches and no robber win holds.  Lanes wider
+    than one word are read back only where the OR of a chunk's gained
+    bytes, one byte per lane, is nonzero."""
     step = width // 8
     for lo in range(0, len(ids), _COLUMN_CHUNK):
-        chunk = ids[lo:lo + _COLUMN_CHUNK]
+        # As a list, so that each index becomes an int once, not once per
+        # pass over the chunk.
+        chunk = list(ids[lo:lo + _COLUMN_CHUNK])
         size = len(chunk)
         raw = _lane_bytes([copwin[ci] for ci in chunk], width)
         rob = _lane_bytes([robwin[ci] for ci in chunk], width)
         by_byte = [raw[c::step] for c in range(len(columns))]
         ones = int.from_bytes(b"\1" * size, "little")
         out = bytearray(len(raw))
+        any_gained = 0
         for b, pairs in enumerate(columns):
             reach = int.from_bytes(rob[b::step], "little")
             for c, table in pairs:
                 reach |= int.from_bytes(by_byte[c].translate(table), "little")
-            out[b::step] = ((full >> 8 * b & 255) * ones & ~reach).to_bytes(size, "little")
+            gained = (full >> 8 * b & 255) * ones & ~reach
+            any_gained |= gained
+            out[b::step] = gained.to_bytes(size, "little")
+        if not any_gained:
+            continue
         if width <= 64:
             gained = struct.unpack(f"<{size}{_LANE_FORMATS[width]}", out)
-            lanes = zip(compress(chunk, gained), filter(None, gained))
+            changed, masks = [*compress(chunk, gained)], [*filter(None, gained)]
+            lanes = _lane_bytes(masks, width)
         else:
-            gained = _nonzero_lanes(int.from_bytes(out, "little"), width)
-            lanes = ((chunk[i], g) for i, g in gained)
-        for ci, g in lanes:
+            hit = [*compress(range(size), any_gained.to_bytes(size, "little"))]
+            changed = [chunk[i] for i in hit]
+            lanes = [out[i * step:i * step + step] for i in hit]
+            masks = [int.from_bytes(lane, "little") for lane in lanes]
+            lanes = b"".join(lanes)
+        for ci, g in zip(changed, masks):
             robwin[ci] |= g
-            idx.append(ci)
-            masks.append(g)
+        chunks.append((array("I", changed), lanes))
 
 
 def _union_masks(vertex_masks, starts, k: int):
@@ -720,9 +805,9 @@ def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> Solve
 def _levels(d, k, starts, bits, nbhd, copwin, robwin, log):
     """Build the sub-move tables, then run the attractor from level 2 to
     its fixpoint, updating copwin and robwin in place and appending each
-    level's changes, (idx, masks) with idx ascending, to log[0] for the
+    level's changes, packed as SolveResult's log entries, to log[0] for the
     cop side and log[1] for the robber side, and yield, ascending, the cop
-    multisets each level changed on the cop side.
+    multisets each level changed on the cop side, the array of its entry.
 
     A host without arcs reaches its fixpoint after one pass that settles
     nothing: every escape reaches only itself, so level 2's robber side
@@ -773,14 +858,14 @@ def _levels(d, k, starts, bits, nbhd, copwin, robwin, log):
     # Level 1 may have changed every cop multiset on the cop side, and won
     # no robber-to-move position, so level 2 settles the robber side of
     # every multiset and has nothing to push.
-    cop_idx, rob_idx, rob_masks = range(len(copwin)), [], []
+    cop_idx, (rob_idx, rob_lanes), rob_masks = range(len(copwin)), _NO_GAINS, []
     while cop_idx or rob_idx:
         # Robber to move: (C, r) wins when no successor of r is outside
         # copwin[C], i.e. r is outside the closed in-neighbourhood of every
         # cop-side escape.  Only cop sets with new cop wins can change: a
         # level that changed few settles them one at a time, by 8-bit
         # lookups, and one that changed many by byte columns.
-        settled_idx, settled_masks = [], []
+        settled_idx, settled_masks, settled_chunks = [], [], []
         if len(cop_idx) < _COLUMNS_FROM:
             for ci in cop_idx:
                 cw = copwin[ci]
@@ -794,14 +879,13 @@ def _levels(d, k, starts, bits, nbhd, copwin, robwin, log):
                     settled_masks.append(gained)
         else:
             columns = columns or _reach_columns(reach_tables, width)
-            _settle_columns(copwin, robwin, cop_idx, columns, full, width,
-                            settled_idx, settled_masks)
+            _settle_columns(copwin, robwin, cop_idx, columns, full, width, settled_chunks)
         # Cops to move: push last level's robber-side wins back one
         # sub-move stage at a time.  A changed row of stage j - 1 reaches
         # row M' - v of stage j, for each distinct v in M', with u in
         # N-[v] prepended to every lane; its delta is what the push added,
         # found by comparing the stage with its copy from before.
-        idx, delta = rob_idx, rob_masks
+        idx, delta = rob_idx, _lane_masks(rob_lanes, width) if rob_masks is None else rob_masks
         for j in range(1, k):
             if not idx:
                 break
@@ -830,7 +914,7 @@ def _levels(d, k, starts, bits, nbhd, copwin, robwin, log):
         # u in N-[v], so block u takes the OR of the rows of the v in N+[u]
         # with one shift.  The lanes the blocks gained are the cop
         # multisets the level changed, ascending since the blocks are.
-        cop_idx, cop_masks, pushed = [], [], [0] * n
+        cop_idx, cop_masks, cop_chunks, pushed = [], [], [], [0] * n
         for v, x in zip(idx, delta):
             for u in closed_in[v]:
                 pushed[u] |= x
@@ -841,9 +925,20 @@ def _levels(d, k, starts, bits, nbhd, copwin, robwin, log):
                 block[u] = new
                 _settle_lanes(copwin, cop_idx, cop_masks, puts[u], old, new, width,
                               block_sizes[u])
-        rob_idx, rob_masks = settled_idx, settled_masks
-        log[0].append((cop_idx, cop_masks))
-        log[1].append((rob_idx, rob_masks))
+                if len(cop_idx) >= _LANES_PENDING:
+                    cop_chunks.append(_log_chunk(cop_idx, cop_masks, width))
+                    cop_idx, cop_masks = [], []
+        log[0].append(_log_entry(cop_chunks, cop_idx, cop_masks, width))
+        log[1].append(_log_entry(settled_chunks, settled_idx, settled_masks, width))
+        (cop_idx, _), (rob_idx, rob_lanes) = log[0][-1], log[1][-1]
+        # The next push reads the robber side's gains from the list of the
+        # fewer than _COLUMNS_FROM it settled one at a time, else back from
+        # the entry: decoding each small level's took verify's solves 3 %
+        # longer.  The suspended generator keeps the tables, the log and that
+        # list, not the copies, pushes and pending gains of the level.
+        rob_masks = None if settled_chunks else settled_masks
+        snap = delta = pushed = idx = old = None
+        cop_masks = cop_chunks = settled_idx = settled_masks = settled_chunks = None
         yield cop_idx
 
 

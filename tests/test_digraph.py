@@ -25,7 +25,7 @@ from copgame import (
 )
 import copgame.digraph
 from copgame.constructions import _random_rows
-from copgame.digraph import MAX_VERTICES, _from_rows
+from copgame.digraph import MAX_VERTICES, _from_rows, _in_rows
 from copgame.harness import NAMED_INSTANCES, _rows_of_code
 
 import oracles
@@ -123,6 +123,8 @@ class TestBuilders:
     def assert_builders_agree(rows):
         pairs = [(u, v) for u, row in enumerate(rows) for v in row]
         assert fields(_from_rows(rows)) == fields(Digraph(len(rows), pairs))
+        # In-rows handed over by a caller that tested them fill the same.
+        assert fields(_from_rows(rows, ins=_in_rows(rows))) == fields(_from_rows(rows))
 
     def test_seeded_random_rows(self):
         rng = random.Random(2024)

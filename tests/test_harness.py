@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import copgame.constructions
+import copgame.digraph
 import copgame.solver as solver
 from copgame import (
     RUN_ORDER,
@@ -318,6 +319,31 @@ class TestDraws:
             for seed, d in source.instances(cfg):
                 rng = random.Random(seed)
                 assert d == _from_rows(_random_rows(rng, rng.randint(2, cfg.n_max), cfg.p))
+
+    def test_in_rows_once_per_draw(self, monkeypatch):
+        # The predicate's in-rows are the kept digraph's: a random pass and
+        # the sweep compute _in_rows once per draw, and the kept digraphs
+        # are those built from the rows alone.
+        cfg = SuiteConfig(trials=40, n_max=7)
+        sources = (harness._WEAK, harness._STRONG)
+        want = [list(source.instances(cfg)) for source in sources]
+        sweep = [harness._decode_sweep_seed(s, cfg) for s in harness._sweep_seeds(cfg)]
+        calls = {"draws": 0, "in_rows": 0}
+
+        def counted(key, f):
+            def wrapper(*args):
+                calls[key] += 1
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(harness, "_draw", counted("draws", harness._draw))
+        monkeypatch.setattr(harness, "_in_rows", counted("in_rows", _in_rows))
+        monkeypatch.setattr(copgame.digraph, "_in_rows", counted("in_rows", _in_rows))
+        assert [list(source.instances(cfg)) for source in sources] == want
+        assert calls["in_rows"] == calls["draws"] > 80
+        calls["in_rows"] = 0
+        assert [harness._decode_sweep_seed(s, cfg) for s in harness._sweep_seeds(cfg)] == sweep
+        assert calls["in_rows"] == len(sweep)
 
     def test_rows_consume_the_stream_as_the_generator(self):
         for seed in range(300):

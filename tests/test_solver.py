@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import math
 import random
+import sys
 import time
 import weakref
 from itertools import combinations_with_replacement
@@ -370,6 +371,13 @@ def packed(lanes, width):
     return sum(mask << width * i for i, mask in enumerate(lanes))
 
 
+def unpacked(lanes, width):
+    """The masks of the little-endian lanes of bytes lanes, width bits each."""
+    step = width // 8
+    assert len(lanes) % step == 0
+    return [int.from_bytes(lanes[i:i + step], "little") for i in range(0, len(lanes), step)]
+
+
 def lanes_below(n, t):
     """The (cut, put) lane offsets of prepending each vertex to the
     multisets of each size below t, read off the block starts as the
@@ -468,6 +476,22 @@ class TestFrozenTables:
         assert table_digest(solve(host(), k)) == expected
 
 
+def decoded_log(result):
+    """result's log as lists, the one reader of the packed log in these
+    tests: per side, one (idx, masks) pair of lists per level from 2 on,
+    the masks read back from the entry's lanes, len(lanes) // len(idx)
+    bytes each, one lane width for the whole log."""
+    decoded, widths = ([], []), set()
+    for side, log in enumerate(result._log):
+        for idx, lanes in log:
+            width = 8 * len(lanes) // len(idx) if idx else 8
+            if idx:
+                widths.add(width)
+            decoded[side].append((list(idx), unpacked(lanes, width)))
+    assert len(widths) <= 1, widths
+    return decoded
+
+
 def rank_planes(result):
     """The bit-sliced rank planes of a finished table, the layout the
     solver once kept and the frozen digests hash: plane t of a side holds,
@@ -476,17 +500,17 @@ def rank_planes(result):
     level run, made as the levels reached it: the cop side's first plane
     holds its level-1 wins, N+[C] minus bits(C), and the robber side had
     none until level 2 ran."""
-    d, copwin = result._d, result._wins[0]
-    last = 1 + len(result._log[0])
+    d, copwin, logs = result._d, result._wins[0], decoded_log(result)
+    last = 1 + len(logs[0])
     planes = tuple(
         [[0] * len(copwin) for _ in range(last.bit_length() if log or side == 0 else 0)]
-        for side, log in enumerate(result._log)
+        for side, log in enumerate(logs)
     )
     for ci, cops in enumerate(result.placements()):
         bits = {*cops}
         nbhd = bits.union(*(d.out_adj[c] for c in cops))
         planes[0][0][ci] = sum(1 << v for v in nbhd - bits)
-    for side, log in enumerate(result._log):
+    for side, log in enumerate(logs):
         for level, (idx, masks) in enumerate(log, 2):
             for t in range(level.bit_length()):
                 if level >> t & 1:
@@ -539,7 +563,7 @@ class TestLevelYields:
     def check(self, d, k):
         result, yields, changes = level_yields(d, k)
         assert yields == [idx for idx, _ in changes[0]]
-        assert result._log == changes
+        assert decoded_log(result) == changes
 
     def test_every_lane_class(self):
         for d, k, _ in lane_class_games():
@@ -565,9 +589,9 @@ class TestLevelYields:
             for k in range(1, 4):
                 result = solve(d, k)
                 if k >= n:
-                    assert result._log == ([], [])
+                    assert decoded_log(result) == ([], [])
                 result._complete()
-                assert result._log == ([([], [])], [([], [])])
+                assert decoded_log(result) == ([([], [])], [([], [])])
                 bits = [sum(1 << v for v in set(cops))
                         for cops in combinations_with_replacement(range(n), k)]
                 assert result._wins == (bits, bits)
@@ -589,7 +613,7 @@ class TestLevelYields:
             for (d, k), (result, yields, _) in zip(games, own):
                 wide, wide_yields, _ = level_yields(d, k)
                 assert wide._wins == result._wins
-                assert wide._log == result._log
+                assert decoded_log(wide) == decoded_log(result)
                 assert wide_yields == yields
 
     def check_robber_paths(self, d, k):
@@ -603,7 +627,7 @@ class TestLevelYields:
                 patch.setattr(solver, "_COLUMN_CHUNK", chunk)
                 forced, forced_yields, _ = level_yields(d, k)
             assert forced._wins == result._wins
-            assert forced._log == result._log
+            assert decoded_log(forced) == decoded_log(result)
             assert forced_yields == yields
 
     def test_robber_paths_in_every_lane_class(self):
@@ -617,6 +641,67 @@ class TestLevelYields:
 
     def test_robber_paths_on_the_order_3_plane(self):
         self.check_robber_paths(gen_projective_plane_incidence_doubled(3), 4)
+
+
+def packed_log_games(width):
+    """The lane-class games whose lanes are width bits wide, and for
+    lanes of four words a one-cop game on 200 vertices."""
+    games = [(d, k) for d, k, _ in lane_class_games() if _lane_width(d.n) == width]
+    if width == 256:
+        games.append((gen_random_digraph(200, 0.015, 5), 1))
+    return games
+
+
+class TestPackedLog:
+    """Each log entry is an ascending unsigned int array of cop multiset
+    indexes and one bytes of W/8 little-endian bytes per index, the bits
+    that multiset gained; every empty entry is the one shared _NO_GAINS."""
+
+    @pytest.mark.parametrize("width", [8, 16, 32, 64, 128, 192, 256])
+    def test_layout_in_every_lane_class(self, width):
+        games = packed_log_games(width)
+        assert games
+        for d, k in games:
+            result, _, changes = level_yields(d, k)
+            for log in result._log:
+                for entry in log:
+                    idx, lanes = entry
+                    if not idx:
+                        assert entry is solver._NO_GAINS
+                        continue
+                    assert idx.typecode == "I"
+                    assert list(idx) == sorted(set(idx))
+                    assert type(lanes) is bytes and len(lanes) == len(idx) * width // 8
+                    assert 0 not in unpacked(lanes, width)
+            assert decoded_log(result) == changes
+
+    def test_pending_gains_packed_in_order(self, monkeypatch):
+        # A level packs its cop-side gains every _LANES_PENDING lanes and
+        # at its end: any batch gives the same entries, joined exactly.
+        d = gen_projective_plane_incidence_doubled(2)
+        want = solve(d, 3)
+        want._complete()
+        for pending in (1, 7):
+            monkeypatch.setattr(solver, "_LANES_PENDING", pending)
+            got = solve(d, 3)
+            got._complete()
+            assert got._log == want._log
+
+    def test_early_stopped_log_size(self):
+        # The log cli's substituted order-2 plane game keeps at its early
+        # stop: the index bytes and W/8 bytes per entry, plus a fixed
+        # amount per level for the entry objects, counted once when shared.
+        d = clique_substitute_all(gen_projective_plane_incidence_doubled(2))
+        result = solve(d, 3)
+        assert result._levels is not None
+        width = _lane_width(d.n)
+        entries = {id(entry): entry for log in result._log for entry in log}.values()
+        used = sum(sys.getsizeof(entry) + sys.getsizeof(idx) + sys.getsizeof(lanes)
+                   for entry in entries for idx, lanes in [entry])
+        data = sum(len(idx) * (idx.itemsize + width // 8) for idx, _ in entries)
+        levels = len(result._log[0])
+        assert data > 100_000
+        assert used <= data + 2 * 256 * levels
 
 
 def reach_oracle(closed_in, escapes):
@@ -797,11 +882,19 @@ class TestLanes:
         settled = robwin[:]
         for ci, gained in want:
             settled[ci] |= gained
-        idx, masks = [-1], [-2]
+        chunks = ["kept"]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "_COLUMN_CHUNK", data.draw(st.sampled_from([1, 3, 2048])))
-            _settle_columns(copwin, robwin, ids, columns, full, width, idx, masks)
-        assert list(zip(idx, masks)) == [(-1, -2)] + want
+            _settle_columns(copwin, robwin, ids, columns, full, width, chunks)
+        assert chunks[0] == "kept"
+        # One chunk per column pass that gained: its ascending indexes as
+        # an unsigned int array and width // 8 bytes per lane.
+        got = []
+        for idx, lanes in chunks[1:]:
+            assert idx.typecode == "I" and len(idx) > 0
+            got += zip(idx, unpacked(lanes, width))
+            assert len(lanes) == len(idx) * width // 8
+        assert got == want
         assert robwin == settled
 
 
