@@ -81,18 +81,24 @@ in every lane, OR the row of the N+[U].  So copwin[C] = N+[C] and
 robwin[C] = bits(C): the robber side gains nothing at level 1, since the
 robber may stay put.
 
-From level 2 on, one loop runs a level per pass, in two steps.  Level L
-first settles the robber side from the cop wins of level L-1: a
+From level 2 on, one loop runs a level per pass, in three steps.  Level
+L first settles the robber side from the cop wins of level L-1: a
 robber-to-move position (C, r) wins once every vertex of the closed
 out-neighbourhood of r is a cop win against C, and only the cop
-multisets that level L-1 changed can gain.  Level L then pushes the
-robber wins of level L-1 back through the k sub-move stages, so a
-cop-to-move position is won at 1 + the smallest rank among its winning
-successors, and a robber-to-move position at 1 + the largest rank among
-its successors.  Each middle stage is copied before its push, its delta
-(the bits the push added) is read off by comparing it with the copy, and
-that delta is what the next stage pushes; the level stops at the first
-stage with an empty delta.  Stage k's delta is read a block at a time
+multisets that level L-1 changed can gain.  So a robber-to-move position
+is won at 1 + the largest rank among its successors.  Stage k then takes
+the push that level L-1 left, so a cop-to-move position is won at 1 +
+the smallest rank among its winning successors.  Last, the robber wins
+of level L are pushed back through the middle stages 1 to k-1 at once,
+and the stage-(k-1) delta they leave (at k = 1 the robber wins
+themselves) is ORed per u into the push that block u takes at level
+L+1, so a level's robber wins and deltas are dropped at its end.  The
+two pushes touch different stages, so their order is free.  Each middle
+stage is copied before its push, its delta (the bits the push added) is
+read off by comparing it with the copy, and that delta is what the next
+stage pushes; the push stops at the first stage with an empty delta.
+The loop stops at the first level that changes no cop multiset and
+leaves nothing to push.  Stage k's delta is read a block at a time
 (_settle_lanes): the lanes of a changed block replace its slice of
 copwin, and the nonzero lanes of its XOR with the old block are,
 ascending, the cop multisets the level changed.  Masks become lanes, and
@@ -103,22 +109,22 @@ format; wider lanes are joined from each mask's bytes, and only the
 changed ones are read back (_nonzero_lanes).  Sub-move stages add
 nothing to the rank, which counts whole half-moves.
 
-Ranks are kept as the attractor's log: per side, one entry per level
-from 2 on, kept packed, so that the only ints per lane a level leaves
-behind are the fewer than _COLUMNS_FROM robber-side masks that the next
-push reads (see below).  An entry is an unsigned int array ('I') of the
-cop multisets the level changed, ascending, and one bytes of the bits
-each gained, W/8 bytes per index in _pack's little-endian lane layout.
-A level collects its gains in lists and packs them every _LANES_PENDING
-lanes and at its end (_log_chunk, _log_entry); the robber side's byte
-columns pack each chunk they settle.  Every side and level that gained
-nothing shares one empty entry, _NO_GAINS.  The rank of a won position
-is 0 when the robber stands on a cop, else the level of the first entry
-that holds its bit, found by bisection and read from the one byte of the
-lane that holds it, else 1.
-The push of the next level reads the robber side's masks from the list
-of those it settled one at a time, fewer than _COLUMNS_FROM, and back
-from its entry (_lane_masks) after byte columns.
+Ranks are kept as the attractor's log of the cop side: one entry per
+level from 2 on, kept packed.  An entry is an unsigned int array ('I')
+of the cop multisets the level changed on the cop side, ascending, and
+one bytes of the bits each gained, W/8 bytes per index in _pack's
+little-endian lane layout.  A level collects its gains in lists and
+packs them every _LANES_PENDING lanes and at its end (_log_chunk,
+_log_entry).  Every level that gained nothing shares one empty entry,
+_NO_GAINS.  The robber side needs no log: by backward induction a
+robber-to-move win falls one level after its last cop-to-move
+successor, so its rank follows from the cop side's.  The rank of a won
+position is 0 when the robber stands on a cop.  Else, with the cops to
+move, it is 1 in N+[C] and otherwise the level of the first entry that
+holds the robber's bit, found by bisection; with the robber on r to
+move, it is 1 + the largest cop-to-move rank over r and its
+out-neighbours, those in N+[C] counting 1 or 0 with no walk, the rest
+found by one walk of the log that stops once each is found.
 
 The robber side reads (C, r) won once r is in the closed
 in-neighbourhood N-[w] of no escape w, a vertex outside copwin[C], and
@@ -142,8 +148,8 @@ change fewer than 5 cop multisets, where the columns' fixed cost loses,
 and the chunks bound the columns' buffers.
 
 The first pass, level 2, starts from the closed form: every cop
-multiset may have changed, and there is nothing to push, since level 1
-won no robber-to-move position.  Its robber side reads (C, r) won
+multiset may have changed, and stage k has nothing to take, since level
+1 won no robber-to-move position.  Its robber side reads (C, r) won
 exactly when r is not in C and N+[r] lies inside N+[C], and it settles
 every cop multiset, by byte columns unless there are fewer than 64.
 
@@ -153,10 +159,11 @@ placement already has N+[C] = V, it runs the levels from 2 on (building
 the sub-move tables first) until the fixpoint or until a level whose
 changed cop multisets include one with a full copwin mask.  Masks only
 grow, so that mask stays full.  The remaining levels are left in a
-suspended generator, which holds the tables, the sub-move stages and the
-log, but neither the stage copies, pushes and pending gains of the level
-it ran (it drops them before each yield) nor any reference to the
-SolveResult, so a dropped result is freed at once.
+suspended generator, which holds the tables, the sub-move stages, the
+log and the push into stage k that the level it ran left, but neither
+the stage copies, deltas and pending gains of that level (it drops them
+before each yield) nor any reference to the SolveResult, so a dropped
+result is freed at once.
 The queries that need the whole table (win, rank, best_move,
 placement_wins, winning_placements and play_trace's placement scan) run
 those levels first and then drop the generator.  cop_number only asks
@@ -195,15 +202,15 @@ DEFAULT_STATE_BUDGET = 50_000_000
 _LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 # bytes.translate table mapping each nonzero byte to 1.
 _NONZERO = bytes([0] + [1] * 255)
-# The log entry of every side and level that gained nothing, shared: 9,578
-# of the 17,808 entries of the default verify run's solves are empty.
+# The log entry of every level that gained nothing, shared: 5,005 of the
+# 8,887 entries of the default verify run's solves are empty.
 _NO_GAINS = (array("I"), b"")
 
 # A level settles the robber side by byte columns (_settle_columns) once
 # the level before changed at least this many cop multisets, and one
-# multiset at a time below.  Of the 8,904 robber levels of the default
-# verify run (run_all(), 1,676 solves), 8,517 changed fewer than 64 and
-# 6,821 fewer than 5, and with byte columns on every level that run took
+# multiset at a time below.  Of the 8,887 robber levels of the default
+# verify run (run_all(), 1,676 solves), 8,500 changed fewer than 64 and
+# 6,804 fewer than 5, and with byte columns on every level that run took
 # 1.10 times as long (550 against 504 ms).  The k = 3 solve of
 # cop_number(clique_substitute_all(plane(2)), 3) settles 13,244, 7,196,
 # 6,244 and 6,594 cop multisets at its robber levels that settle any.
@@ -286,22 +293,24 @@ class SolveResult:
     set when the cop side wins (C, r), for C the i-th cop multiset in
     combinations_with_replacement order, read off starts, the solve's table
     of block starts (see _multiset_index), with the cops, respectively the
-    robber, to move.  log[side][L - 2] is the pair (idx, lanes) of level
-    L >= 2 with that side to move: idx an unsigned int array of the
-    indexes i, ascending, that gained robber vertices at L, and lanes one
-    bytes of the bits each gained, W/8 little-endian bytes per index for
-    the lane width W (see _lane_width).  Every empty pair is the one
-    shared _NO_GAINS; rank reads one byte of one lane per level it probes.
+    robber, to move.  log[L - 2] is the pair (idx, lanes) of level L >= 2
+    with the cops to move: idx an unsigned int array of the indexes i,
+    ascending, that gained robber vertices at L, and lanes one bytes of
+    the bits each gained, W/8 little-endian bytes per index for the lane
+    width W (see _lane_width).  Every empty pair is the one shared
+    _NO_GAINS.  The robber side keeps no log: rank reads its ranks off the
+    cop side's, with closed_out[v], the mask of N+[v].
 
     solve may hand over the tables before the attractor's fixpoint, with
     levels, the suspended level generator, still to run; every query that
     reads the tables runs it to the end first.
     """
 
-    def __init__(self, d, k, starts, copwin, robwin, log, levels):
+    def __init__(self, d, k, starts, closed_out, copwin, robwin, log, levels):
         self._d = d
         self.k = k
         self._starts = starts
+        self._closed_out = closed_out
         self._wins = (copwin, robwin)
         self._log = log
         self._levels = levels
@@ -338,9 +347,13 @@ class SolveResult:
     def rank(self, pos: GamePosition):
         """Optimal half-moves to capture, or None for robber-win positions.
 
-        0 on a capture; else the level of the first log entry of pos's side
-        that holds its bit; else 1, a cop-to-move win of level 1, which the
-        log does not hold: N+[C] minus bits(C).
+        0 on a capture.  With the cops to move, 1 in N+[C] minus bits(C),
+        the level-1 wins, which the log does not hold, else the level of
+        the first log entry that holds the robber's bit.  With the robber
+        to move, 1 + the largest cop-to-move rank over r and its
+        out-neighbours, since a robber-to-move win falls one level after
+        its last successor: those in N+[C] count 1 or 0, and one walk of
+        the log finds the level of each of the rest, stopping at the last.
         """
         ci, side = self._locate(pos)
         r = pos.robber
@@ -348,15 +361,21 @@ class SolveResult:
             return None
         if r in pos.cops:
             return 0
-        byte, bit = divmod(r, 8)
-        for level, (idx, lanes) in enumerate(self._log[side], 2):
-            i = bisect_left(idx, ci)
-            # Lane i of an entry is its bytes from i * W / 8 on; only the
-            # byte that holds bit r is read.
-            if (i < len(idx) and idx[i] == ci
-                    and lanes[len(lanes) // len(idx) * i + byte] >> bit & 1):
-                return level
-        return 1
+        near = 0
+        for c in pos.cops:
+            near |= self._closed_out[c]
+        wanted = (self._closed_out[r] if side else 1 << r) & ~near
+        level = 1
+        if wanted:
+            for level, (idx, lanes) in enumerate(self._log, 2):
+                i = bisect_left(idx, ci)
+                if i < len(idx) and idx[i] == ci:
+                    # Lane i of an entry is its bytes from i * W / 8 on.
+                    step = len(lanes) // len(idx)
+                    wanted &= ~int.from_bytes(lanes[step * i:step * i + step], "little")
+                    if not wanted:
+                        break
+        return level + side
 
     def _key(self, pos: GamePosition):
         """The rank of pos, or inf when the robber wins it."""
@@ -584,14 +603,6 @@ def _lane_bytes(masks, width: int) -> bytes:
     return b"".join(mask.to_bytes(width // 8, "little") for mask in masks)
 
 
-def _lane_masks(lanes, width: int):
-    """The masks of the lanes of bytes laid out as _lane_bytes lays them."""
-    step = width // 8
-    if width <= 64:
-        return struct.unpack(f"<{len(lanes) // step}{_LANE_FORMATS[width]}", lanes)
-    return [int.from_bytes(lanes[i:i + step], "little") for i in range(0, len(lanes), step)]
-
-
 def _pack(masks, width: int) -> int:
     """The packed row whose lane i, width bits wide, holds masks[i]."""
     return int.from_bytes(_lane_bytes(masks, width), "little")
@@ -605,10 +616,10 @@ def _log_chunk(idx, masks, width: int):
 
 
 def _log_entry(chunks, idx, masks, width: int):
-    """The log entry of one side and level: the chunks the level packed, in
-    order (see _log_chunk), then the gains idx and masks still pending,
-    joined into one index array, exact in size, and one bytes; or
-    _NO_GAINS when the level gained nothing."""
+    """The log entry of one level: the chunks the level packed, in order
+    (see _log_chunk), then the gains idx and masks still pending, joined
+    into one index array, exact in size, and one bytes; or _NO_GAINS when
+    the level gained nothing."""
     if not chunks:
         return _log_chunk(idx, masks, width) if idx else _NO_GAINS
     if idx:
@@ -706,17 +717,17 @@ def _reach_columns(reach_tables, width: int):
     return columns
 
 
-def _settle_columns(copwin, robwin, ids, columns, full: int, width: int, chunks):
+def _settle_columns(copwin, robwin, ids, columns, full: int, width: int, idx, masks):
     """Settle the robber side of the cop multisets ids, ascending, by byte
-    columns, _COLUMN_CHUNK multisets at a time, and append to chunks, per
-    chunk that gained, the log chunk (see _log_chunk) of those that gained,
-    ascending, and the bits each gained.  The copwin and robwin masks
-    of a chunk are laid out as _pack lays a row, so byte c of every lane is
-    the column raw[c::width // 8], and each translate settles one (c, b)
-    pair of the chunk in C: byte b of robwin gains the vertices of byte b
-    of full that no escape reaches and no robber win holds.  Lanes wider
-    than one word are read back only where the OR of a chunk's gained
-    bytes, one byte per lane, is nonzero."""
+    columns, _COLUMN_CHUNK multisets at a time, and append to idx and
+    masks the indexes of those that gained, ascending, and the bits each
+    gained.  The copwin and robwin masks of a chunk are laid out as _pack
+    lays a row, so byte c of every lane is the column raw[c::width // 8],
+    and each translate settles one (c, b) pair of the chunk in C: byte b
+    of robwin gains the vertices of byte b of full that no escape reaches
+    and no robber win holds.  Lanes wider than one word are read back only
+    where the OR of a chunk's gained bytes, one byte per lane, is
+    nonzero."""
     step = width // 8
     for lo in range(0, len(ids), _COLUMN_CHUNK):
         # As a list, so that each index becomes an int once, not once per
@@ -740,17 +751,15 @@ def _settle_columns(copwin, robwin, ids, columns, full: int, width: int, chunks)
             continue
         if width <= 64:
             gained = struct.unpack(f"<{size}{_LANE_FORMATS[width]}", out)
-            changed, masks = [*compress(chunk, gained)], [*filter(None, gained)]
-            lanes = _lane_bytes(masks, width)
+            changed, gains = [*compress(chunk, gained)], [*filter(None, gained)]
         else:
             hit = [*compress(range(size), any_gained.to_bytes(size, "little"))]
             changed = [chunk[i] for i in hit]
-            lanes = [out[i * step:i * step + step] for i in hit]
-            masks = [int.from_bytes(lane, "little") for lane in lanes]
-            lanes = b"".join(lanes)
-        for ci, g in zip(changed, masks):
+            gains = [int.from_bytes(out[i * step:i * step + step], "little") for i in hit]
+        for ci, g in zip(changed, gains):
             robwin[ci] |= g
-        chunks.append((array("I", changed), lanes))
+        idx.extend(changed)
+        masks += gains
 
 
 def _union_masks(vertex_masks, starts, k: int):
@@ -785,29 +794,32 @@ def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> Solve
     # (M, U) holds bits(M) | N+[U], since the robber is caught where a cop
     # stands or where a cop still to move can step.
     bits = _union_masks([1 << v for v in range(n)], starts, k)
-    nbhd = _union_masks([1 << v | sum(1 << w for w in d.out_adj[v]) for v in range(n)], starts, k)
+    closed_out = [1 << v | sum(1 << w for w in d.out_adj[v]) for v in range(n)]
+    nbhd = _union_masks(closed_out, starts, k)
     # Stage 0 and stage k stay one mask per cop multiset.
     robwin, copwin = bits[k], nbhd[k]
-    # The log of each side's changes from level 2 on.  Levels 0 and 1 need
-    # none: a rank-0 position has the robber on a cop, a cop-to-move win of
-    # rank 1 has it in the rest of N+[C], and no robber-to-move position is
-    # won at level 1, since the robber may stay on r.
-    log = ([], [])
+    # The log of the cop side's changes from level 2 on.  Levels 0 and 1
+    # need none: a rank-0 position has the robber on a cop, and a
+    # cop-to-move win of rank 1 has it in the rest of N+[C].
+    log = []
     levels = _levels(d, k, starts, bits, nbhd, copwin, robwin, log)
     # Masks only grow, so the first full one proves that k cops win.
     if full not in copwin:
         for changed in levels:
             if any(copwin[ci] == full for ci in changed):
                 break
-    return SolveResult(d, k, starts, copwin, robwin, log, levels)
+    return SolveResult(d, k, starts, closed_out, copwin, robwin, log, levels)
 
 
 def _levels(d, k, starts, bits, nbhd, copwin, robwin, log):
     """Build the sub-move tables, then run the attractor from level 2 to
     its fixpoint, updating copwin and robwin in place and appending each
-    level's changes, packed as SolveResult's log entries, to log[0] for the
-    cop side and log[1] for the robber side, and yield, ascending, the cop
-    multisets each level changed on the cop side, the array of its entry.
+    level's cop-side changes, packed as SolveResult's log entries, to log,
+    and yield, ascending, the cop multisets each level changed on the cop
+    side, the array of its entry.  The robber side's changes of a level
+    are pushed through the middle stages in the pass that makes them, and
+    only the push into stage k of the stage-(k - 1) delta they leave is
+    kept for the next pass.
 
     A host without arcs reaches its fixpoint after one pass that settles
     nothing: every escape reaches only itself, so level 2's robber side
@@ -857,15 +869,16 @@ def _levels(d, k, starts, bits, nbhd, copwin, robwin, log):
 
     # Level 1 may have changed every cop multiset on the cop side, and won
     # no robber-to-move position, so level 2 settles the robber side of
-    # every multiset and has nothing to push.
-    cop_idx, (rob_idx, rob_lanes), rob_masks = range(len(copwin)), _NO_GAINS, []
-    while cop_idx or rob_idx:
+    # every multiset and stage k has nothing to take.
+    cop_idx, into_block = range(len(copwin)), [0] * n
+    while cop_idx or any(into_block):
         # Robber to move: (C, r) wins when no successor of r is outside
         # copwin[C], i.e. r is outside the closed in-neighbourhood of every
         # cop-side escape.  Only cop sets with new cop wins can change: a
         # level that changed few settles them one at a time, by 8-bit
-        # lookups, and one that changed many by byte columns.
-        settled_idx, settled_masks, settled_chunks = [], [], []
+        # lookups, and one that changed many by byte columns.  The gains,
+        # idx and delta, are the stage-0 delta the middle stages push below.
+        idx, delta = array("I"), []
         if len(cop_idx) < _COLUMNS_FROM:
             for ci in cop_idx:
                 cw = copwin[ci]
@@ -875,17 +888,34 @@ def _levels(d, k, starts, bits, nbhd, copwin, robwin, log):
                 gained = full & ~(reach | robwin[ci])
                 if gained:
                     robwin[ci] |= gained
-                    settled_idx.append(ci)
-                    settled_masks.append(gained)
+                    idx.append(ci)
+                    delta.append(gained)
         else:
             columns = columns or _reach_columns(reach_tables, width)
-            _settle_columns(copwin, robwin, cop_idx, columns, full, width, settled_chunks)
-        # Cops to move: push last level's robber-side wins back one
-        # sub-move stage at a time.  A changed row of stage j - 1 reaches
-        # row M' - v of stage j, for each distinct v in M', with u in
-        # N-[v] prepended to every lane; its delta is what the push added,
-        # found by comparing the stage with its copy from before.
-        idx, delta = rob_idx, _lane_masks(rob_lanes, width) if rob_masks is None else rob_masks
+            _settle_columns(copwin, robwin, cop_idx, columns, full, width, idx, delta)
+        # Cops to move: block u takes into_block[u], the push of the
+        # stage-(k - 1) delta that the level before left (see below).  The
+        # lanes the blocks gained are the cop multisets the level changed,
+        # ascending since the blocks are.
+        cop_idx, cop_masks, cop_chunks = [], [], []
+        for u in compress(range(n), into_block):
+            old = block[u]
+            new = old | into_block[u] >> width * cuts[u]
+            if new != old:
+                block[u] = new
+                _settle_lanes(copwin, cop_idx, cop_masks, puts[u], old, new, width,
+                              block_sizes[u])
+                if len(cop_idx) >= _LANES_PENDING:
+                    cop_chunks.append(_log_chunk(cop_idx, cop_masks, width))
+                    cop_idx, cop_masks = [], []
+        log.append(_log_entry(cop_chunks, cop_idx, cop_masks, width))
+        cop_idx = log[-1][0]
+        # Then this level's robber wins go back through the middle stages
+        # at once, one sub-move stage at a time.  A changed row of stage
+        # j - 1 reaches row M' - v of stage j, for each distinct v in M',
+        # with u in N-[v] prepended to every lane; its delta is what the
+        # push added, found by comparing the stage with its copy from
+        # before.
         for j in range(1, k):
             if not idx:
                 break
@@ -910,35 +940,16 @@ def _levels(d, k, starts, bits, nbhd, copwin, robwin, log):
             idx = list(compress(count(), map(ne, stage, snap)))
             delta = [stage[p] ^ snap[p] for p in idx]
         # Stage k has one parent, M = (), whose children are the changed
-        # rows of the (v,), at index v: each is ORed into pushed[u] for the
-        # u in N-[v], so block u takes the OR of the rows of the v in N+[u]
-        # with one shift.  The lanes the blocks gained are the cop
-        # multisets the level changed, ascending since the blocks are.
-        cop_idx, cop_masks, cop_chunks, pushed = [], [], [], [0] * n
+        # rows of the (v,), at index v: each is ORed into into_block[u] for
+        # the u in N-[v], so block u takes, at the next level, the OR of
+        # the rows of the v in N+[u] with one shift.
+        into_block = [0] * n
         for v, x in zip(idx, delta):
             for u in closed_in[v]:
-                pushed[u] |= x
-        for u in compress(range(n), pushed):
-            old = block[u]
-            new = old | pushed[u] >> width * cuts[u]
-            if new != old:
-                block[u] = new
-                _settle_lanes(copwin, cop_idx, cop_masks, puts[u], old, new, width,
-                              block_sizes[u])
-                if len(cop_idx) >= _LANES_PENDING:
-                    cop_chunks.append(_log_chunk(cop_idx, cop_masks, width))
-                    cop_idx, cop_masks = [], []
-        log[0].append(_log_entry(cop_chunks, cop_idx, cop_masks, width))
-        log[1].append(_log_entry(settled_chunks, settled_idx, settled_masks, width))
-        (cop_idx, _), (rob_idx, rob_lanes) = log[0][-1], log[1][-1]
-        # The next push reads the robber side's gains from the list of the
-        # fewer than _COLUMNS_FROM it settled one at a time, else back from
-        # the entry: decoding each small level's took verify's solves 3 %
-        # longer.  The suspended generator keeps the tables, the log and that
-        # list, not the copies, pushes and pending gains of the level.
-        rob_masks = None if settled_chunks else settled_masks
-        snap = delta = pushed = idx = old = None
-        cop_masks = cop_chunks = settled_idx = settled_masks = settled_chunks = None
+                into_block[u] |= x
+        # The suspended generator keeps the tables, the log and into_block,
+        # not the copies, pushes, deltas and pending gains of the level.
+        snap = pushed = idx = delta = x = old = cop_masks = cop_chunks = None
         yield cop_idx
 
 

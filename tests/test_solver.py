@@ -8,6 +8,7 @@ import random
 import sys
 import time
 import weakref
+from array import array
 from itertools import combinations_with_replacement
 
 import pytest
@@ -228,6 +229,23 @@ class TestRanks:
             for (cw, r, side), rank in oracles.minimax_ranks(d, k).items():
                 assert result.rank(GamePosition(cw, r, side)) == rank, (d.arcs, k, cw, r, side)
 
+    def test_ranks_match_minimax_in_wide_lanes(self):
+        # Lanes of two and three words (W = 128 and 192): every position of
+        # one-cop games on 65 to 130 vertices, robber-to-move ranks up to
+        # 128 on the directed path, and a two-cop game on 65 vertices whose
+        # only arcs form a directed C_5 on vertices 60 to 64, across the
+        # first word's top bit.
+        games = [
+            (gen_directed_path(65), 1),
+            (gen_random_digraph(65, 0.03, 1), 1),
+            (gen_random_digraph(130, 0.02, 1), 1),
+            (Digraph(65, [(v, v + 1) for v in range(60, 64)] + [(64, 60)]), 2),
+        ]
+        for d, k in games:
+            result = solve(d, k)
+            for (cw, r, side), rank in oracles.minimax_ranks(d, k).items():
+                assert result.rank(GamePosition(cw, r, side)) == rank, (d.n, k, cw, r, side)
+
     def test_ranks_along_a_long_trace(self):
         # Two cops on C_100 capture after 197 half-moves, and each
         # snapshot's rank is one below the one before: ranks from about
@@ -255,7 +273,7 @@ class TestRanks:
         stops = []
         for d, k in games:
             result = solve(d, k)
-            stop = len(result._log[0]) + 1
+            stop = len(result._log) + 1
             wins = list(result.winning_placements())
             if wins:
                 worst = [max(result.rank(GamePosition(p, r, COPS)) for r in range(d.n))
@@ -292,14 +310,15 @@ class TestRanks:
         assert result.best_move(GamePosition((0, 1), 2, ROBBER)) is None
 
     def test_missing_step_raises(self, monkeypatch):
-        # With the robber side's log cleared every robber-to-move win reads
-        # rank 0 or 1, so a cop-to-move position of rank 2 or more, odd and
-        # so at least 3, has no successor one rank below it.
+        # With an empty level put before the log every logged level reads
+        # one too high, so a cop-to-move position of rank 3 reads 4, while
+        # its robber-to-move successors of rank 2, whose successors all lie
+        # in N+[C] and need no log, still read 2: none is one rank below.
+        # play_trace's robber starts deeper and comes down to such a
+        # position.
         result = solve(C4, 2)
-        pos = next(
-            p for p in result.positions() if p.to_move == COPS and (result.rank(p) or 0) >= 2
-        )
-        result._log[1].clear()
+        pos = next(p for p in result.positions() if p.to_move == COPS and result.rank(p) == 3)
+        result._log.insert(0, solver._NO_GAINS)
         with pytest.raises(RuntimeError, match="no successor of key"):
             result.best_move(pos)
         monkeypatch.setattr(solver, "solve", lambda *args: result)
@@ -476,20 +495,60 @@ class TestFrozenTables:
         assert table_digest(solve(host(), k)) == expected
 
 
-def decoded_log(result):
-    """result's log as lists, the one reader of the packed log in these
-    tests: per side, one (idx, masks) pair of lists per level from 2 on,
-    the masks read back from the entry's lanes, len(lanes) // len(idx)
+def logged_gains(result):
+    """result's log, the cop side's, as lists, the one reader of the packed
+    log in these tests: one (idx, masks) pair of lists per level from 2
+    on, the masks read back from the entry's lanes, len(lanes) // len(idx)
     bytes each, one lane width for the whole log."""
-    decoded, widths = ([], []), set()
-    for side, log in enumerate(result._log):
-        for idx, lanes in log:
-            width = 8 * len(lanes) // len(idx) if idx else 8
-            if idx:
-                widths.add(width)
-            decoded[side].append((list(idx), unpacked(lanes, width)))
+    decoded, widths = [], set()
+    for idx, lanes in result._log:
+        width = 8 * len(lanes) // len(idx) if idx else 8
+        if idx:
+            widths.add(width)
+        decoded.append((list(idx), unpacked(lanes, width)))
     assert len(widths) <= 1, widths
     return decoded
+
+
+def decoded_log(result):
+    """Per side, one (idx, masks) pair of lists per level from 2 on: the
+    cop side's as logged (logged_gains), and the robber side's, which the
+    solver does not log, derived from it.  At level L, C gains the r whose
+    closed out-neighbourhood lies in copwin[C] as of L - 1, and only the
+    cop multisets the cop side changed at L - 1 can gain: every one at
+    L = 2, since level 1 sets copwin[C] to N+[C] and robwin[C] to
+    bits(C)."""
+    d, cops = result._d, logged_gains(result)
+    closed_out = [1 << v | sum(1 << w for w in d.out_adj[v]) for v in range(d.n)]
+    copwin, robwin = [], []
+    for placement in result.placements():
+        near = 0
+        for c in placement:
+            near |= closed_out[c]
+        copwin.append(near)
+        robwin.append(sum(1 << c for c in set(placement)))
+    robbers, changed = [], range(len(copwin))
+    for idx, masks in cops:
+        gains = ([], [])
+        for ci in changed:
+            cw, gained = copwin[ci], 0
+            # r lies in its own closed out-neighbourhood, so only the bits
+            # of copwin[C] not yet won are candidates.
+            candidates = cw & ~robwin[ci]
+            while candidates:
+                bit = candidates & -candidates
+                if not closed_out[bit.bit_length() - 1] & ~cw:
+                    gained |= bit
+                candidates ^= bit
+            if gained:
+                gains[0].append(ci)
+                gains[1].append(gained)
+                robwin[ci] |= gained
+        robbers.append(gains)
+        for ci, mask in zip(idx, masks):
+            copwin[ci] |= mask
+        changed = idx
+    return cops, robbers
 
 
 def rank_planes(result):
@@ -557,8 +616,8 @@ def level_yields(d, k):
 class TestLevelYields:
     """cop_number's early stop reads _levels' yields: at each level L >= 2,
     the cop multisets that gained a cop-to-move win at L, ascending.  The
-    log that rank reads holds, per side and level, the same multisets and
-    the bits each gained."""
+    log that rank reads holds, per level, the same multisets and the bits
+    each gained, and the robber side's gains follow from it (decoded_log)."""
 
     def check(self, d, k):
         result, yields, changes = level_yields(d, k)
@@ -613,7 +672,7 @@ class TestLevelYields:
             for (d, k), (result, yields, _) in zip(games, own):
                 wide, wide_yields, _ = level_yields(d, k)
                 assert wide._wins == result._wins
-                assert decoded_log(wide) == decoded_log(result)
+                assert logged_gains(wide) == logged_gains(result)
                 assert wide_yields == yields
 
     def check_robber_paths(self, d, k):
@@ -627,7 +686,7 @@ class TestLevelYields:
                 patch.setattr(solver, "_COLUMN_CHUNK", chunk)
                 forced, forced_yields, _ = level_yields(d, k)
             assert forced._wins == result._wins
-            assert decoded_log(forced) == decoded_log(result)
+            assert forced._log == result._log
             assert forced_yields == yields
 
     def test_robber_paths_in_every_lane_class(self):
@@ -663,16 +722,15 @@ class TestPackedLog:
         assert games
         for d, k in games:
             result, _, changes = level_yields(d, k)
-            for log in result._log:
-                for entry in log:
-                    idx, lanes = entry
-                    if not idx:
-                        assert entry is solver._NO_GAINS
-                        continue
-                    assert idx.typecode == "I"
-                    assert list(idx) == sorted(set(idx))
-                    assert type(lanes) is bytes and len(lanes) == len(idx) * width // 8
-                    assert 0 not in unpacked(lanes, width)
+            for entry in result._log:
+                idx, lanes = entry
+                if not idx:
+                    assert entry is solver._NO_GAINS
+                    continue
+                assert idx.typecode == "I"
+                assert list(idx) == sorted(set(idx))
+                assert type(lanes) is bytes and len(lanes) == len(idx) * width // 8
+                assert 0 not in unpacked(lanes, width)
             assert decoded_log(result) == changes
 
     def test_pending_gains_packed_in_order(self, monkeypatch):
@@ -695,11 +753,11 @@ class TestPackedLog:
         result = solve(d, 3)
         assert result._levels is not None
         width = _lane_width(d.n)
-        entries = {id(entry): entry for log in result._log for entry in log}.values()
+        entries = {id(entry): entry for entry in result._log}.values()
         used = sum(sys.getsizeof(entry) + sys.getsizeof(idx) + sys.getsizeof(lanes)
                    for entry in entries for idx, lanes in [entry])
         data = sum(len(idx) * (idx.itemsize + width // 8) for idx, _ in entries)
-        levels = len(result._log[0])
+        levels = len(result._log)
         assert data > 100_000
         assert used <= data + 2 * 256 * levels
 
@@ -882,19 +940,14 @@ class TestLanes:
         settled = robwin[:]
         for ci, gained in want:
             settled[ci] |= gained
-        chunks = ["kept"]
+        # The gains are appended, ascending, to the caller's index array
+        # and mask list, after what they already hold.
+        idx, masks = array("I", [7]), ["kept"]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "_COLUMN_CHUNK", data.draw(st.sampled_from([1, 3, 2048])))
-            _settle_columns(copwin, robwin, ids, columns, full, width, chunks)
-        assert chunks[0] == "kept"
-        # One chunk per column pass that gained: its ascending indexes as
-        # an unsigned int array and width // 8 bytes per lane.
-        got = []
-        for idx, lanes in chunks[1:]:
-            assert idx.typecode == "I" and len(idx) > 0
-            got += zip(idx, unpacked(lanes, width))
-            assert len(lanes) == len(idx) * width // 8
-        assert got == want
+            _settle_columns(copwin, robwin, ids, columns, full, width, idx, masks)
+        assert idx.typecode == "I"
+        assert list(zip(idx, masks)) == [(7, "kept")] + want
         assert robwin == settled
 
 
