@@ -69,7 +69,13 @@ index is R's entry for v in the removal table of the size below, moved
 by the block's offset: for M' of size t, starts[t-1][a] -
 starts[t-2][a], or 0 at t = 1.  So the removal tables are built only up
 to size k - 1, and the largest one, a row per cop multiset, is never
-built.
+built.  Every row of the size-t table holds t pairs (v, index), one per
+distinct v and one marked v = -1 per repeat of a vertex, so each table is
+written a column at a time by strided slices, and a reader of R's row
+for M' = (a,) + R keeps the pairs with v > a, which drops both a and the
+marks.  The changed child rows come ascending, so their blocks are found
+by a walk (_split_rows): one compare per row, and one bisection per
+block the walk leaves.
 
 The backward attractor runs level by level, and the level at which a
 position is won is its rank.  Levels 0 and 1 have a closed form and are
@@ -81,26 +87,27 @@ in every lane, OR the row of the N+[U].  So copwin[C] = N+[C] and
 robwin[C] = bits(C): the robber side gains nothing at level 1, since the
 robber may stay put.
 
-From level 2 on, one loop runs a level per pass, in three steps.  Level
-L first settles the robber side from the cop wins of level L-1: a
+From level 2 on, one loop runs two levels per pass: by parity, the
+cop side gains only at odd levels and the robber side only at even ones,
+since each side gains only at the level after the other side's gains,
+and level 1 won only cop-to-move positions.  A pass first settles the
+robber side of an even level L from the cop wins of level L-1: a
 robber-to-move position (C, r) wins once every vertex of the closed
 out-neighbourhood of r is a cop win against C, and only the cop
 multisets that level L-1 changed can gain.  So a robber-to-move position
-is won at 1 + the largest rank among its successors.  Stage k then takes
-the push that level L-1 left, so a cop-to-move position is won at 1 +
-the smallest rank among its winning successors.  Last, the robber wins
-of level L are pushed back through the middle stages 1 to k-1 at once,
-and the stage-(k-1) delta they leave (at k = 1 the robber wins
-themselves) is ORed per u into the push that block u takes at level
-L+1, so a level's robber wins and deltas are dropped at its end.  The
-two pushes touch different stages, so their order is free.  Each middle
-stage is copied before its push, its delta (the bits the push added) is
-read off by comparing it with the copy, and that delta is what the next
-stage pushes; the push stops at the first stage with an empty delta.
-The loop stops at the first level that changes no cop multiset and
-leaves nothing to push.  Stage k's delta is read a block at a time
-(_settle_lanes): the lanes of a changed block replace its slice of
-copwin, and the nonzero lanes of its XOR with the old block are,
+is won at 1 + the largest rank among its successors.  These robber wins
+are then pushed back through the middle stages 1 to k-1 at once, and
+the stage-(k-1) delta they leave (at k = 1 the robber wins themselves)
+is ORed per u into the push that block u of stage k takes as level L+1,
+so a cop-to-move position is won at 1 + the smallest rank among its
+winning successors.  A pass's robber wins, deltas and pushes are
+dropped at its end.  Each middle stage is copied before its push, its
+delta (the bits the push added) is read off by comparing it with the
+copy, and that delta is what the next stage pushes; the push stops at
+the first stage with an empty delta.  The loop stops after the first
+pass that changes no cop multiset.  Stage k's delta is read a block at
+a time (_settle_lanes): the lanes of a changed block replace its slice
+of copwin, and the nonzero lanes of its XOR with the old block are,
 ascending, the cop multisets the level changed.  Masks become lanes, and
 lanes masks, in one byte order on every host, little-endian: _pack lays
 a list of masks into a row, and while W is at most one word
@@ -110,18 +117,20 @@ changed ones are read back (_nonzero_lanes).  Sub-move stages add
 nothing to the rank, which counts whole half-moves.
 
 Ranks are kept as the attractor's log of the cop side: one entry per
-level from 2 on, kept packed.  An entry is an unsigned int array ('I')
-of the cop multisets the level changed on the cop side, ascending, and
-one bytes of the bits each gained, W/8 bytes per index in _pack's
-little-endian lane layout.  A level collects its gains in lists and
-packs them every _LANES_PENDING lanes and at its end (_log_chunk,
-_log_entry).  Every level that gained nothing shares one empty entry,
-_NO_GAINS.  The robber side needs no log: by backward induction a
-robber-to-move win falls one level after its last cop-to-move
-successor, so its rank follows from the cop side's.  The rank of a won
-position is 0 when the robber stands on a cop.  Else, with the cops to
-move, it is 1 in N+[C] and otherwise the level of the first entry that
-holds the robber's bit, found by bisection; with the robber on r to
+pass, entry i for level 2i + 3, kept packed; the even levels, where
+the cop side gains nothing, have none.  An entry is an unsigned int
+array ('I') of the cop multisets the level changed on the cop side,
+ascending, and one bytes of the bits each gained, W/8 bytes per index
+in _pack's little-endian lane layout.  A level collects its gains in
+lists and packs them every _LANES_PENDING lanes and at its end
+(_log_chunk, _log_entry).  The one level that gained nothing, the last
+of a finished table, has the shared empty entry _NO_GAINS.  The robber
+side needs no log: by backward induction a robber-to-move win falls one
+level after its last cop-to-move successor, so its rank follows from
+the cop side's.  The rank of a won position is 0 when the robber stands
+on a cop.  Else, with the cops to move, it is 1 in N+[C] and otherwise
+the level of the first entry that holds the robber's bit, found by one
+bisection per entry; with the robber on r to
 move, it is 1 + the largest cop-to-move rank over r and its
 out-neighbours, those in N+[C] counting 1 or 0 with no walk, the rest
 found by one walk of the log that stops once each is found.
@@ -135,7 +144,8 @@ copwin[C] to the union of N-[w] over the escapes w among vertices 8c to
 level before changed.  Below _COLUMNS_FROM (64) it settles them one at
 a time, one lookup per table.  From 64 on it settles them by byte
 columns (_settle_columns), _COLUMN_CHUNK (2,048) at a time: their copwin
-and robwin masks are laid out as _pack lays a row, so byte c of every
+and robwin masks, read as two slices when the chunk's indexes are
+contiguous, are laid out as _pack lays a row, so byte c of every
 lane is one column of bytes, and each table, split by output byte b into
 256-byte tables with the all-zero ones dropped (_reach_columns), maps a
 whole column through bytes.translate in C.  The OR over c of the
@@ -147,23 +157,21 @@ measurement (see their comments): most levels of verify's tiny games
 change fewer than 5 cop multisets, where the columns' fixed cost loses,
 and the chunks bound the columns' buffers.
 
-The first pass, level 2, starts from the closed form: every cop
-multiset may have changed, and stage k has nothing to take, since level
-1 won no robber-to-move position.  Its robber side reads (C, r) won
-exactly when r is not in C and N+[r] lies inside N+[C], and it settles
-every cop multiset, by byte columns unless there are fewer than 64.
+The first pass starts from the closed form: level 1 may have changed
+every cop multiset, so level 2 settles the robber side of each, reading
+(C, r) won exactly when r is not in C and N+[r] lies inside N+[C], by
+byte columns unless there are fewer than 64 multisets.
 
 solve works eagerly only up to the first proof that k cops win.  It
 checks the budget and sets levels 0 and 1 in closed form; then, unless a
-placement already has N+[C] = V, it runs the levels from 2 on (building
-the sub-move tables first) until the fixpoint or until a level whose
-changed cop multisets include one with a full copwin mask.  Masks only
-grow, so that mask stays full.  The remaining levels are left in a
-suspended generator, which holds the tables, the sub-move stages, the
-log and the push into stage k that the level it ran left, but neither
-the stage copies, deltas and pending gains of that level (it drops them
-before each yield) nor any reference to the SolveResult, so a dropped
-result is freed at once.
+placement already has N+[C] = V, it runs the passes from level 2 on
+(building the sub-move tables first) until the fixpoint or until a pass
+whose changed cop multisets include one with a full copwin mask.  Masks
+only grow, so that mask stays full.  The remaining passes are left in a
+suspended generator, which holds the tables, the sub-move stages and
+the log, but neither the stage copies, deltas, pushes and pending gains
+of the pass it ran (it drops them before each yield) nor any reference
+to the SolveResult, so a dropped result is freed at once.
 The queries that need the whole table (win, rank, best_move,
 placement_wins, winning_placements and play_trace's placement scan) run
 those levels first and then drop the generator.  cop_number only asks
@@ -188,7 +196,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, compress, count, product
+from itertools import accumulate, combinations_with_replacement, compress, count, product
 from math import comb, inf
 from operator import ne
 
@@ -202,16 +210,18 @@ DEFAULT_STATE_BUDGET = 50_000_000
 _LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 # bytes.translate table mapping each nonzero byte to 1.
 _NONZERO = bytes([0] + [1] * 255)
-# The log entry of every level that gained nothing, shared: 5,005 of the
-# 8,887 entries of the default verify run's solves are empty.
+# The log entry of a level that gained nothing, shared: 674 of the 4,556
+# entries of the default verify run's solves are empty, the last of each
+# table run to its fixpoint.
 _NO_GAINS = (array("I"), b"")
 
 # A level settles the robber side by byte columns (_settle_columns) once
 # the level before changed at least this many cop multisets, and one
-# multiset at a time below.  Of the 8,887 robber levels of the default
-# verify run (run_all(), 1,676 solves), 8,500 changed fewer than 64 and
-# 6,804 fewer than 5, and with byte columns on every level that run took
-# 1.10 times as long (550 against 504 ms).  The k = 3 solve of
+# multiset at a time below.  Of the 4,556 robber levels of the default
+# verify run (run_all(), 1,676 solves that run a pass), 4,169 follow a
+# level that changed fewer than 64 and 2,473 fewer than 5, and with byte
+# columns on every level that run took 1.10 times as long (550 against
+# 504 ms, measured when each pass ran one level).  The k = 3 solve of
 # cop_number(clique_substitute_all(plane(2)), 3) settles 13,244, 7,196,
 # 6,244 and 6,594 cop multisets at its robber levels that settle any.
 _COLUMNS_FROM = 64
@@ -293,12 +303,13 @@ class SolveResult:
     set when the cop side wins (C, r), for C the i-th cop multiset in
     combinations_with_replacement order, read off starts, the solve's table
     of block starts (see _multiset_index), with the cops, respectively the
-    robber, to move.  log[L - 2] is the pair (idx, lanes) of level L >= 2
-    with the cops to move: idx an unsigned int array of the indexes i,
-    ascending, that gained robber vertices at L, and lanes one bytes of
-    the bits each gained, W/8 little-endian bytes per index for the lane
-    width W (see _lane_width).  Every empty pair is the one shared
-    _NO_GAINS.  The robber side keeps no log: rank reads its ranks off the
+    robber, to move.  log[i] is the pair (idx, lanes) of the odd level
+    L = 2i + 3 with the cops to move: idx an unsigned int array of the
+    indexes i, ascending, that gained robber vertices at L, and lanes one
+    bytes of the bits each gained, W/8 little-endian bytes per index for
+    the lane width W (see _lane_width).  Every empty pair is the one
+    shared _NO_GAINS.  Cop-to-move ranks are 0 or odd, so the even levels
+    need no entry.  The robber side keeps no log: rank reads its ranks off the
     cop side's, with closed_out[v], the mask of N+[v].
 
     solve may hand over the tables before the attractor's fixpoint, with
@@ -349,11 +360,12 @@ class SolveResult:
 
         0 on a capture.  With the cops to move, 1 in N+[C] minus bits(C),
         the level-1 wins, which the log does not hold, else the level of
-        the first log entry that holds the robber's bit.  With the robber
-        to move, 1 + the largest cop-to-move rank over r and its
-        out-neighbours, since a robber-to-move win falls one level after
-        its last successor: those in N+[C] count 1 or 0, and one walk of
-        the log finds the level of each of the rest, stopping at the last.
+        the first log entry that holds the robber's bit, entry i holding
+        level 2i + 3.  With the robber to move, 1 + the largest
+        cop-to-move rank over r and its out-neighbours, since a
+        robber-to-move win falls one level after its last successor: those
+        in N+[C] count 1 or 0, and one walk of the log finds the level of
+        each of the rest, stopping at the last.
         """
         ci, side = self._locate(pos)
         r = pos.robber
@@ -367,7 +379,7 @@ class SolveResult:
         wanted = (self._closed_out[r] if side else 1 << r) & ~near
         level = 1
         if wanted:
-            for level, (idx, lanes) in enumerate(self._log, 2):
+            for level, (idx, lanes) in zip(count(3, 2), self._log):
                 i = bisect_left(idx, ci)
                 if i < len(idx) and idx[i] == ci:
                     # Lane i of an entry is its bytes from i * W / 8 on.
@@ -504,8 +516,14 @@ def _block_starts(n: int, k: int):
     t-multisets with smallest vertex >= u are the last ones, from lane
     starts[t][u] on, and prefixing u to each gives, in the same order, the
     block of (t + 1)-multisets that start with u, from lane
-    starts[t + 1][u] on."""
-    return [[_multisets(n, t) - _multisets(n - u, t) for u in range(n)] for t in range(k + 1)]
+    starts[t + 1][u] on.  So the block of u at size t + 1 holds
+    multisets(n, t) - starts[t][u] multisets, and row t + 1 is the running
+    sum of those sizes: one binomial per row."""
+    starts = [[0] * n]
+    for t in range(k):
+        size = _multisets(n, t)
+        starts.append(list(accumulate([size - s for s in starts[-1][:-1]], initial=0)))
+    return starts
 
 
 def _multiset_index(starts, cops) -> int:
@@ -527,32 +545,48 @@ def _multiset_index(starts, cops) -> int:
 
 def _removal_tables(starts, k: int):
     """tables[t][i(M')], for each multiset M' of size t < k: the flat tuple
-    v, i(M' minus one v), v, ... over the distinct v of M', ascending (flat
-    to save memory: one tuple per M' rather than one per pair).
+    of t pairs v, i(M' minus one v), one per distinct v of M', ascending
+    but for the pairs marked v = -1, one per repeat of a vertex (flat to
+    save memory: one tuple per M' rather than one per pair).  A reader of
+    M''s row for the child (a,) + M' keeps the pairs with v > a, which
+    drops a, if M' holds it, and the marks.
 
     Built from size t - 1 without any lookup: the multisets M' = (a,) + R
     of size t whose first vertex is a are the block from starts[t][a] on,
     with R running, in order, over the size-(t - 1) list from
     starts[t - 1][a] on.  Removing a leaves R; removing any other v of R
-    leaves (a,) + (R minus v), by the same identity two sizes down.  The
-    pushes derive the parents of each changed child row the same way from
-    the table one size down (see _split_rows), so the largest table, that
-    of size k, is never built.
+    leaves (a,) + (R minus v), by the same identity two sizes down.  So
+    the row of M' is (a, i(R)) followed by R's row, each index moved by
+    the block's offset, and the rows of a block are written one column
+    at a time, by strided slices of a flat list.  Where R starts with a,
+    the pair that would repeat a is marked -1, and R's own marks carry
+    over, so each row ends with t - |set(M')| marked pairs.  The pushes
+    derive the parents of each changed child row the same way from the
+    table one size down (see _split_rows), so the largest table, that of
+    size k, is never built.
     """
-    tables = [[()]]
+    tables, flat = [[()]], []
     for t in range(1, k):
-        prev = tables[-1]
+        step, rows = 2 * t, len(tables[-1])
         # Row numbers are shared int objects: one per row, not one per pair.
-        rows = list(range(len(prev)))
-        table = []
-        for a, (cut, low) in enumerate(zip(starts[t - 1], starts[max(t - 2, 0)])):
-            offset = cut - low
-            for r in rows[cut:]:
-                pairs = iter(prev[r])
-                table.append((a, r, *[
-                    x for v, q in zip(pairs, pairs) if v != a for x in (v, rows[offset + q])
-                ]))
-        tables.append(table)
+        ids = list(range(rows))
+        prev, flat = flat, [0] * (step * sum(rows - cut for cut in starts[t - 1]))
+        for a, (put, cut, low) in enumerate(zip(starts[t], starts[t - 1], starts[max(t - 2, 0)])):
+            at, end, offset = step * put, step * (put + rows - cut), cut - low
+            flat[at:end:step] = [a] * (rows - cut)
+            flat[at + 1:end:step] = ids[cut:]
+            # Column c of the rows of the R from index cut on: the vertices
+            # as they are, the indexes moved by offset.
+            for c in range(step - 2):
+                column = prev[(step - 2) * cut + c::step - 2]
+                if c % 2:
+                    column = map(ids.__getitem__, map(offset.__add__, column))
+                flat[at + 2 + c:end:step] = column
+            if t > 1:
+                # The R that start with a: one per (t - 2)-multiset with min >= a.
+                repeats = len(tables[-2]) - low
+                flat[at + 2:at + 2 + step * repeats:step] = [-1] * repeats
+        tables.append([*zip(*[iter(flat)] * step)])
     return tables
 
 
@@ -561,12 +595,19 @@ def _split_rows(idx, delta, starts, t: int):
     M' of size t >= 1: M' = (a,) + R, a the last vertex whose block start
     starts[t][a] is at or below m, and R at index r in the list one size
     down.  Removing any v of R leaves (a,) + (R minus v), at index
-    offset + i(R minus v) (see _removal_tables)."""
+    offset + i(R minus v) (see _removal_tables).  idx is ascending, so
+    the blocks are walked: a child in the block of the one before costs
+    one compare, and only one past its block's end bisects."""
     firsts, cuts, lows = starts[t], starts[t - 1], starts[max(t - 2, 0)]
+    last = len(firsts) - 1
+    end = -1
     for m, x in zip(idx, delta):
-        a = bisect_right(firsts, m) - 1
-        cut = cuts[a]
-        yield x, a, cut + m - firsts[a], cut - lows[a]
+        if m >= end:
+            a = bisect_right(firsts, m) - 1
+            cut = cuts[a]
+            base, offset = cut - firsts[a], cut - lows[a]
+            end = firsts[a + 1] if a < last else inf
+        yield x, a, base + m, offset
 
 
 def _nonzero_lanes(x: int, width: int):
@@ -659,8 +700,9 @@ def _grouped_pushes(changed, tails, closed_in):
     removed vertex v has u in N-[v].  changed holds (x, a, r, offset) per
     child M' = (a,) + R (see _split_rows): its parents are R, by removing
     a, and (a,) + (R minus v) for each other v of R, read off R's entry in
-    tails, the removal table one size down.  When a is in R, R's entry for
-    a is R again, so it is skipped.
+    tails, the removal table one size down.  Only the pairs of R's row
+    with v > a are read: when a is in R, R's entry for a is R again, and
+    the pairs marked -1 stand for repeats.
 
     The children are first grouped by parent, each group a flat
     [v, x, v, x, ...] list, and the groups are popped one parent at a
@@ -671,7 +713,7 @@ def _grouped_pushes(changed, tails, closed_in):
         groups[r].extend((a, x))
         pairs = iter(tails[r])
         for v, q in zip(pairs, pairs):
-            if v != a:
+            if v > a:
                 groups[offset + q].extend((v, x))
     while groups:
         p, group = groups.popitem()
@@ -721,21 +763,28 @@ def _settle_columns(copwin, robwin, ids, columns, full: int, width: int, idx, ma
     """Settle the robber side of the cop multisets ids, ascending, by byte
     columns, _COLUMN_CHUNK multisets at a time, and append to idx and
     masks the indexes of those that gained, ascending, and the bits each
-    gained.  The copwin and robwin masks of a chunk are laid out as _pack
-    lays a row, so byte c of every lane is the column raw[c::width // 8],
-    and each translate settles one (c, b) pair of the chunk in C: byte b
-    of robwin gains the vertices of byte b of full that no escape reaches
-    and no robber win holds.  Lanes wider than one word are read back only
-    where the OR of a chunk's gained bytes, one byte per lane, is
-    nonzero."""
+    gained.  The copwin and robwin masks of a chunk, two list slices when
+    its indexes are contiguous (every chunk of level 2, which settles
+    every multiset, is), are laid out as _pack lays a row, so byte c of
+    every lane is the column raw[c::width // 8], and each translate
+    settles one (c, b) pair of the chunk in C: byte b of robwin gains the
+    vertices of byte b of full that no escape reaches and no robber win
+    holds.  Lanes wider than one word are read back only where the OR of
+    a chunk's gained bytes, one byte per lane, is nonzero."""
     step = width // 8
     for lo in range(0, len(ids), _COLUMN_CHUNK):
-        # As a list, so that each index becomes an int once, not once per
-        # pass over the chunk.
-        chunk = list(ids[lo:lo + _COLUMN_CHUNK])
+        chunk = ids[lo:lo + _COLUMN_CHUNK]
         size = len(chunk)
-        raw = _lane_bytes([copwin[ci] for ci in chunk], width)
-        rob = _lane_bytes([robwin[ci] for ci in chunk], width)
+        first = chunk[0]
+        if chunk[-1] - first == size - 1:
+            # Contiguous indexes, as every chunk of level 2 is: two slices.
+            cops, robs = copwin[first:first + size], robwin[first:first + size]
+        else:
+            # As a list, so that each index becomes an int once, not once
+            # per pass over the chunk.
+            chunk = list(chunk)
+            cops, robs = [copwin[ci] for ci in chunk], [robwin[ci] for ci in chunk]
+        raw, rob = _lane_bytes(cops, width), _lane_bytes(robs, width)
         by_byte = [raw[c::step] for c in range(len(columns))]
         ones = int.from_bytes(b"\1" * size, "little")
         out = bytearray(len(raw))
@@ -813,13 +862,13 @@ def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> Solve
 
 def _levels(d, k, starts, bits, nbhd, copwin, robwin, log):
     """Build the sub-move tables, then run the attractor from level 2 to
-    its fixpoint, updating copwin and robwin in place and appending each
-    level's cop-side changes, packed as SolveResult's log entries, to log,
-    and yield, ascending, the cop multisets each level changed on the cop
-    side, the array of its entry.  The robber side's changes of a level
-    are pushed through the middle stages in the pass that makes them, and
-    only the push into stage k of the stage-(k - 1) delta they leave is
-    kept for the next pass.
+    its fixpoint, updating copwin and robwin in place.  Pass i settles the
+    robber side of level 2i + 2, pushes its changes through the middle
+    stages and lets stage k take that push as level 2i + 3; it appends
+    the cop side's changes, packed as SolveResult's log entry, to log,
+    and yields, ascending, the cop multisets it changed on the cop side,
+    the array of its entry.  Nothing of a pass is kept for the next but
+    the tables and the cop multisets it changed.
 
     A host without arcs reaches its fixpoint after one pass that settles
     nothing: every escape reaches only itself, so level 2's robber side
@@ -867,17 +916,17 @@ def _levels(d, k, starts, bits, nbhd, copwin, robwin, log):
     # Nothing below reads the set-up lists: free them for the whole run.
     del bits, nbhd
 
-    # Level 1 may have changed every cop multiset on the cop side, and won
-    # no robber-to-move position, so level 2 settles the robber side of
-    # every multiset and stage k has nothing to take.
-    cop_idx, into_block = range(len(copwin)), [0] * n
-    while cop_idx or any(into_block):
-        # Robber to move: (C, r) wins when no successor of r is outside
-        # copwin[C], i.e. r is outside the closed in-neighbourhood of every
-        # cop-side escape.  Only cop sets with new cop wins can change: a
-        # level that changed few settles them one at a time, by 8-bit
-        # lookups, and one that changed many by byte columns.  The gains,
-        # idx and delta, are the stage-0 delta the middle stages push below.
+    # Level 1 may have changed every cop multiset on the cop side, so the
+    # first pass settles the robber side of every multiset at level 2.
+    cop_idx = range(len(copwin))
+    while cop_idx:
+        # Robber to move, an even level L: (C, r) wins when no successor of
+        # r is outside copwin[C], i.e. r is outside the closed
+        # in-neighbourhood of every cop-side escape.  Only cop sets with new
+        # cop wins, at level L - 1, can change: a level that changed few
+        # settles them one at a time, by 8-bit lookups, and one that changed
+        # many by byte columns.  The gains, idx and delta, are the stage-0
+        # delta the middle stages push below.
         idx, delta = array("I"), []
         if len(cop_idx) < _COLUMNS_FROM:
             for ci in cop_idx:
@@ -893,10 +942,47 @@ def _levels(d, k, starts, bits, nbhd, copwin, robwin, log):
         else:
             columns = columns or _reach_columns(reach_tables, width)
             _settle_columns(copwin, robwin, cop_idx, columns, full, width, idx, delta)
-        # Cops to move: block u takes into_block[u], the push of the
-        # stage-(k - 1) delta that the level before left (see below).  The
-        # lanes the blocks gained are the cop multisets the level changed,
-        # ascending since the blocks are.
+        # Then these robber wins go back through the middle stages at once,
+        # one sub-move stage at a time.  A changed row of stage j - 1
+        # reaches row M' - v of stage j, for each distinct v in M', with u
+        # in N-[v] prepended to every lane; its delta is what the push
+        # added, found by comparing the stage with its copy from before.
+        for j in range(1, k):
+            if not idx:
+                break
+            stage = rows[j]
+            snap = stage[:]
+            tails = removals[k - j]
+            changed = _split_rows(idx, delta, starts, k - j + 1)
+            if j == 1 and fold:
+                for x, a, r, offset in changed:
+                    stage[r] |= x * fold[a]
+                    pairs = iter(tails[r])
+                    for v, q in zip(pairs, pairs):
+                        if v > a:
+                            stage[offset + q] |= x * fold[v]
+            else:
+                cut_at, put_at = starts[j - 1], starts[j]
+                for p, pushed in _grouped_pushes(changed, tails, closed_in):
+                    row = stage[p]
+                    for u, x in pushed.items():
+                        row |= x >> width * cut_at[u] << width * put_at[u]
+                    stage[p] = row
+            idx = list(compress(count(), map(ne, stage, snap)))
+            delta = [stage[p] ^ snap[p] for p in idx]
+        # Cops to move, level L + 1: stage k has one parent, M = (), whose
+        # children are the changed rows of the (v,), at index v.  Each is
+        # ORed into into_block[u] for the u in N-[v], so block u takes the
+        # OR of the rows of the v in N+[u] with one shift.  The lanes the
+        # blocks gained are the cop multisets the level changed, ascending
+        # since the blocks are.
+        into_block = [0] * n
+        for v, x in zip(idx, delta):
+            for u in closed_in[v]:
+                into_block[u] |= x
+        # Nothing below reads the stage copy, pushes or deltas: free them
+        # before stage k's read.
+        snap = pushed = idx = delta = x = None
         cop_idx, cop_masks, cop_chunks = [], [], []
         for u in compress(range(n), into_block):
             old = block[u]
@@ -910,46 +996,9 @@ def _levels(d, k, starts, bits, nbhd, copwin, robwin, log):
                     cop_idx, cop_masks = [], []
         log.append(_log_entry(cop_chunks, cop_idx, cop_masks, width))
         cop_idx = log[-1][0]
-        # Then this level's robber wins go back through the middle stages
-        # at once, one sub-move stage at a time.  A changed row of stage
-        # j - 1 reaches row M' - v of stage j, for each distinct v in M',
-        # with u in N-[v] prepended to every lane; its delta is what the
-        # push added, found by comparing the stage with its copy from
-        # before.
-        for j in range(1, k):
-            if not idx:
-                break
-            stage = rows[j]
-            snap = stage[:]
-            tails = removals[k - j]
-            changed = _split_rows(idx, delta, starts, k - j + 1)
-            if j == 1 and fold:
-                for x, a, r, offset in changed:
-                    stage[r] |= x * fold[a]
-                    pairs = iter(tails[r])
-                    for v, q in zip(pairs, pairs):
-                        if v != a:
-                            stage[offset + q] |= x * fold[v]
-            else:
-                cut_at, put_at = starts[j - 1], starts[j]
-                for p, pushed in _grouped_pushes(changed, tails, closed_in):
-                    row = stage[p]
-                    for u, x in pushed.items():
-                        row |= x >> width * cut_at[u] << width * put_at[u]
-                    stage[p] = row
-            idx = list(compress(count(), map(ne, stage, snap)))
-            delta = [stage[p] ^ snap[p] for p in idx]
-        # Stage k has one parent, M = (), whose children are the changed
-        # rows of the (v,), at index v: each is ORed into into_block[u] for
-        # the u in N-[v], so block u takes, at the next level, the OR of
-        # the rows of the v in N+[u] with one shift.
-        into_block = [0] * n
-        for v, x in zip(idx, delta):
-            for u in closed_in[v]:
-                into_block[u] |= x
-        # The suspended generator keeps the tables, the log and into_block,
-        # not the copies, pushes, deltas and pending gains of the level.
-        snap = pushed = idx = delta = x = old = cop_masks = cop_chunks = None
+        # The suspended generator keeps the tables and the log, not the
+        # push into stage k and the pending gains of the pass.
+        into_block = old = cop_masks = cop_chunks = None
         yield cop_idx
 
 

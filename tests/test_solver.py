@@ -9,7 +9,8 @@ import sys
 import time
 import weakref
 from array import array
-from itertools import combinations_with_replacement
+from bisect import bisect_right
+from itertools import combinations_with_replacement, count
 
 import pytest
 from hypothesis import given, settings
@@ -258,7 +259,7 @@ class TestRanks:
 
     def test_early_stop_level_is_the_capture_time(self):
         # solve stops at the first level that fills a placement's mask, and
-        # the log holds one entry per level from 2 on, so the stop level,
+        # the log holds one entry per odd level from 3 on, so the stop level,
         # read before any query finishes the table, is the capture time:
         # the least, over the winning placements, of the worst robber
         # start's cop-to-move rank.  Level 1 always runs, so a placement on
@@ -273,7 +274,7 @@ class TestRanks:
         stops = []
         for d, k in games:
             result = solve(d, k)
-            stop = len(result._log) + 1
+            stop = 2 * len(result._log) + 1
             wins = list(result.winning_placements())
             if wins:
                 worst = [max(result.rank(GamePosition(p, r, COPS)) for r in range(d.n))
@@ -311,7 +312,7 @@ class TestRanks:
 
     def test_missing_step_raises(self, monkeypatch):
         # With an empty level put before the log every logged level reads
-        # one too high, so a cop-to-move position of rank 3 reads 4, while
+        # two too high, so a cop-to-move position of rank 3 reads 5, while
         # its robber-to-move successors of rank 2, whose successors all lie
         # in N+[C] and need no log, still read 2: none is one rank below.
         # play_trace's robber starts deeper and comes down to such a
@@ -497,9 +498,10 @@ class TestFrozenTables:
 
 def logged_gains(result):
     """result's log, the cop side's, as lists, the one reader of the packed
-    log in these tests: one (idx, masks) pair of lists per level from 2
-    on, the masks read back from the entry's lanes, len(lanes) // len(idx)
-    bytes each, one lane width for the whole log."""
+    log in these tests: one (idx, masks) pair of lists per entry, entry i
+    of level 2i + 3, the masks read back from the entry's lanes,
+    len(lanes) // len(idx) bytes each, one lane width for the whole log.
+    The cop side gains nothing at even levels, which are not logged."""
     decoded, widths = [], set()
     for idx, lanes in result._log:
         width = 8 * len(lanes) // len(idx) if idx else 8
@@ -511,13 +513,14 @@ def logged_gains(result):
 
 
 def decoded_log(result):
-    """Per side, one (idx, masks) pair of lists per level from 2 on: the
-    cop side's as logged (logged_gains), and the robber side's, which the
-    solver does not log, derived from it.  At level L, C gains the r whose
-    closed out-neighbourhood lies in copwin[C] as of L - 1, and only the
-    cop multisets the cop side changed at L - 1 can gain: every one at
-    L = 2, since level 1 sets copwin[C] to N+[C] and robwin[C] to
-    bits(C)."""
+    """Per side, one (idx, masks) pair of lists per log entry i: the cop
+    side's at level 2i + 3, as logged (logged_gains), and the robber
+    side's at level 2i + 2, which the solver does not log, derived from
+    it; the robber side gains nothing at odd levels.  At level L, C gains
+    the r whose closed out-neighbourhood lies in copwin[C] as of L - 1,
+    and only the cop multisets the cop side changed at L - 1 can gain:
+    every one at L = 2, since level 1 sets copwin[C] to N+[C] and
+    robwin[C] to bits(C)."""
     d, cops = result._d, logged_gains(result)
     closed_out = [1 << v | sum(1 << w for w in d.out_adj[v]) for v in range(d.n)]
     copwin, robwin = [], []
@@ -560,7 +563,9 @@ def rank_planes(result):
     holds its level-1 wins, N+[C] minus bits(C), and the robber side had
     none until level 2 ran."""
     d, copwin, logs = result._d, result._wins[0], decoded_log(result)
-    last = 1 + len(logs[0])
+    # The last level run was 2 * len(log) + 1, or one below it when that
+    # pass's cop side gained nothing: one bit length either way.
+    last = 2 * len(logs[0]) + 1
     planes = tuple(
         [[0] * len(copwin) for _ in range(last.bit_length() if log or side == 0 else 0)]
         for side, log in enumerate(logs)
@@ -570,7 +575,7 @@ def rank_planes(result):
         nbhd = bits.union(*(d.out_adj[c] for c in cops))
         planes[0][0][ci] = sum(1 << v for v in nbhd - bits)
     for side, log in enumerate(logs):
-        for level, (idx, masks) in enumerate(log, 2):
+        for level, (idx, masks) in zip(count(3 - side, 2), log):
             for t in range(level.bit_length()):
                 if level >> t & 1:
                     for ci, mask in zip(idx, masks):
@@ -589,10 +594,11 @@ def table_digest(result):
 
 def level_yields(d, k):
     """The finished SolveResult of (d, k), the lists _levels yielded, one
-    per level from 2 on, whether solve or _complete ran the level, and the
-    changes each level made, in the log's layout: per side, one (idx,
-    masks) pair per level, read off copies of copwin and robwin taken
-    between the yields."""
+    per pass, whether solve or _complete ran the pass, and the changes
+    each pass made, in the log's layout: per side, one (idx, masks) pair
+    per pass, read off copies of copwin and robwin taken between the
+    yields.  Pass i settles the robber side of level 2i + 2 and the cop
+    side of level 2i + 3."""
     yields, changes = [], ([], [])
     levels = solver._levels
 
@@ -614,10 +620,11 @@ def level_yields(d, k):
 
 
 class TestLevelYields:
-    """cop_number's early stop reads _levels' yields: at each level L >= 2,
-    the cop multisets that gained a cop-to-move win at L, ascending.  The
-    log that rank reads holds, per level, the same multisets and the bits
-    each gained, and the robber side's gains follow from it (decoded_log)."""
+    """cop_number's early stop reads _levels' yields: at each odd level
+    L >= 3, the cop multisets that gained a cop-to-move win at L,
+    ascending.  The log that rank reads holds, per odd level, the same
+    multisets and the bits each gained, and the robber side's gains follow
+    from it (decoded_log)."""
 
     def check(self, d, k):
         result, yields, changes = level_yields(d, k)
@@ -1001,6 +1008,23 @@ class TestBlockStarts:
                     if not rest or rest[0] >= a:
                         assert offset + q == index[(a,) + rest]
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 4), st.data())
+    def test_split_rows_on_sparse_indexes(self, n, t, data):
+        # The block walk against a bisect per child, on ascending indexes
+        # that start anywhere in a block and may skip whole blocks; every
+        # third index from 1 skips the one-row blocks at the top.
+        starts = _block_starts(n, t)
+        firsts, cuts, lows = starts[t], starts[t - 1], starts[max(t - 2, 0)]
+        size = len(list(combinations_with_replacement(range(n), t)))
+        drawn = sorted(data.draw(st.sets(st.integers(0, size - 1))))
+        for idx in (drawn, range(1, size, 3)):
+            want = []
+            for m in idx:
+                a = bisect_right(firsts, m) - 1
+                want.append((-m, a, cuts[a] + m - firsts[a], cuts[a] - lows[a]))
+            assert list(_split_rows(idx, [-m for m in idx], starts, t)) == want
+
 
 def removal_oracle(n, t):
     """{M': [(v, i(M' minus one v)) for the distinct v of M', ascending]}
@@ -1013,8 +1037,10 @@ def removal_oracle(n, t):
 
 
 def pairs_of(row):
+    """The (v, index) pairs of a removal-table row, without the pairs
+    marked v = -1."""
     it = iter(row)
-    return list(zip(it, it))
+    return [(v, q) for v, q in zip(it, it) if v >= 0]
 
 
 class TestRemovalTables:
@@ -1030,18 +1056,33 @@ class TestRemovalTables:
             assert [pairs_of(row) for row in tables[t]] == list(oracle.values())
 
     @pytest.mark.parametrize("n", range(1, 9))
+    def test_rows_have_fixed_width(self, n):
+        # Every row of size t holds t pairs: one per distinct v of M', in
+        # the oracle's order, and t - |set(M')| marked v = -1.
+        tables = _removal_tables(_block_starts(n, 5), 5)
+        for t in range(1, 5):
+            oracle = removal_oracle(n, t)
+            for row, (m, pairs) in zip(tables[t], oracle.items(), strict=True):
+                assert len(row) == 2 * t
+                it = iter(row)
+                row_pairs = list(zip(it, it))
+                assert [v for v, _ in row_pairs].count(-1) == t - len(set(m))
+                assert [(v, q) for v, q in row_pairs if v != -1] == pairs
+
+    @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("t", range(1, 5))
     def test_derived_top_rows_match_the_oracle(self, n, t):
         # The push derives the rows of the top size t from the table one
-        # size down: (a, r), then R's row without a, moved by offset.
+        # size down: (a, r), then the pairs of R's row with v > a, which
+        # skips both a and the marked pairs, moved by offset.
         starts = _block_starts(n, t)
         tails = _removal_tables(starts, t)[t - 1]
         oracle = list(removal_oracle(n, t).values())
         top = range(len(oracle))
-        derived = [
-            [(a, r)] + [(v, offset + q) for v, q in pairs_of(tails[r]) if v != a]
-            for _, a, r, offset in _split_rows(top, top, starts, t)
-        ]
+        derived = []
+        for _, a, r, offset in _split_rows(top, top, starts, t):
+            it = iter(tails[r])
+            derived.append([(a, r)] + [(v, offset + q) for v, q in zip(it, it) if v > a])
         assert derived == oracle
 
 
