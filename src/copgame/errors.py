@@ -11,9 +11,9 @@ class InputError(ValueError):
 
 
 class StateBudgetExceeded(RuntimeError):
-    """A game would need more positions (or sub-move states and arcs) than
-    the configured budget allows, or a played trace more rounds than its
-    limit."""
+    """A game would need more positions (or sub-move states, sub-move arcs
+    or removal-table pairs) than the configured budget allows, or a played
+    trace more rounds than its limit."""
 
 
 def _as_int(value, what: str) -> int:

@@ -121,19 +121,19 @@ pass, entry i for level 2i + 3, kept packed; the even levels, where
 the cop side gains nothing, have none.  An entry is an unsigned int
 array ('I') of the cop multisets the level changed on the cop side,
 ascending, and one bytes of the bits each gained, W/8 bytes per index
-in _pack's little-endian lane layout.  A level collects its gains in
-lists and packs them every _LANES_PENDING lanes and at its end
-(_log_chunk, _log_entry).  The one level that gained nothing, the last
-of a finished table, has the shared empty entry _NO_GAINS.  The robber
-side needs no log: by backward induction a robber-to-move win falls one
-level after its last cop-to-move successor, so its rank follows from
-the cop side's.  The rank of a won position is 0 when the robber stands
-on a cop.  Else, with the cops to move, it is 1 in N+[C] and otherwise
-the level of the first entry that holds the robber's bit, found by one
-bisection per entry; with the robber on r to
-move, it is 1 + the largest cop-to-move rank over r and its
-out-neighbours, those in N+[C] counting 1 or 0 with no walk, the rest
-found by one walk of the log that stops once each is found.
+in _pack's little-endian lane layout.  A level writes each changed
+block's gains straight into one array and one bytearray (_settle_lanes),
+and its entry is their copy, exact in size; the one level that gained
+nothing, the last of a finished table, has an empty array and b"".  The
+robber side needs no log: by backward induction a robber-to-move win
+falls one level after its last cop-to-move successor, so its rank
+follows from the cop side's.  The rank of a won position is 0 when the
+robber stands on a cop.  Else, with the cops to move, it is 1 in N+[C]
+and otherwise the level of the first entry that holds the robber's bit,
+found by one bisection per entry; with the robber on r to move, it is
+1 + the largest cop-to-move rank over r and its out-neighbours, those in
+N+[C] counting 1 or 0 with no walk, the rest found by one walk of the
+log that stops once each is found.
 
 The robber side reads (C, r) won once r is in the closed
 in-neighbourhood N-[w] of no escape w, a vertex outside copwin[C], and
@@ -169,9 +169,9 @@ placement already has N+[C] = V, it runs the passes from level 2 on
 whose changed cop multisets include one with a full copwin mask.  Masks
 only grow, so that mask stays full.  The remaining passes are left in a
 suspended generator, which holds the tables, the sub-move stages and
-the log, but neither the stage copies, deltas, pushes and pending gains
-of the pass it ran (it drops them before each yield) nor any reference
-to the SolveResult, so a dropped result is freed at once.
+the log, but neither the stage copies, deltas, pushes and collected
+gains of the pass it ran (it drops them before each yield) nor any
+reference to the SolveResult, so a dropped result is freed at once.
 The queries that need the whole table (win, rank, best_move,
 placement_wins, winning_placements and play_trace's placement scan) run
 those levels first and then drop the generator.  cop_number only asks
@@ -179,14 +179,17 @@ whether some placement's mask is full, which never needs them, and the
 first winning placement (_first_winning_placement, which copgame solve
 prints) needs them only when vertex 0 does not reach every vertex.
 
-The state budget bounds three counts, each a closed form computed before
+The state budget bounds four counts, each a closed form computed before
 anything is allocated: positions, 2n multisets(n, k); sub-move states,
-multisets(2n, k); and the sub-move arcs the pushes can follow, the sum
-over u of (1 + outdeg(u)) multisets(2n - u, k - 1) (_table_sizes).  None
-loops over the stages, so a request for any k is sized, and refused if
-too large, before any work.  No table of arcs is built: the pushes follow
-them as shifts, so nothing of the third count's size is allocated.  A
-budget below 1 is refused with InputError.
+multisets(2n, k); the sub-move arcs the pushes can follow, the sum over
+u of (1 + outdeg(u)) multisets(2n - u, k - 1); and the pairs of the
+removal tables, n multisets(n + 2, k - 2) for k >= 2 (_table_sizes).
+None loops over the stages, so a request for any k is sized, and refused
+if too large, before any work.  No table of arcs is built: the pushes
+follow them as shifts, so nothing of the third count's size is
+allocated.  The fourth is the one that grows with k on a tiny host: on
+one vertex the other three stay at most k + 1, while the tables hold
+k(k - 1)/2 pairs.  A budget below 1 is refused with InputError.
 """
 
 from __future__ import annotations
@@ -210,10 +213,6 @@ DEFAULT_STATE_BUDGET = 50_000_000
 _LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 # bytes.translate table mapping each nonzero byte to 1.
 _NONZERO = bytes([0] + [1] * 255)
-# The log entry of a level that gained nothing, shared: 674 of the 4,556
-# entries of the default verify run's solves are empty, the last of each
-# table run to its fixpoint.
-_NO_GAINS = (array("I"), b"")
 
 # A level settles the robber side by byte columns (_settle_columns) once
 # the level before changed at least this many cop multisets, and one
@@ -231,18 +230,6 @@ _COLUMNS_FROM = 64
 # cop_number(clique_substitute_all(plane(2)), 3) took 57 to 58 ms in
 # chunks of 512, 55 ms in chunks of 2,048, and no less in larger ones.
 _COLUMN_CHUNK = 2048
-# A level holds its cop-side gains as lists and packs them into its log
-# entry every _LANES_PENDING lanes and at its end.  Packing after every
-# changed block made the default verify run's 2,687 solves 8 % slower (317
-# against 293 ms).  Peak RSS to the end at k = 3, fresh process each, of
-# clique_substitute_all(plane(3)) and subdivide_arcs(plane(2), 3): 104.4
-# and 115.8-116.7 MB at 1,024 lanes, 104.5-105.5 and 115.9-116.0 MB at
-# 4,096, 107.8 and 118.4 MB at 16,384, and 126.8 and 130.0 MB packing only
-# at the level's end (122.6 and 183.8 MB with a list of ints per level).
-# No value changed their times, nor that of cli's early-stopped
-# clique_substitute_all(plane(2)) game, whose levels gain 6,244 to 11,032
-# lanes; no level of verify's solves gains more than 700.
-_LANES_PENDING = 4096
 
 COPS = "cops"
 ROBBER = "robber"
@@ -307,10 +294,10 @@ class SolveResult:
     L = 2i + 3 with the cops to move: idx an unsigned int array of the
     indexes i, ascending, that gained robber vertices at L, and lanes one
     bytes of the bits each gained, W/8 little-endian bytes per index for
-    the lane width W (see _lane_width).  Every empty pair is the one
-    shared _NO_GAINS.  Cop-to-move ranks are 0 or odd, so the even levels
-    need no entry.  The robber side keeps no log: rank reads its ranks off the
-    cop side's, with closed_out[v], the mask of N+[v].
+    the lane width W (see _lane_width).  A level that gained nothing has
+    an empty array and b"".  Cop-to-move ranks are 0 or odd, so the even
+    levels need no entry.  The robber side keeps no log: rank reads its
+    ranks off the cop side's, with closed_out[v], the mask of N+[v].
 
     solve may hand over the tables before the attractor's fixpoint, with
     levels, the suspended level generator, still to run; every query that
@@ -469,9 +456,9 @@ def _multisets(n: int, t: int) -> int:
 
 
 def _table_sizes(d: Digraph, k: int):
-    """(positions, sub-move states, sub-move arcs) of the k-cop game on d,
-    each in closed form: no loop over the stages, so any k is sized with
-    n + 2 binomials."""
+    """(positions, sub-move states, sub-move arcs, removal-table pairs) of
+    the k-cop game on d, each in closed form: no loop over the stages, so
+    any k is sized with n + 3 binomials."""
     n = d.n
     positions = _multisets(n, k) * n * 2
     # Stage j holds multisets(n, k - j) * multisets(n, j) states, (M, U)
@@ -483,13 +470,17 @@ def _table_sizes(d: Digraph, k: int):
     # with t = k for the states and t = k - 1 for the arcs.
     states = _multisets(2 * n, k)
     arcs = sum((1 + d.out_degree(u)) * _multisets(2 * n - u, k - 1) for u in range(n))
-    return positions, states, arcs
+    # _removal_tables holds t pairs per t-multiset for t < k.  Since
+    # t * multisets(n, t) = n * multisets(n + 1, t - 1), the hockey-stick
+    # identity sums them to n * multisets(n + 2, k - 2).
+    pairs = n * _multisets(n + 2, k - 2) if k > 1 else 0
+    return positions, states, arcs, pairs
 
 
 def _check_budget(d: Digraph, k: int, state_budget: int) -> None:
     state_budget = _at_least(state_budget, 1, "state budget")
     stems = ("{} positions exceed", "{} sub-move states exceed",
-             "cop move table of {} sub-move arcs exceeds")
+             "cop move table of {} sub-move arcs exceeds", "{} removal-table pairs exceed")
     for size, stem in zip(_table_sizes(d, k), stems):
         if size > state_budget:
             raise StateBudgetExceeded(
@@ -649,49 +640,27 @@ def _pack(masks, width: int) -> int:
     return int.from_bytes(_lane_bytes(masks, width), "little")
 
 
-def _log_chunk(idx, masks, width: int):
-    """The gains idx and masks, lists of cop multiset indexes and the masks
-    they gained, packed: idx as an unsigned int array, the masks as
-    _lane_bytes lays them."""
-    return array("I", idx), _lane_bytes(masks, width)
-
-
-def _log_entry(chunks, idx, masks, width: int):
-    """The log entry of one level: the chunks the level packed, in order
-    (see _log_chunk), then the gains idx and masks still pending, joined
-    into one index array, exact in size, and one bytes; or _NO_GAINS when
-    the level gained nothing."""
-    if not chunks:
-        return _log_chunk(idx, masks, width) if idx else _NO_GAINS
-    if idx:
-        chunks.append(_log_chunk(idx, masks, width))
-    if len(chunks) == 1:
-        return chunks[0]
-    joined = array("I")
-    for part, _ in chunks:
-        joined += part
-    return joined[:], b"".join([lanes for _, lanes in chunks])
-
-
-def _settle_lanes(wins, idx, masks, put: int, old: int, new: int, width: int, num_lanes: int):
+def _settle_lanes(wins, idx, lanes, put: int, old: int, new: int, width: int, num_lanes: int):
     """Write the packed row new, num_lanes lanes, into wins[put:], where
-    the lanes of old stood, new holding old's bits and more, and append
-    to the lists idx and masks the indexes put + i and the masks of the
-    lanes i that gained bits, ascending.  While lanes fit one word, struct
+    the lanes of old stood, new holding old's bits and more, then extend
+    the array idx with the indexes put + i of the lanes i that gained
+    bits, ascending, and the bytearray lanes with the bits each gained,
+    laid out as _lane_bytes lays them.  While lanes fit one word, struct
     reads every lane of both rows in the little-endian format _pack
     writes; wider lanes read only the changed ones, by _nonzero_lanes."""
     if width <= 64:
-        fmt = f"<{num_lanes}{_LANE_FORMATS[width]}"
-        size = num_lanes * width // 8
+        code = _LANE_FORMATS[width]
+        fmt, size = f"<{num_lanes}{code}", num_lanes * width // 8
         wins[put:put + num_lanes] = struct.unpack(fmt, new.to_bytes(size, "little"))
         gained = struct.unpack(fmt, (new ^ old).to_bytes(size, "little"))
-        idx += compress(range(put, put + num_lanes), gained)
-        masks += filter(None, gained)
+        before = len(idx)
+        idx.extend(compress(range(put, put + num_lanes), gained))
+        lanes += struct.pack(f"<{len(idx) - before}{code}", *filter(None, gained))
         return
     for i, mask in _nonzero_lanes(new ^ old, width):
         wins[put + i] |= mask
         idx.append(put + i)
-        masks.append(mask)
+        lanes += mask.to_bytes(width // 8, "little")
 
 
 def _grouped_pushes(changed, tails, closed_in):
@@ -827,10 +796,11 @@ def solve(d: Digraph, k: int, state_budget: int = DEFAULT_STATE_BUDGET) -> Solve
     """Classify every position of the k-cop game on d.
 
     Raises StateBudgetExceeded before allocating anything when the
-    positions, the sub-move states or the sub-move arcs would not fit the
-    budget.  The attractor runs up to the first level at which some
-    placement beats every robber reply; the result runs the remaining
-    levels under the first query that needs the whole table.
+    positions, the sub-move states, the sub-move arcs or the removal-table
+    pairs would not fit the budget.  The attractor runs up to the first
+    level at which some placement beats every robber reply; the result
+    runs the remaining levels under the first query that needs the whole
+    table.
     """
     k = _at_least(k, 1, "cop count")
     _check_budget(d, k, state_budget)
@@ -864,11 +834,13 @@ def _levels(d, k, starts, bits, nbhd, copwin, robwin, log):
     """Build the sub-move tables, then run the attractor from level 2 to
     its fixpoint, updating copwin and robwin in place.  Pass i settles the
     robber side of level 2i + 2, pushes its changes through the middle
-    stages and lets stage k take that push as level 2i + 3; it appends
-    the cop side's changes, packed as SolveResult's log entry, to log,
-    and yields, ascending, the cop multisets it changed on the cop side,
-    the array of its entry.  Nothing of a pass is kept for the next but
-    the tables and the cop multisets it changed.
+    stages and lets stage k take that push as level 2i + 3.  Stage k's
+    blocks write the cop side's changes straight into one index array
+    and one bytearray of lanes (_settle_lanes); the pass appends their
+    exact copies to log as SolveResult's entry, and yields, ascending, the
+    cop multisets it changed on the cop side, the array of its entry.
+    Nothing of a pass is kept for the next but the tables and the cop
+    multisets it changed.
 
     A host without arcs reaches its fixpoint after one pass that settles
     nothing: every escape reaches only itself, so level 2's robber side
@@ -983,22 +955,20 @@ def _levels(d, k, starts, bits, nbhd, copwin, robwin, log):
         # Nothing below reads the stage copy, pushes or deltas: free them
         # before stage k's read.
         snap = pushed = idx = delta = x = None
-        cop_idx, cop_masks, cop_chunks = [], [], []
+        cop_idx, lanes = array("I"), bytearray()
         for u in compress(range(n), into_block):
             old = block[u]
             new = old | into_block[u] >> width * cuts[u]
             if new != old:
                 block[u] = new
-                _settle_lanes(copwin, cop_idx, cop_masks, puts[u], old, new, width,
-                              block_sizes[u])
-                if len(cop_idx) >= _LANES_PENDING:
-                    cop_chunks.append(_log_chunk(cop_idx, cop_masks, width))
-                    cop_idx, cop_masks = [], []
-        log.append(_log_entry(cop_chunks, cop_idx, cop_masks, width))
+                _settle_lanes(copwin, cop_idx, lanes, puts[u], old, new, width, block_sizes[u])
+        # The entry holds the gains exact in size: the array's spare room
+        # and the bytearray are dropped with the pass.
+        log.append((cop_idx[:], bytes(lanes)))
         cop_idx = log[-1][0]
         # The suspended generator keeps the tables and the log, not the
-        # push into stage k and the pending gains of the pass.
-        into_block = old = cop_masks = cop_chunks = None
+        # push into stage k and the gains the pass collected.
+        into_block = old = lanes = None
         yield cop_idx
 
 

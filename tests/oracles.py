@@ -112,14 +112,16 @@ def minimax_cop_number(d, k_max):
 
 
 def table_sizes(d, k):
-    """(positions, sub-move states, sub-move arcs) of the k-cop game on d,
-    summed one sub-move stage at a time.
+    """(positions, sub-move states, sub-move arcs, removal-table pairs) of
+    the k-cop game on d, summed one sub-move stage, or one multiset size,
+    at a time.
 
     Stage j, 0 <= j <= k, holds the states (M, U) with |M| = k - j moved
     and |U| = j unmoved cops.  A stage-j state with j >= 1 moves its
     smallest unmoved cop u along 1 + outdeg(u) arcs, and the unmoved
     j-multisets with smallest vertex u are the (j - 1)-multisets over the
-    vertices u .. n - 1 with u prepended.
+    vertices u .. n - 1 with u prepended.  The removal tables hold, for
+    each size t below k, one row of t pairs per t-multiset.
     """
     n = d.n
 
@@ -133,7 +135,8 @@ def table_sizes(d, k):
         * sum((1 + d.out_degree(u)) * multisets(n - u, j - 1) for u in range(n))
         for j in range(1, k + 1)
     )
-    return positions, states, arcs
+    pairs = sum(t * multisets(n, t) for t in range(1, k))
+    return positions, states, arcs, pairs
 
 
 def girth_by_enumeration(d):

@@ -40,6 +40,7 @@ from copgame.harness import NAMED_INSTANCES, _claim
 from copgame.solver import (
     _block_starts,
     _grouped_pushes,
+    _lane_bytes,
     _lane_width,
     _multiset_index,
     _nonzero_lanes,
@@ -319,7 +320,7 @@ class TestRanks:
         # position.
         result = solve(C4, 2)
         pos = next(p for p in result.positions() if p.to_move == COPS and result.rank(p) == 3)
-        result._log.insert(0, solver._NO_GAINS)
+        result._log.insert(0, (array("I"), b""))
         with pytest.raises(RuntimeError, match="no successor of key"):
             result.best_move(pos)
         monkeypatch.setattr(solver, "solve", lambda *args: result)
@@ -710,18 +711,24 @@ class TestLevelYields:
 
 
 def packed_log_games(width):
-    """The lane-class games whose lanes are width bits wide, and for
-    lanes of four words a one-cop game on 200 vertices."""
+    """The lane-class games whose lanes are width bits wide; for lanes of
+    32 and 64 bits a game whose levels gain thousands of lanes each (the
+    order-3 plane at k = 4, up to 20,904, and the substituted order-2
+    plane at k = 3, up to 12,698); and for lanes of four words a one-cop
+    game on 200 vertices."""
     games = [(d, k) for d, k, _ in lane_class_games() if _lane_width(d.n) == width]
-    if width == 256:
-        games.append((gen_random_digraph(200, 0.015, 5), 1))
+    plane = gen_projective_plane_incidence_doubled
+    large = {32: (plane(3), 4), 64: (clique_substitute_all(plane(2)), 3),
+             256: (gen_random_digraph(200, 0.015, 5), 1)}
+    if width in large:
+        games.append(large[width])
     return games
 
 
 class TestPackedLog:
     """Each log entry is an ascending unsigned int array of cop multiset
     indexes and one bytes of W/8 little-endian bytes per index, the bits
-    that multiset gained; every empty entry is the one shared _NO_GAINS."""
+    that multiset gained; an empty entry is an empty array and b""."""
 
     @pytest.mark.parametrize("width", [8, 16, 32, 64, 128, 192, 256])
     def test_layout_in_every_lane_class(self, width):
@@ -729,41 +736,30 @@ class TestPackedLog:
         assert games
         for d, k in games:
             result, _, changes = level_yields(d, k)
-            for entry in result._log:
-                idx, lanes = entry
-                if not idx:
-                    assert entry is solver._NO_GAINS
-                    continue
+            for idx, lanes in result._log:
                 assert idx.typecode == "I"
                 assert list(idx) == sorted(set(idx))
                 assert type(lanes) is bytes and len(lanes) == len(idx) * width // 8
                 assert 0 not in unpacked(lanes, width)
+            # The table is finished: the last level, and only it, gained nothing.
+            assert result._log[-1] == (array("I"), b"")
+            assert all(idx for idx, _ in result._log[:-1])
             assert decoded_log(result) == changes
-
-    def test_pending_gains_packed_in_order(self, monkeypatch):
-        # A level packs its cop-side gains every _LANES_PENDING lanes and
-        # at its end: any batch gives the same entries, joined exactly.
-        d = gen_projective_plane_incidence_doubled(2)
-        want = solve(d, 3)
-        want._complete()
-        for pending in (1, 7):
-            monkeypatch.setattr(solver, "_LANES_PENDING", pending)
-            got = solve(d, 3)
-            got._complete()
-            assert got._log == want._log
+        if width in (32, 64):
+            # The last game has levels of thousands of gained lanes.
+            assert max(len(idx) for idx, _ in result._log) > 4096
 
     def test_early_stopped_log_size(self):
         # The log cli's substituted order-2 plane game keeps at its early
         # stop: the index bytes and W/8 bytes per entry, plus a fixed
-        # amount per level for the entry objects, counted once when shared.
+        # amount per level for the entry objects, so no spare room.
         d = clique_substitute_all(gen_projective_plane_incidence_doubled(2))
         result = solve(d, 3)
         assert result._levels is not None
         width = _lane_width(d.n)
-        entries = {id(entry): entry for entry in result._log}.values()
         used = sum(sys.getsizeof(entry) + sys.getsizeof(idx) + sys.getsizeof(lanes)
-                   for entry in entries for idx, lanes in [entry])
-        data = sum(len(idx) * (idx.itemsize + width // 8) for idx, _ in entries)
+                   for entry in result._log for idx, lanes in [entry])
+        data = sum(len(idx) * (idx.itemsize + width // 8) for idx, _ in result._log)
         levels = len(result._log)
         assert data > 100_000
         assert used <= data + 2 * 256 * levels
@@ -830,11 +826,13 @@ class TestLanes:
             assert _nonzero_lanes(x, width) == expected
             put = data.draw(st.integers(0, 3))
             wins = [-1] * put + old + [-2]
-            idx, masks = [-3], [-4]
-            _settle_lanes(wins, idx, masks, put, packed(old, width), packed(new, width),
+            # The gains are appended after what the array and bytearray hold.
+            idx, lanes = array("I", [7]), bytearray(b"ab")
+            _settle_lanes(wins, idx, lanes, put, packed(old, width), packed(new, width),
                           width, len(old))
             assert wins == [-1] * put + new + [-2]
-            assert list(zip(idx, masks)) == [(-3, -4)] + [(put + i, m) for i, m in expected]
+            assert list(idx) == [7] + [put + i for i, _ in expected]
+            assert lanes == b"ab" + _lane_bytes([m for _, m in expected], width)
 
     @pytest.mark.parametrize("width", [8, 16, 32, 64, 128, 256])
     @settings(max_examples=20, deadline=None)
@@ -847,10 +845,12 @@ class TestLanes:
         masks = data.draw(st.lists(lane, min_size=1, max_size=40))
         row = _pack(masks, width)
         assert row == packed(masks, width)
-        wins, idx, gained = [0] * (len(masks) + 1), [], []
-        _settle_lanes(wins, idx, gained, 1, 0, row, width, len(masks))
+        wins, idx, lanes = [0] * (len(masks) + 1), array("I"), bytearray()
+        _settle_lanes(wins, idx, lanes, 1, 0, row, width, len(masks))
         assert wins == [0] + masks
-        assert list(zip(idx, gained)) == [(1 + i, m) for i, m in enumerate(masks) if m]
+        assert list(idx) == [1 + i for i, m in enumerate(masks) if m]
+        assert lanes == _lane_bytes([m for m in masks if m], width)
+        assert unpacked(lanes, width) == [m for m in masks if m]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 3), st.integers(0, 2),
@@ -1374,6 +1374,26 @@ class TestBudget:
             games += [(d, k_max), (d, k_max + 1)]
         for d, k in games:
             assert solver._table_sizes(d, k) == oracles.table_sizes(d, k), (d, k)
+
+    def test_removal_tables_sized_before_work(self):
+        # On one vertex the positions, sub-move states and arcs stay at most
+        # k + 1, but the removal tables would hold k(k - 1)/2 pairs: the
+        # default budget admits k = 10,000 (49,995,000 pairs) and refuses
+        # k = 10,001 before any table is built.
+        one = Digraph(1)
+        match = "^50005000 removal-table pairs exceed the state budget of 50000000$"
+        for call in (solve, play_trace):
+            start = time.perf_counter()
+            with pytest.raises(StateBudgetExceeded, match=match):
+                call(one, 10_001)
+            assert time.perf_counter() - start < 1
+        # Admitted, and won at placement, so no level builds the tables.
+        assert solve(one, 10_000)._some_placement_won()
+        # Only the pair count refuses two vertices without arcs at k = 600.
+        sizes = solver._table_sizes(Digraph(2), 600)
+        assert max(sizes[:3]) <= solver.DEFAULT_STATE_BUDGET < sizes[3] == 71_999_800
+        with pytest.raises(StateBudgetExceeded, match="^71999800 removal-table pairs"):
+            solve(Digraph(2), 600)
 
     def test_any_k_sized_before_work(self):
         # A million cops: the positions alone exceed the budget, and each
