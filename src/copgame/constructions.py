@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 
-from .digraph import MAX_ARCS, Digraph, _check_arc_cap, _check_vertex_cap, _from_rows
+from .digraph import MAX_ARCS, Digraph, _arc_pairs, _check_arc_cap, _check_vertex_cap, _from_rows
 from .errors import InputError, _as_int, _at_least
 
 # A random digraph costs one draw per ordered pair of vertices, so the
@@ -85,7 +85,8 @@ def _substitute(d: Digraph, subst) -> Digraph:
             sides.append((p, (w in outs) - (w in ins)))
         # a - b is 2 only for a plus port x and a minus port y
         arcs += [(x, y) for x, a in sides for y, b in sides if x != y and a - b < 2]
-    arcs += [(port.get((a, b), first[a]), port.get((b, a), first[b])) for a, b in d.arcs]
+    arcs += [(port.get((a, b), first[a]), port.get((b, a), first[b]))
+             for a, b in _arc_pairs(d.out_adj)]
     return Digraph(n, arcs)
 
 
@@ -111,14 +112,14 @@ def clique_substitute_all(d: Digraph) -> Digraph:
 def subdivide_arcs(d: Digraph, m: int) -> Digraph:
     """Replace every arc by a directed path with m - 1 fresh inner vertices.
 
-    Original ids are kept; inner vertices are appended following sorted arc
-    order.  m = 1 returns an identical copy.
+    Original ids are kept; inner vertices are appended following the arcs
+    in (tail, head) order.  m = 1 returns an identical copy.
     """
     m = _at_least(m, 1, "subdivision factor")
     _check_vertex_cap(d.n + d.arc_count * (m - 1))
     arcs = []
     next_id = d.n
-    for u, v in sorted(d.arcs):
+    for u, v in _arc_pairs(d.out_adj):
         prev = u
         for _ in range(m - 1):
             arcs.append((prev, next_id))

@@ -16,7 +16,10 @@ other than its own.  It is for package code whose rows meet that by
 construction or were checked already: the constructor itself, after its
 checks; parse_arc_list, which refuses every bad arc line; and the random
 draws and theorem3 sweep codes of constructions and harness.  Both fill
-n, arcs, out_adj and in_adj through _from_rows alone.
+n, out_adj and in_adj through _from_rows alone.  The rows are the only
+store of the arcs: the arcs set, the arc count, has_arc, equality and
+every writer read them, and ascending rows list the arcs in (tail, head)
+order.
 """
 
 from __future__ import annotations
@@ -35,8 +38,11 @@ from .errors import InputError, _at_least
 MAX_VERTICES = 100_000
 
 # The arc-list header and the clique substitutions size their result
-# before building it and refuse more arcs than this: building one costs
-# about 250 B at the peak, so the cap is about 1.2 GiB.
+# before building it and refuse more arcs than this.  On the 1,001,000
+# arcs of `copgame gen random --n 1001 --p 1 --seed 1`, parse_arc_list
+# peaks at 120 B per arc under tracemalloc (its text aside), and
+# `copgame transform --op subdivide --m 1`, which reads, rebuilds and
+# writes them, at 209 MB of RSS, so the cap is about 1 GiB.
 MAX_ARCS = 5_000_000
 
 
@@ -53,9 +59,11 @@ def _check_arc_cap(m: int) -> None:
 
 
 class Digraph:
-    """Immutable digraph with sorted adjacency precomputed in both directions."""
+    """Immutable digraph held as its ascending out- and in-neighbour rows,
+    each arc once per side.  (n, out_adj) is canonical: equal digraphs have
+    equal rows."""
 
-    __slots__ = ("n", "arcs", "out_adj", "in_adj")
+    __slots__ = ("n", "out_adj", "in_adj")
 
     def __init__(self, n: int, arcs=()):
         n = _at_least(n, 1, "vertex count")
@@ -75,11 +83,17 @@ class Digraph:
         _from_rows([sorted(set(row)) for row in outs], self)
 
     @property
+    def arcs(self) -> frozenset:
+        """The (tail, head) pairs, built from the rows on each access."""
+        return frozenset(_arc_pairs(self.out_adj))
+
+    @property
     def arc_count(self) -> int:
-        return len(self.arcs)
+        return sum(map(len, self.out_adj))
 
     def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
+        # Without the range test a negative tail would read a row from the end.
+        return 0 <= u < self.n and v in self.out_adj[u]
 
     def out_degree(self, v: int) -> int:
         return len(self.out_adj[v])
@@ -99,11 +113,11 @@ class Digraph:
         return (
             isinstance(other, Digraph)
             and self.n == other.n
-            and self.arcs == other.arcs
+            and self.out_adj == other.out_adj
         )
 
     def __hash__(self):
-        return hash((self.n, self.arcs))
+        return hash((self.n, self.out_adj))
 
     def __repr__(self):
         return f"Digraph(n={self.n}, arcs={self.arc_count})"
@@ -123,6 +137,12 @@ def _reachable(adj, start: int) -> int:
                 count += 1
                 queue.append(w)
     return count
+
+
+def _arc_pairs(outs):
+    """The (tail, head) pairs of the out-neighbour rows outs, row by row:
+    lexicographic order when the rows are ascending."""
+    return ((u, v) for u, row in enumerate(outs) for v in row)
 
 
 def _in_rows(outs):
@@ -147,7 +167,6 @@ def _from_rows(outs, d=None, ins=None) -> Digraph:
     if d is None:
         d = Digraph.__new__(Digraph)
     d.n = len(outs)
-    d.arcs = frozenset([(u, v) for u, row in enumerate(outs) for v in row])
     d.out_adj = tuple(map(tuple, outs))
     d.in_adj = tuple(map(tuple, _in_rows(outs) if ins is None else ins))
     return d
@@ -192,9 +211,8 @@ def underlying_girth(d: Digraph):
     An opposite arc pair is a 2-cycle.  Returns math.inf when the underlying
     graph is acyclic (a forest).
     """
-    for u, v in d.arcs:
-        if u < v and (v, u) in d.arcs:
-            return 2
+    if any(set(outs).intersection(ins) for outs, ins in zip(d.out_adj, d.in_adj)):
+        return 2
     # No multi-edges remain, so ordinary BFS girth on the simple graph works.
     und = [d.neighbors(v) for v in range(d.n)]
     best = math.inf
@@ -310,7 +328,7 @@ def parse_arc_list(text: str, source: str = "<string>") -> Digraph:
 def format_arc_list(d: Digraph) -> str:
     """Serialize to the arc-list format with arcs sorted, LF line endings."""
     out = [f"{d.n} {d.arc_count}"]
-    out.extend(f"{u} {v}" for u, v in sorted(d.arcs))
+    out.extend(f"{u} {v}" for u, v in _arc_pairs(d.out_adj))
     return "\n".join(out) + "\n"
 
 
@@ -318,6 +336,6 @@ def to_dot(d: Digraph) -> str:
     """Graphviz rendering with default styling."""
     out = ["digraph G {"]
     out.extend(f"  {v};" for v in range(d.n))
-    out.extend(f"  {u} -> {v};" for u, v in sorted(d.arcs))
+    out.extend(f"  {u} -> {v};" for u, v in _arc_pairs(d.out_adj))
     out.append("}")
     return "\n".join(out) + "\n"

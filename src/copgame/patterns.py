@@ -93,12 +93,8 @@ def _masks(host: Digraph, levels: int, with_in: bool):
             f"{bits >> 23} MiB of candidate masks, above the limit of "
             f"{MAX_MASK_BITS >> 23} MiB"
         )
-    out_m, in_m = [0] * host.n, [0] * host.n
-    for u, v in host.arcs:
-        out_m[u] |= 1 << v
-        if with_in:
-            in_m[v] |= 1 << u
-    return out_m, in_m
+    masks = [[sum(1 << v for v in vs) for vs in adj] for adj in adjs]
+    return masks[0], (masks[1] if with_in else [0] * host.n)
 
 
 def _first_witness(spec, allowed, out_m, in_m, kind: str):

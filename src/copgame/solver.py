@@ -218,9 +218,12 @@ _NONZERO = bytes([0] + [1] * 255)
 # the level before changed at least this many cop multisets, and one
 # multiset at a time below.  Of the 4,556 robber levels of the default
 # verify run (run_all(), 1,676 solves that run a pass), 4,169 follow a
-# level that changed fewer than 64 and 2,473 fewer than 5, and with byte
-# columns on every level that run took 1.10 times as long (550 against
-# 504 ms, measured when each pass ran one level).  The k = 3 solve of
+# level that changed fewer than 64 and 2,473 fewer than 5.  With byte
+# columns on every level those 2,687 solves took 1.17 to 1.18 times as
+# long (0.424 against 0.361 s and 0.362 against 0.307 s, medians of 16
+# interleaved rounds in two runs); with one multiset at a time on every
+# level, cop_number(plane(3), 4) took 36.2 against 30.0 ms and 34.7
+# against 27.6 ms (medians of 20 interleaved runs).  The k = 3 solve of
 # cop_number(clique_substitute_all(plane(2)), 3) settles 13,244, 7,196,
 # 6,244 and 6,594 cop multisets at its robber levels that settle any.
 _COLUMNS_FROM = 64

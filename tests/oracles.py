@@ -144,9 +144,9 @@ def girth_by_enumeration(d):
 
     Opposite arc pairs count as 2-cycles, matching the package convention.
     """
-    for u, v in d.arcs:
-        if (v, u) in d.arcs:
-            return 2
+    arcs = d.arcs
+    if any((v, u) in arcs for u, v in arcs):
+        return 2
     und = [set(d.out_adj[v]) | set(d.in_adj[v]) for v in range(d.n)]
     for length in range(3, d.n + 1):
         for combo in itertools.combinations(range(d.n), length):
@@ -205,7 +205,8 @@ def aigner_fromme_bound(d):
     is simple_girth_edge_bfs's, which ignores arc doubling; the package's
     underlying_girth counts two opposite arcs as a 2-cycle, so it is 2 on
     every symmetric digraph with an arc."""
-    if any((v, u) not in d.arcs for u, v in d.arcs):
+    arcs = d.arcs
+    if any((v, u) not in arcs for u, v in arcs):
         return 1
     seen, stack = {0}, [0]
     while stack:
@@ -326,8 +327,9 @@ def naive_isomorphic(d1, d2):
     degs2 = sorted((d2.in_degree(v), d2.out_degree(v)) for v in range(d2.n))
     if degs1 != degs2:
         return False
+    arcs1, arcs2 = d1.arcs, d2.arcs
     for perm in itertools.permutations(range(d1.n)):
-        if all((perm[u], perm[v]) in d2.arcs for u, v in d1.arcs):
+        if all((perm[u], perm[v]) in arcs2 for u, v in arcs1):
             return True
     return False
 
@@ -335,8 +337,9 @@ def naive_isomorphic(d1, d2):
 def canonical_form(d):
     """The least sorted arc tuple over all relabellings of d: two digraphs
     are isomorphic exactly when their forms are equal."""
+    arcs = d.arcs
     return d.n, min(
-        tuple(sorted((perm[u], perm[v]) for u, v in d.arcs))
+        tuple(sorted((perm[u], perm[v]) for u, v in arcs))
         for perm in itertools.permutations(range(d.n))
     )
 

@@ -299,8 +299,9 @@ class TestFamilies:
             for v in range(plane.n)
         )
         # every arc is doubled and no arc stays inside a side
-        assert all((v, u) in plane.arcs for u, v in plane.arcs)
-        assert all((u < 7) != (v < 7) for u, v in plane.arcs)
+        arcs = plane.arcs
+        assert all((v, u) in arcs for u, v in arcs)
+        assert all((u < 7) != (v < 7) for u, v in arcs)
         assert oracles.is_bipartite(plane)
         assert oracles.simple_girth_edge_bfs(plane) == 6
 
